@@ -32,6 +32,8 @@ def _working_weight(args):
         try:
             w = int(env) if env else 12
         except ValueError:
+            print("POISSON_FORGE_MAX_WEIGHT=%r is not an integer weight" % env,
+                  file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
     if w < 0 or w > WEIGHT_CAP:
         print("max weight %d beyond configured maximum %d" % (w, WEIGHT_CAP),

@@ -24,7 +24,7 @@ from .exterior import (FORM, GradedElement, contract, de_rham,
 from .linalg import ExactMatrix, QEchelon
 from .polynomials import Polynomial, monomial_key, monomials_of_degree
 from .rationals import Q
-from .series import H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES
+from .series import H_SERIES
 
 
 class InvariantViolation(Exception):
@@ -145,9 +145,11 @@ class HomologyReport:
                  "representative_verdicts")
 
     def __init__(self, degree, rows, hilbert, expected, series, rep_verdicts):
-        for _, dk, di, dh in rows:
+        for w, dk, di, dh in rows:
             if dh != dk - di or dh < 0:
-                raise InvariantViolation("inconsistent dimension row")
+                raise InvariantViolation(
+                    "inconsistent dimension row at (%d, %d): dim H %d, "
+                    "dim ker %d, dim im %d" % (degree, w, dh, dk, di))
         self.degree = degree
         self.rows = rows                    # (weight, dim ker, dim im, dim H)
         self.hilbert = hilbert
@@ -191,7 +193,6 @@ class HomologyEngine:
     def __init__(self, cat=None):
         self.cat = cat or lefschetz_catalog()
         self._delta = {}
-        self._rank = {}
         self._boundaries = {}
         self._families = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
@@ -226,13 +227,7 @@ class HomologyEngine:
     def delta_rank(self, k, w):
         if k == 5:
             return 0
-        key = (k, w)
-        if key not in self._rank:
-            if self.slice_dim(k, w) == 0:
-                self._rank[key] = 0
-            else:
-                self._rank[key] = self.delta_matrix(k, w).rank()
-        return self._rank[key]
+        return self.boundary_echelon(k - 1, w).rank
 
     def kernel_dim(self, k, w):
         if k == 0:
@@ -267,13 +262,8 @@ class HomologyEngine:
         """Echelonized image of delta inside the (k, w) slice; cached."""
         key = (k, w)
         if key not in self._boundaries:
-            ech = QEchelon()
-            if k < 4:
-                mat = self.delta_matrix(k + 1, w)
-                for col in mat.columns():
-                    if col:
-                        ech.insert(col)
-            self._boundaries[key] = ech
+            self._boundaries[key] = (self.delta_matrix(k + 1, w).echelon()
+                                     if k < 4 else QEchelon())
         return self._boundaries[key]
 
     def is_boundary(self, form):
@@ -493,7 +483,9 @@ class HomologyEngine:
             raise ValueError("input is not a delta_pi cycle")
         v = star_inv(h)
         if not d_pi(v, self.cat.poisson).is_zero():
-            raise InvariantViolation("transfer produced a non-closed multivector")
+            raise InvariantViolation("transfer of a degree-%d cycle of weights "
+                                     "%s produced a non-closed multivector"
+                                     % (h.degree, h.weights()))
         return v
 
     # -- volume deformation normalizer ------------------------------------
@@ -632,7 +624,9 @@ class HomologyEngine:
         for w in sorted(set(two_form.weights())):
             d = w - 4
             if d < 0 or d > w_max:
-                raise InvariantViolation("conformal factor outside range")
+                raise InvariantViolation("conformal factor at weight %d has "
+                                         "degree %d outside 0..%d"
+                                         % (w, d, w_max))
             basisw = self.basis(2, w)
             ech = QEchelon(track=True)
             monos = sorted(monomials_of_degree(4, d), key=monomial_key)
@@ -640,7 +634,8 @@ class HomologyEngine:
                 ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
             coords = ech.solve(basisw.coords(two_form.weight_slice(w)))
             if coords is None:
-                raise InvariantViolation("flow pullback is not a multiple of pi")
+                raise InvariantViolation("flow pullback is not a multiple of "
+                                         "pi at weight %d" % w)
             for idx, c in coords.items():
                 out = out + Polynomial.monomial(4, monos[idx], c)
         return out
@@ -654,15 +649,3 @@ def default_engine():
     if _ENGINE is None:
         _ENGINE = HomologyEngine()
     return _ENGINE
-
-
-def expected_homology_series(k):
-    return H_SERIES[k]
-
-
-def expected_kernel_series(k):
-    return KERNEL_SERIES[k]
-
-
-def printed_kernel3_series():
-    return KERNEL3_PRINTED

@@ -1,68 +1,134 @@
 """Exact rational linear algebra over sparse data.
 
-Everything here is exact: no floats, no unchecked modular shortcuts.
-Rank, membership and solving all go through incremental rational echelon
-rows (gmpy2 rationals keep entries reduced); columns are inserted sparsest
-first, which is what keeps elimination fill-in tame on the banded slice
-matrices.  Re-running with permuted input yields the same rank and an
-equivalent kernel span.
+Everything here is exact: no floats, no tolerances, no modular arithmetic.
+Rank, membership, solving and kernels all go through one incremental
+echelon of integer rows.  A rational input vector is cleared of its
+denominators on entry; each elimination step is fraction-free,
+vec <- m*vec - t*row, and divides out the content of the row whenever
+m != 1 (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968), so entries stay small without
+any rational arithmetic.  Every reduced vector is a nonzero multiple of
+the one rational elimination along the same pivots gives, so ranks,
+memberships and solved coordinates are exactly those of a rational
+echelon.  Columns are inserted sparsest first, which is what keeps
+elimination fill-in tame on the banded slice matrices.  Re-running with
+permuted input yields the same rank and an equivalent kernel span.
 """
 
-from bisect import insort
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .rationals import Q, QZERO, as_q
+from .rationals import Q, QONE, QZERO, as_q
+
+
+def _integer_row(vec):
+    """(D, D*vec) for a sparse rational vector, D the lcm of its denominators."""
+    row = {}
+    den = 1
+    for j, c in vec.items():
+        if not hasattr(c, "denominator"):
+            c = as_q(c)                # floats raise TypeError here
+        if c:
+            row[j] = c
+            if c.denominator != 1:
+                den = lcm(den, c.denominator)
+    for j, c in row.items():
+        row[j] = int(c.numerator) * (den // c.denominator)
+    return den, row
+
+
+def _divide(vec, g):
+    for j in vec:
+        vec[j] //= g
 
 
 class QEchelon:
-    """Rational echelon rows with optional coordinates over inserted generators."""
+    """Integer echelon rows with optional coordinates over inserted generators.
 
-    __slots__ = ("rows", "track", "count", "pivots")
+    `rows` maps each pivot column to a pair (main, aug) of sparse integer
+    dicts with main = sum aug[i] * generator_i.  The pair is primitive and
+    main's pivot entry, at its smallest column, is positive.
+    """
+
+    __slots__ = ("rows", "track", "count")
 
     def __init__(self, track=False):
         self.rows = {}     # pivot col -> (main dict, aug dict)
         self.track = track
         self.count = 0
-        self.pivots = []
 
     @property
     def rank(self):
         return len(self.rows)
 
     def _reduce(self, vec, aug):
-        # invariant: each stored row satisfies main = sum raug[i] * generator_i,
-        # so reducing vec by t*main subtracts t*raug from its expansion
-        for p in self.pivots:
+        # invariant: vec = sum aug[i] * generator_i (aug may be None when
+        # coordinates are not wanted).  Stored pivots present in vec are
+        # visited in ascending order; reducing by a row only touches its
+        # pivot and larger columns.
+        rows = self.rows
+        heap = [j for j in vec if j in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
             t = vec.get(p)
             if not t:
                 continue
-            main, raug = self.rows[p]
-            t = t / main[p]
+            main, raug = rows[p]
+            a = main[p]
+            g = gcd(t, a)
+            m, t = a // g, t // g
+            if m != 1:
+                for j in vec:
+                    vec[j] *= m
+                if aug is not None:
+                    for j in aug:
+                        aug[j] *= m
             for j, v in main.items():
-                nv = vec.get(j, QZERO) - t * v
-                if nv:
-                    vec[j] = nv
+                old = vec.get(j)
+                if old is None:
+                    vec[j] = -t * v
+                    if j in rows:
+                        heappush(heap, j)
                 else:
-                    vec.pop(j, None)
+                    nv = old - t * v
+                    if nv:
+                        vec[j] = nv
+                    else:
+                        del vec[j]
             if aug is not None:
                 for j, v in raug.items():
-                    nv = aug.get(j, QZERO) - t * v
+                    nv = aug.get(j, 0) - t * v
                     if nv:
                         aug[j] = nv
                     else:
                         aug.pop(j, None)
-        return vec, aug
+            if m != 1:
+                g = gcd(*vec.values())
+                if aug and g != 1:
+                    g = gcd(g, *aug.values())
+                if g > 1:
+                    _divide(vec, g)
+                    if aug:
+                        _divide(aug, g)
 
     def insert(self, vec):
         """Insert generator; its coordinate index is the insertion count."""
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
-        aug = {self.count: Q(1)} if self.track else None
+        den, v = _integer_row(vec)
+        aug = {self.count: den} if self.track else None
         self.count += 1
-        v, aug = self._reduce(v, aug)
+        self._reduce(v, aug)
         if not v:
             return False
+        aug = aug if aug is not None else {}
         p = min(v)
-        self.rows[p] = (v, aug if aug is not None else {})
-        insort(self.pivots, p)
+        g = gcd(*v.values(), *aug.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            _divide(v, g)
+            _divide(aug, g)
+        self.rows[p] = (v, aug)
         return True
 
     def solve(self, vec):
@@ -73,29 +139,28 @@ class QEchelon:
         """
         if not self.track:
             raise ValueError("echelon was built without coordinate tracking")
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
-        v, aug = self._reduce(v, {})
+        den, v = _integer_row(vec)
+        # vec enters as a would-be generator at the next index; its
+        # coordinate there stays a positive scale s, and once vec reduces
+        # to zero, s*vec + sum aug[i]*generator_i = 0
+        aug = {self.count: den}
+        self._reduce(v, aug)
         if v:
             return None
-        return {j: -c for j, c in aug.items()}
+        s = aug.pop(self.count)
+        return {j: Q(-c, s) for j, c in aug.items()}
 
     def clone(self):
         """Snapshot sharing the (immutable) stored rows."""
         out = QEchelon(track=self.track)
         out.rows = dict(self.rows)
         out.count = self.count
-        out.pivots = list(self.pivots)
         return out
 
     def contains(self, vec):
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
-        v, _ = self._reduce(v, None)
+        _, v = _integer_row(vec)
+        self._reduce(v, None)
         return not v
-
-    def residual(self, vec):
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
-        v, _ = self._reduce(v, None)
-        return v
 
 
 class ExactMatrix:
@@ -192,57 +257,32 @@ class ExactMatrix:
                     del out[r]
         return out
 
-    def rank(self):
+    def echelon(self):
+        """Echelon of the column span, columns inserted sparsest first."""
         ech = QEchelon()
         for col in sorted((c for c in self.columns() if c), key=len):
             ech.insert(col)
-        return ech.rank
+        return ech
+
+    def rank(self):
+        return self.echelon().rank
 
     def kernel_basis(self):
-        """Exact basis of the right kernel, as sparse dicts col -> rational."""
-        # Gauss-Jordan on the rows over Q, then read kernel off free columns.
-        rows = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        reduced = []       # (pivot col, row dict) fully reduced rows
-        for r in sorted(rows):
-            vec = dict(rows[r])
-            for p, prow in reduced:
-                t = vec.get(p)
-                if t:
-                    t = t / prow[p]
-                    for j, v in prow.items():
-                        nv = vec.get(j, QZERO) - t * v
-                        if nv:
-                            vec[j] = nv
-                        else:
-                            vec.pop(j, None)
-            if not vec:
-                continue
-            p = min(vec)
-            # eliminate the new pivot from earlier rows (Jordan step)
-            for q, prow in reduced:
-                t = prow.get(p)
-                if t:
-                    t = t / vec[p]
-                    for j, v in vec.items():
-                        nv = prow.get(j, QZERO) - t * v
-                        if nv:
-                            prow[j] = nv
-                        else:
-                            prow.pop(j, None)
-            reduced.append((p, vec))
-        pivot_cols = {p for p, _ in reduced}
+        """Exact basis of the right kernel, as sparse dicts col -> rational.
+
+        Column c gives a kernel vector exactly when it lies in the span of
+        the columns before it.
+        """
+        ech = QEchelon(track=True)
         basis = []
-        for j in range(self.cols):
-            if j in pivot_cols:
-                continue
-            vec = {j: Q(1)}
-            for p, prow in reduced:
-                coef = prow.get(j)
-                if coef:
-                    vec[p] = -coef / prow[p]
-            basis.append(vec)
+        for c, col in enumerate(self.columns()):
+            coords = ech.solve(col)
+            if coords is not None:
+                vec = {c: QONE}
+                for j, x in coords.items():
+                    vec[j] = -x
+                basis.append(vec)
+            ech.insert(col)
         return basis
 
 

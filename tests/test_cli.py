@@ -81,6 +81,18 @@ def test_env_weight(capsys, monkeypatch):
     assert "max weight: 2" in out
 
 
+def test_env_weight_unparsable(capsys, monkeypatch):
+    monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "abc")
+    assert main(["hilbert", "--group", "H0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "POISSON_FORGE_MAX_WEIGHT" in captured.err
+    assert "'abc'" in captured.err
+    # the flag still wins over an unparsable environment value
+    assert main(["hilbert", "--group", "H0", "--max-weight", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_module_structure(capsys):
     code = main(["verify", "--suite", "module-structure", "--max-weight", "6"])
     out = capsys.readouterr().out

@@ -1,10 +1,202 @@
 import random
+from bisect import insort
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from poisson_forge.linalg import (ExactMatrix, QEchelon, membership,
                                   quotient_dim, rank_kernel)
-from poisson_forge.rationals import Q
+from poisson_forge.rationals import Q, QZERO, as_q
+
+
+class FractionEchelon:
+    """The rational echelon the integer QEchelon replaced, kept as its
+    reference: verbatim apart from the class name and the uncalled
+    `residual` method."""
+
+    __slots__ = ("rows", "track", "count", "pivots")
+
+    def __init__(self, track=False):
+        self.rows = {}     # pivot col -> (main dict, aug dict)
+        self.track = track
+        self.count = 0
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _reduce(self, vec, aug):
+        # invariant: each stored row satisfies main = sum raug[i] * generator_i,
+        # so reducing vec by t*main subtracts t*raug from its expansion
+        for p in self.pivots:
+            t = vec.get(p)
+            if not t:
+                continue
+            main, raug = self.rows[p]
+            t = t / main[p]
+            for j, v in main.items():
+                nv = vec.get(j, QZERO) - t * v
+                if nv:
+                    vec[j] = nv
+                else:
+                    vec.pop(j, None)
+            if aug is not None:
+                for j, v in raug.items():
+                    nv = aug.get(j, QZERO) - t * v
+                    if nv:
+                        aug[j] = nv
+                    else:
+                        aug.pop(j, None)
+        return vec, aug
+
+    def insert(self, vec):
+        """Insert generator; its coordinate index is the insertion count."""
+        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        aug = {self.count: Q(1)} if self.track else None
+        self.count += 1
+        v, aug = self._reduce(v, aug)
+        if not v:
+            return False
+        p = min(v)
+        self.rows[p] = (v, aug if aug is not None else {})
+        insort(self.pivots, p)
+        return True
+
+    def solve(self, vec):
+        """Coordinates of vec over the inserted generators, or None.
+
+        Requires track=True.  The returned dict maps generator index ->
+        rational coefficient with vec = sum coeff * generator.
+        """
+        if not self.track:
+            raise ValueError("echelon was built without coordinate tracking")
+        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        v, aug = self._reduce(v, {})
+        if v:
+            return None
+        return {j: -c for j, c in aug.items()}
+
+    def clone(self):
+        """Snapshot sharing the (immutable) stored rows."""
+        out = FractionEchelon(track=self.track)
+        out.rows = dict(self.rows)
+        out.count = self.count
+        out.pivots = list(self.pivots)
+        return out
+
+    def contains(self, vec):
+        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        v, _ = self._reduce(v, None)
+        return not v
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    return rng.randint(-4, 4)
+
+
+def _random_vectors(rng, dim, count):
+    """Sparse vectors with rational entries, combinations of earlier ones,
+    exact repeats and empty vectors mixed in."""
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if out and roll < 0.25:
+            picks = rng.sample(out, min(len(out), rng.randint(1, 3)))
+            vec = {}
+            for old in picks:
+                c = _random_scalar(rng) or 1
+                for j, x in old.items():
+                    vec[j] = vec.get(j, 0) + c * x
+            vec = {j: x for j, x in vec.items() if x}
+        elif out and roll < 0.35:
+            vec = dict(rng.choice(out))
+        elif roll < 0.42:
+            vec = {}
+        else:
+            cols = rng.sample(range(dim), rng.randint(1, min(dim, 5)))
+            vec = {j: _random_scalar(rng) for j in cols}
+            vec = {j: x for j, x in vec.items() if x}
+        out.append(vec)
+    return out
+
+
+def _same_span_rows(ech, ref):
+    """Each integer row is a primitive, positive-pivot multiple of the reference row."""
+    assert list(ech.rows) == list(ref.rows)
+    for p, (main, aug) in ech.rows.items():
+        rmain, raug = ref.rows[p]
+        assert main[p] > 0
+        assert all(isinstance(x, int) for x in list(main.values()) + list(aug.values()))
+        assert gcd(*main.values(), *aug.values()) == 1
+        scale = rmain[p] / main[p]
+        assert list(rmain.items()) == [(j, scale * x) for j, x in main.items()]
+        assert list(raug.items()) == [(j, scale * x) for j, x in aug.items()]
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_integer_echelon_matches_fraction_reference(track):
+    rng = random.Random(2024 + track)
+    for _ in range(40):
+        dim = rng.randint(1, 9)
+        gens = _random_vectors(rng, dim, rng.randint(0, 12))
+        probes = _random_vectors(rng, dim, 6) + gens[:3]
+        ech, ref = QEchelon(track=track), FractionEchelon(track=track)
+        for i, g in enumerate(gens):
+            assert ech.insert(g) == ref.insert(g)
+            assert ech.rank == ref.rank
+            assert ech.count == ref.count
+            if i == len(gens) // 2:
+                # a snapshot grows on its own without touching the original
+                snap, rsnap = ech.clone(), ref.clone()
+                extra = _random_vectors(rng, dim, 3)
+                assert ([snap.insert(v) for v in extra]
+                        == [rsnap.insert(v) for v in extra])
+                _same_span_rows(snap, rsnap)
+        _same_span_rows(ech, ref)
+        for v in probes:
+            assert ech.contains(v) == ref.contains(v)
+            if track:
+                got, want = ech.solve(v), ref.solve(v)
+                if want is None:
+                    assert got is None
+                else:
+                    assert list(got.items()) == list(want.items())
+                    assert all(isinstance(x, Q) for x in got.values())
+
+
+def test_integer_echelon_rejects_floats():
+    ech = QEchelon(track=True)
+    ech.insert({0: 1, 1: Q(1, 2)})
+    for call in (ech.insert, ech.solve, ech.contains):
+        with pytest.raises(TypeError):
+            call({0: 1, 1: 0.5})
+    assert ech.rank == 1 and ech.count == 1
+
+
+def test_kernel_basis_on_rational_matrices():
+    rng = random.Random(17)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 8)
+        entries = {(r, c): _random_scalar(rng)
+                   for r in range(rows) for c in range(cols)
+                   if rng.random() < 0.5}
+        if rng.random() < 0.3 and cols > 2:
+            # column 0 repeated as the last column, column 1 zero
+            for r in range(rows):
+                entries.pop((r, 1), None)
+                if (r, 0) in entries:
+                    entries[(r, cols - 1)] = entries[(r, 0)]
+                else:
+                    entries.pop((r, cols - 1), None)
+        m = ExactMatrix(rows, cols, entries)
+        kernel = m.kernel_basis()
+        assert len(kernel) == cols - m.rank()
+        for v in kernel:
+            assert m.apply(v) == {}
 
 
 def test_rank_kernel_examples():

@@ -352,10 +352,11 @@ class WeightSliceBasis:
     """Deterministic monomial basis of one (exterior degree, weight) slice.
 
     Elements are (index tuple, monomial) pairs, ordered lexicographically on
-    the index tuple and then by the local monomial order, greatest first.
+    the index tuple and then by the local monomial order, greatest first;
+    `positions` maps each element to its position.
     """
 
-    __slots__ = ("n", "degree", "weight", "kind", "elements", "_pos")
+    __slots__ = ("n", "degree", "weight", "kind", "elements", "positions")
 
     def __init__(self, n, degree, weight, kind):
         self.n = n
@@ -371,7 +372,7 @@ class WeightSliceBasis:
                     for m in monos:
                         elements.append((idx, m))
         self.elements = elements
-        self._pos = {e: i for i, e in enumerate(elements)}
+        self.positions = {e: i for i, e in enumerate(elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -385,7 +386,7 @@ class WeightSliceBasis:
                                    Polynomial.monomial(self.n, m))
 
     def index_of(self, idx, m):
-        return self._pos[(tuple(idx), tuple(m))]
+        return self.positions[(tuple(idx), tuple(m))]
 
     def coords(self, elem):
         """Sparse coordinates of a slice-homogeneous element; error if it leaves the slice."""
@@ -395,10 +396,10 @@ class WeightSliceBasis:
         for idx, p in elem.comps.items():
             for m, c in p.terms.items():
                 key = (idx, m)
-                if key not in self._pos:
+                if key not in self.positions:
                     raise ValueError("element has a term outside the (%d,%d) slice"
                                      % (self.degree, self.weight))
-                out[self._pos[key]] = c
+                out[self.positions[key]] = c
         return out
 
     def from_coords(self, vec):

@@ -22,6 +22,7 @@ from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, contract, de_rham,
                        enumerate_basis, star, star_inv, wedge)
 from .linalg import ExactMatrix, QEchelon
+from .poisson import _delta_term
 from .polynomials import Polynomial, monomial_key, monomials_of_degree
 from .rationals import Q
 from .series import H_SERIES
@@ -206,18 +207,22 @@ class HomologyEngine:
         return len(self.basis(k, w))
 
     def delta_matrix(self, k, w):
-        """Matrix of delta_pi from the (k, w) slice to the (k-1, w) slice."""
+        """Matrix of delta_pi from the (k, w) slice to the (k-1, w) slice.
+
+        Column i is the stencil expansion of basis term i, with integer
+        entries in the Lefschetz case, placed by the target slice's
+        position map.
+        """
         if not 1 <= k <= 4:
             raise ValueError("degree out of range")
         key = (k, w)
         if key not in self._delta:
-            from .poisson import delta_pi
-            src = self.basis(k, w)
+            structure = self.cat.poisson
             dst = self.basis(k - 1, w)
-            columns = []
-            for i in range(len(src)):
-                img = delta_pi(src.element(i), self.cat.poisson)
-                columns.append(dst.coords(img))
+            pos = dst.positions
+            columns = [{pos[(J, mt)]: v
+                        for J, mt, v in _delta_term(structure, idx, m)}
+                       for idx, m in self.basis(k, w).elements]
             self._delta[key] = ExactMatrix.from_columns(columns, len(dst))
         return self._delta[key]
 
@@ -555,7 +560,6 @@ class HomologyEngine:
     def _solve_deformation_step(self, gi, i):
         """Find q_i (Casimir slice) and X with d_pi(X) = (g_i - q_i) pi,
         iota_X df1 = iota_X df2 = 0, by one augmented exact solve."""
-        from .poisson import delta_pi
         cat = self.cat
         w = i + 4
         basis3 = self.basis(3, w)
@@ -563,8 +567,8 @@ class HomologyEngine:
         fun_basis = self.basis(0, i + 2)
         n2, n0 = len(basis2), len(fun_basis)
 
-        def extended(two_form, c1, c2):
-            vec = dict(basis2.coords(two_form))
+        def extended(coords2, c1, c2):
+            vec = dict(coords2)
             for off, fn in ((n2, c1), (n2 + n0, c2)):
                 if fn is None:
                     continue
@@ -575,12 +579,14 @@ class HomologyEngine:
         fmonos = f_monomials(cat, i)
         gens = []
         for _, fm in fmonos:
-            gens.append(extended(cat.df1df2 * fm, None, None))
+            gens.append(extended(basis2.coords(cat.df1df2 * fm), None, None))
+        # column j of delta_3 is the image of basis 3-form j
+        images = self.delta_matrix(3, w).columns()
         tau_elems = []
         for j in range(len(basis3)):
             tau = basis3.element(j)
             xt = star_inv(tau)
-            gens.append(extended(delta_pi(tau, cat.poisson),
+            gens.append(extended(images[j],
                                  GradedElement.from_polynomial(
                                      contract(xt, cat.df1).coefficient(())),
                                  GradedElement.from_polynomial(
@@ -589,7 +595,7 @@ class HomologyEngine:
         ech = QEchelon(track=True)
         for vec in gens:
             ech.insert(vec)
-        coords = ech.solve(extended(cat.df1df2 * gi, None, None))
+        coords = ech.solve(extended(basis2.coords(cat.df1df2 * gi), None, None))
         if coords is None:
             raise InvariantViolation("deformation step unsolvable at weight %d "
                                      "(contradicts the classification)" % i)

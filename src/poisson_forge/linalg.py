@@ -164,7 +164,10 @@ class QEchelon:
 
 
 class ExactMatrix:
-    """Sparse exact matrix: entries (row, col) -> rational, no stored zeros."""
+    """Sparse exact matrix: entries (row, col) -> rational, no stored zeros.
+
+    Integer entries are kept as ints; any other entry becomes a Q.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -176,7 +179,8 @@ class ExactMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry out of bounds")
-                v = as_q(v)
+                if type(v) is not int:
+                    v = as_q(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean

@@ -5,7 +5,7 @@ A Jacobi-Poisson structure on R^n is determined by n-2 functions through
     {g, h} mu = dg ^ dh ^ df_1 ^ ... ^ df_{n-2},
 
 equivalently star(pi) = df_1 ^ ... ^ df_{n-2}.  The Koszul-Brylinski
-differential on forms is implemented directly as
+differential on forms is defined as
 
     delta_pi = d o iota_pi - iota_pi o d,
 
@@ -13,10 +13,23 @@ with the determinant-pairing contraction of exterior.py; the sign is the
 one that gives delta_pi(g mu) = dg ^ df_1 ^ df_2 on top forms, and it
 satisfies star o d_pi = delta_pi o star for the unimodular case.
 
+It is evaluated through a stencil.  d brings down exactly one exponent,
+so for any polynomial bivector
+
+    delta_pi(x^m dx_I) = sum (c0 + c.m) x^(m+t) dx_J
+
+over a short table of (J, t, c0, c) that depends on I and pi but not on
+m, with every shift t >= -1.  Each structure reads its table off the
+definition above at m = (1,...,1) and its n unit steps, once per I on
+first use; delta_pi of a form and the slice matrices of homology.py both
+expand terms through it.
+
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions; it restricts to the Lie bracket on
 vector fields and to X(g) on (vector, function), and [pi, pi] = 0.
 """
+
+from operator import add
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, contract, de_rham,
                        star, star_inv, volume_form, wedge, wedge_all)
@@ -24,15 +37,20 @@ from .polynomials import Polynomial
 
 
 class PoissonStructure:
-    """Bivector + Casimirs + volume; immutable after construction."""
+    """Bivector + Casimirs + volume; immutable after construction.
 
-    __slots__ = ("n", "bivector", "casimirs", "volume")
+    `_stencil` maps a form index tuple I to the delta_pi table of x^m dx_I
+    (see _stencil_row); rows are added on first use.
+    """
+
+    __slots__ = ("n", "bivector", "casimirs", "volume", "_stencil")
 
     def __init__(self, bivector, casimirs, volume):
         self.n = bivector.n
         self.bivector = bivector
         self.casimirs = list(casimirs)
         self.volume = volume
+        self._stencil = {}
 
 
 def jacobi_poisson(fns, n):
@@ -127,14 +145,79 @@ def d_pi(v, structure):
 
 def delta_pi(a, structure):
     """Koszul-Brylinski differential on forms, lowering degree by one."""
-    pi = structure.bivector
+    if a.kind != FORM:
+        raise ValueError("delta_pi acts on forms")
+    if a.n != structure.n:
+        raise ValueError("dimension mismatch")
     if a.degree == 0:
         return GradedElement.zero(a.n, 0, FORM)
-    first = de_rham(contract(pi, a)) if a.degree >= 2 \
-        else GradedElement.zero(a.n, a.degree - 1, FORM)
-    second = contract(pi, de_rham(a)) if a.degree < a.n \
-        else GradedElement.zero(a.n, a.degree - 1, FORM)
-    return first - second
+    comps = {}
+    for idx, p in a.comps.items():
+        for m, c in p.terms.items():
+            for J, mt, v in _delta_term(structure, idx, m):
+                terms = comps.setdefault(J, {})
+                terms[mt] = terms.get(mt, 0) + c * v
+    return GradedElement(a.n, a.degree - 1, FORM,
+                         {J: Polynomial(a.n, t) for J, t in comps.items()})
+
+
+def _delta_term(structure, idx, m):
+    """delta_pi(x^m dx_idx) as a list of (J, exponent, nonzero coefficient).
+
+    The coefficient is an int whenever the stencil's entries are.  A shift
+    t_i = -1 comes only from d/dx_i acting on a monomial whose x_i exponent
+    is m_i, so its coefficient is a multiple of m_i and is zero wherever
+    m_i + t_i < 0: no negative exponent is ever returned.
+    """
+    out = []
+    for J, t, c0, c in _stencil_row(structure, idx):
+        v = c0
+        for i, ci in c:
+            v += ci * m[i]
+        if v:
+            out.append((J, tuple(map(add, m, t)), v))
+    return out
+
+
+def _stencil_row(structure, idx):
+    """The (J, t, c0, c) of delta_pi(x^m dx_idx) = sum (c0 + c.m) x^(m+t) dx_J.
+
+    c is sparse, a tuple of (axis position, coefficient) pairs.  The row is
+    read off d o iota_pi - iota_pi o d at m = (1,...,1) and at its n unit
+    steps m + e_i: the coefficient of x^(m+t) dx_J there is c0 + c.m, and
+    since every t >= -1 no term is lost at these points.  Coefficients with
+    denominator 1 are stored as ints.
+    """
+    row = structure._stencil.get(idx)
+    if row is not None:
+        return row
+    n, k, pi = structure.n, len(idx), structure.bivector
+    values = []
+    if k:
+        zero = GradedElement.zero(n, k - 1, FORM)
+        ones = (1,) * n
+        for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
+            a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
+            first = de_rham(contract(pi, a)) if k >= 2 else zero
+            second = contract(pi, de_rham(a)) if k < n else zero
+            image = {}
+            for J, p in (first - second).comps.items():
+                for mt, coeff in p.terms.items():
+                    image[(J, tuple(e - mi for e, mi in zip(mt, m)))] = coeff
+            values.append(image)
+    row = []
+    for key in sorted(set().union(*values)):
+        base = values[0].get(key, 0)
+        c = [image.get(key, 0) - base for image in values[1:]]
+        c0 = base - sum(c)
+        row.append((key[0], key[1], _as_int(c0),
+                    tuple((i, _as_int(ci)) for i, ci in enumerate(c) if ci)))
+    row = structure._stencil[idx] = tuple(row)
+    return row
+
+
+def _as_int(q):
+    return int(q) if q.denominator == 1 else q
 
 
 def modular_field(structure):

@@ -1,12 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     contract, de_rham, enumerate_basis, star,
                                     star_inv, wedge)
-from poisson_forge.poisson import (d_pi, delta_pi, jacobi_poisson,
-                                   modular_field, schouten,
+from poisson_forge.poisson import (_stencil_row, d_pi, delta_pi,
+                                   jacobi_poisson, modular_field, schouten,
                                    verify_identity_suite)
 from poisson_forge.polynomials import Polynomial
 from poisson_forge.rationals import Q
@@ -175,6 +176,105 @@ def test_delta_squared_and_anticommutation(cat):
                 else:
                     assert (de_rham(da) +
                             delta_pi(de_rham(a), cat.poisson)).is_zero()
+
+
+# -- the delta_pi stencil against its definition ------------------------
+
+
+def delta_reference(a, structure):
+    """delta_pi = d o iota_pi - iota_pi o d, composed on the whole form."""
+    pi = structure.bivector
+    if a.degree == 0:
+        return GradedElement.zero(a.n, 0, FORM)
+    zero = GradedElement.zero(a.n, a.degree - 1, FORM)
+    first = de_rham(contract(pi, a)) if a.degree >= 2 else zero
+    second = contract(pi, de_rham(a)) if a.degree < a.n else zero
+    return first - second
+
+
+def rational_structures():
+    """Two non-Lefschetz structures whose stencils hold non-integers."""
+    y = [Polynomial.variable(3, i) for i in range(1, 4)]
+    on_r4 = jacobi_poisson([x(1) ** 3 * Q(1, 2) + x(2) * x(3) * x(4) * Q(-2, 3)
+                            + x(4) * x(4),
+                            x(2) ** 3 * Q(3, 5) + x(1) * x(1) * x(3)
+                            - x(1) * x(4) * Q(1, 7)], 4)
+    on_r3 = jacobi_poisson([y[0] * y[1] * y[2] * Q(1, 3) + y[2] ** 3 * Q(-5, 2)
+                            + y[0] * y[0]], 3)
+    return [on_r4, on_r3]
+
+
+def rand_rational_form(rng, n, k):
+    """A non-homogeneous degree-k form on R^n with rational coefficients."""
+    axes = list(combinations(range(1, n + 1), k))
+    comps = {}
+    for _ in range(rng.randint(1, 5)):
+        m = tuple(rng.randrange(4) for _ in range(n))
+        comps.setdefault(rng.choice(axes), {})[m] = \
+            Q(rng.randint(-9, 9), rng.randint(1, 6))
+    return GradedElement(n, k, FORM,
+                         {i: Polynomial(n, t) for i, t in comps.items()})
+
+
+def test_delta_stencil_matches_definition_on_basis(cat):
+    for k in range(5):
+        for w in range(k, 9):
+            basis = enumerate_basis(k, w, FORM)
+            for i in range(len(basis)):
+                a = basis.element(i)
+                assert delta_pi(a, cat.poisson) == \
+                    delta_reference(a, cat.poisson), (k, w, i)
+
+
+def test_delta_stencil_matches_definition_on_rational_structures(cat):
+    structures = rational_structures()
+    for P in structures:
+        n = P.n
+        for k in range(n + 1):
+            for w in range(k, 7):
+                basis = enumerate_basis(k, w, FORM, n)
+                for i in range(len(basis)):
+                    a = basis.element(i)
+                    assert delta_pi(a, P) == delta_reference(a, P), (n, k, w, i)
+        entries = [e for row in P._stencil.values() for _, _, c0, c in row
+                   for e in (c0,) + tuple(ci for _, ci in c)]
+        assert any(isinstance(e, type(Q(1))) for e in entries)
+        assert all(isinstance(e, (int, type(Q(1)))) for e in entries)
+    rng = random.Random(53)
+    for P in [cat.poisson] + structures:
+        for _ in range(40):
+            a = rand_rational_form(rng, P.n, rng.randrange(P.n + 1))
+            assert delta_pi(a, P) == delta_reference(a, P)
+
+
+def test_lefschetz_stencil_is_integral(cat):
+    for k in range(5):
+        for idx in combinations(range(1, 5), k):
+            for _, t, c0, c in _stencil_row(cat.poisson, idx):
+                assert min(t) >= -1 and list(t).count(-1) <= 1
+                assert all(type(e) is int
+                           for e in (c0,) + tuple(v for _, v in c))
+
+
+def test_delta_matrix_columns_match_definition(engine, cat):
+    for k in range(1, 5):
+        for w in range(k, 7):
+            src, dst = engine.basis(k, w), engine.basis(k - 1, w)
+            columns = engine.delta_matrix(k, w).columns()
+            assert len(columns) == len(src)
+            for i, col in enumerate(columns):
+                want = dst.coords(delta_reference(src.element(i), cat.poisson))
+                assert col == want, (k, w, i)
+
+
+def test_delta_pi_rejects_non_forms(cat):
+    for k in range(5):
+        v = GradedElement.basis(4, MULTIVECTOR, tuple(range(1, k + 1)), x(1))
+        with pytest.raises(ValueError):
+            delta_pi(v, cat.poisson)
+    on_r3 = rational_structures()[1]
+    with pytest.raises(ValueError):
+        delta_pi(GradedElement.basis(4, FORM, (1, 2), x(1)), on_r3)
 
 
 def test_delta_commutes_with_weight_slice(cat):

@@ -1,0 +1,70 @@
+"""Property tests on random small forms and vector fields (hypothesis).
+
+The examples are derandomized, so every run checks the same inputs, and
+no example database is written.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from poisson_forge.exterior import FORM, MULTIVECTOR, GradedElement, de_rham
+from poisson_forge.poisson import delta_pi, schouten
+from poisson_forge.polynomials import Polynomial
+
+CHECKS = settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+monomials = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@st.composite
+def elements(draw, kind, degree=None):
+    """A sparse element of R^4 with up to four terms of x-degree <= 8."""
+    k = draw(st.integers(0, 4)) if degree is None else degree
+    axes = list(combinations(range(1, 5), k))
+    comps = {}
+    for idx, m, c in draw(st.lists(st.tuples(st.sampled_from(axes), monomials,
+                                             coefficients), max_size=4)):
+        comps.setdefault(idx, {})[m] = c
+    return GradedElement(4, k, kind,
+                         {i: Polynomial(4, t) for i, t in comps.items()})
+
+
+forms = elements(FORM)
+vector_fields = elements(MULTIVECTOR, 1)
+
+
+@CHECKS
+@given(forms)
+def test_delta_squared_zero(cat, a):
+    assert delta_pi(delta_pi(a, cat.poisson), cat.poisson).is_zero()
+
+
+@CHECKS
+@given(forms)
+def test_d_delta_anticommute(cat, a):
+    # delta_pi lands in degree k-1 and d in k+1: at k = 0 and k = 4 one of
+    # the two compositions is zero on its own
+    P = cat.poisson
+    if a.degree == 0:
+        assert delta_pi(de_rham(a), P).is_zero()
+    elif a.degree == 4:
+        assert de_rham(delta_pi(a, P)).is_zero()
+    else:
+        assert (de_rham(delta_pi(a, P)) + delta_pi(de_rham(a), P)).is_zero()
+
+
+@CHECKS
+@given(forms)
+def test_d_squared_zero(a):
+    assert de_rham(de_rham(a)).is_zero()
+
+
+@CHECKS
+@given(vector_fields, vector_fields)
+def test_schouten_antisymmetric_on_vector_fields(u, v):
+    assert schouten(u, v) == -schouten(v, u)
+    assert schouten(u, u).is_zero()

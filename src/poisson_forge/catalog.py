@@ -85,13 +85,6 @@ class LefschetzCatalog:
         self.poisson = jacobi_poisson([self.f1, self.f2], 4)
         self.pi = self.poisson.bivector
 
-    def f_polynomial(self, pairs):
-        """Polynomial in f1, f2 from {(a, b): coeff} exponent data."""
-        out = Polynomial.zero(4)
-        for (a, b), c in pairs.items():
-            out = out + (self.f1 ** a) * (self.f2 ** b) * c
-        return out
-
 
 _CATALOG = None
 

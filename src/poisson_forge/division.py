@@ -41,15 +41,28 @@ class DivisionProblem:
         self.w = w
 
 
+def _submodule_echelon(prob, src):
+    """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
+    ech = QEchelon()
+    for a in prob.forms:
+        u = a.weights()[0]
+        lower = enumerate_basis(prob.p - 1, prob.w - u, FORM, a.n)
+        for i in range(len(lower)):
+            img = wedge(a, lower.element(i))
+            if img:
+                ech.insert(src.coords(img))
+    return ech
+
+
 def _wedge_kernel_echelon(prob):
-    """Echelon data for the slice: returns (kernel_dim, submodule_rank)."""
+    """(kernel_dim, submodule echelon) of the slice."""
     alpha = wedge_all(prob.forms)
     aw = alpha.weights()
     n = alpha.n
     p, w = prob.p, prob.w
     src = enumerate_basis(p, w, FORM, n)
     if len(src) == 0:
-        return 0, 0
+        return 0, QEchelon()
     if not aw or p + alpha.degree > n:   # wedging with alpha is the zero map
         kernel_dim = len(src)
     else:
@@ -61,21 +74,13 @@ def _wedge_kernel_echelon(prob):
             if img and ech.insert(dst.coords(img)):
                 rank += 1
         kernel_dim = len(src) - rank
-    sub = QEchelon()
-    for a in prob.forms:
-        u = a.weights()[0]
-        lower = enumerate_basis(p - 1, w - u, FORM, n)
-        for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
-            if img:
-                sub.insert(src.coords(img))
-    return kernel_dim, sub.rank
+    return kernel_dim, _submodule_echelon(prob, src)
 
 
 def division_group_dim(prob):
     """dim of the (p, w) slice of D^p(a_1,...,a_k)."""
-    kernel_dim, sub_rank = _wedge_kernel_echelon(prob)
-    return kernel_dim - sub_rank
+    kernel_dim, sub = _wedge_kernel_echelon(prob)
+    return kernel_dim - sub.rank
 
 
 def division_group_dim_via_kernel_basis(prob):
@@ -153,34 +158,19 @@ def verify_division_basis(prob, cat=None):
     """(count, dim, independent, all_in_kernel) for the instantiated basis."""
     cat = cat or lefschetz_catalog()
     reps = division_group_basis(prob, cat)
-    dim = division_group_dim(prob)
+    kernel_dim, sub = _wedge_kernel_echelon(prob)
+    dim = kernel_dim - sub.rank
     alpha = wedge_all(prob.forms)
     all_kernel = all(wedge(r, alpha).is_zero() for r in reps)
     src = enumerate_basis(prob.p, prob.w, FORM, 4)
-    ech = QEchelon()
-    for a in prob.forms:
-        u = a.weights()[0]
-        lower = enumerate_basis(prob.p - 1, prob.w - u, FORM, 4)
-        for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
-            if img:
-                ech.insert(src.coords(img))
-    independent = all(ech.insert(src.coords(r)) for r in reps)
+    independent = all(sub.insert(src.coords(r)) for r in reps)
     return len(reps), dim, independent, all_kernel
 
 
 def submodule_contains(prob, form):
     """Is the form inside sum_i a_i ^ Omega^{p-1} on its slice?"""
     src = enumerate_basis(prob.p, prob.w, FORM, form.n)
-    ech = QEchelon()
-    for a in prob.forms:
-        u = a.weights()[0]
-        lower = enumerate_basis(prob.p - 1, prob.w - u, FORM, form.n)
-        for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
-            if img:
-                ech.insert(src.coords(img))
-    return ech.contains(src.coords(form))
+    return _submodule_echelon(prob, src).contains(src.coords(form))
 
 
 # -- Jacobian ideal slices ----------------------------------------------------

@@ -385,9 +385,6 @@ class WeightSliceBasis:
         return GradedElement.basis(self.n, self.kind, idx,
                                    Polynomial.monomial(self.n, m))
 
-    def index_of(self, idx, m):
-        return self.positions[(tuple(idx), tuple(m))]
-
     def coords(self, elem):
         """Sparse coordinates of a slice-homogeneous element; error if it leaves the slice."""
         if elem.kind != self.kind or elem.degree != self.degree or elem.n != self.n:

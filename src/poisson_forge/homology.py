@@ -8,14 +8,18 @@ the form complex splits into finite slices of fixed scaling weight w:
 Each slice map is assembled as an exact sparse matrix in the deterministic
 monomial bases of exterior.py; homology dimensions are rank differences,
 homology classes are handled through one cached echelonized boundary basis
-per slice.
+per slice.  Its quotient view with the representatives inserted
+(`class_echelon`, also cached) gives the coordinates of a class over the
+representatives alone; it serves both the independence check and the
+induced de Rham complex, so no boundary is ever eliminated with tracking.
 
 Besides dimensions this module instantiates and verifies the explicit
 representative families (unique normal forms of classes), certifies the
 module-structure relations over the Casimir ring as boundary memberships,
 computes the de Rham complex induced on homology, and runs the
 volume-deformation normalizer that rewrites g*pi as q*pi with q a Casimir
-function, through a chosen weight.
+function, through a chosen weight.  Its step and conformal-factor systems
+depend only on the weight and are built once per engine and weight.
 """
 
 from .catalog import lefschetz_catalog
@@ -195,6 +199,9 @@ class HomologyEngine:
         self.cat = cat or lefschetz_catalog()
         self._delta = {}
         self._boundaries = {}
+        self._classes = {}
+        self._deformation = {}
+        self._conformal = {}
         self._families = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
 
@@ -270,6 +277,28 @@ class HomologyEngine:
             self._boundaries[key] = (self.delta_matrix(k + 1, w).echelon()
                                      if k < 4 else QEchelon())
         return self._boundaries[key]
+
+    def class_echelon(self, k, w):
+        """(reps, independent, ech) of the (k, w) homology classes; cached.
+
+        `ech` is the boundary echelon's quotient view with the
+        representatives inserted, so its `solve` gives the coordinates of a
+        cycle's class over the representatives only.  `independent` is false
+        when a representative is zero or dependent modulo the boundaries;
+        insertion stops there.
+        """
+        key = (k, w)
+        if key not in self._classes:
+            reps = self.representative_basis(k, w)
+            basis = self.basis(k, w)
+            ech = self.boundary_echelon(k, w).quotient()
+            independent = True
+            for r in reps:
+                if not r or not ech.insert(basis.coords(r)):
+                    independent = False
+                    break
+            self._classes[key] = (reps, independent, ech)
+        return self._classes[key]
 
     def is_boundary(self, form):
         ws = form.weights()
@@ -365,19 +394,9 @@ class HomologyEngine:
     def verify_representatives(self, k, w):
         """Cycles, independent modulo boundaries, count equals dimension."""
         from .poisson import delta_pi
-        reps = self.representative_basis(k, w)
+        reps, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
         all_cycles = all(delta_pi(r, self.cat.poisson).is_zero() for r in reps)
-        basis = self.basis(k, w)
-        ech = self.boundary_echelon(k, w).clone()
-        independent = True
-        for r in reps:
-            if not r:
-                independent = False
-                break
-            if not ech.insert(basis.coords(r)):
-                independent = False
-                break
         return RepresentativeVerdict(k, w, len(reps), dim, all_cycles, independent)
 
     # -- module structure over the Casimir ring ------------------------
@@ -431,34 +450,17 @@ class HomologyEngine:
 
     # -- induced de Rham complex on homology ----------------------------
 
-    def _class_solver(self, k, w):
-        """Tracked echelon over [representatives..., boundaries...] of (k, w)."""
-        reps = self.representative_basis(k, w)
-        basis = self.basis(k, w)
-        ech = QEchelon(track=True)
-        for r in reps:
-            if not ech.insert(basis.coords(r)):
-                raise InvariantViolation("dependent representatives at (%d, %d)"
-                                         % (k, w))
-        if k < 4:
-            for col in self.delta_matrix(k + 1, w).columns():
-                ech.insert(col)
-        return reps, ech
-
     def induced_de_rham(self, w_max):
         """Dimension table of the de Rham cohomology of (H_., d) per (k, w)."""
         table = {}
         for w in range(w_max + 1):
-            reps = {k: self.representative_basis(k, w) for k in range(5)}
-            solver = {}
+            reps = {0: self.representative_basis(0, w)}
             ranks = {}
             for k in range(4):
-                if not reps[k]:
-                    ranks[k] = 0
-                    continue
-                if k + 1 not in solver:
-                    solver[k + 1] = self._class_solver(k + 1, w)
-                target_reps, ech = solver[k + 1]
+                reps[k + 1], independent, ech = self.class_echelon(k + 1, w)
+                if not independent:
+                    raise InvariantViolation("dependent representatives at "
+                                             "(%d, %d)" % (k + 1, w))
                 rows = QEchelon()
                 for r in reps[k]:
                     dr = de_rham(r)
@@ -468,9 +470,8 @@ class HomologyEngine:
                     if coords is None:
                         raise InvariantViolation(
                             "d of a cycle did not decompose at (%d, %d)" % (k, w))
-                    vec = {i: c for i, c in coords.items() if i < len(target_reps)}
-                    if vec:
-                        rows.insert(vec)
+                    if coords:
+                        rows.insert(coords)
                 ranks[k] = rows.rank
             ranks[4] = 0
             for k in range(5):
@@ -517,17 +518,9 @@ class HomologyEngine:
             gi = current.homogeneous_part(i)
             if gi.is_zero():
                 continue
-            fmonos = f_monomials(cat, i)
-            target = cat.df1df2 * gi
-            targ_basis = self.basis(2, i + 4)
-            # first try: already a pure Casimir slice, no correction needed
-            casimir_ech = QEchelon(track=True)
-            for _, fm in fmonos:
-                casimir_ech.insert(targ_basis.coords(cat.df1df2 * fm))
-            direct = casimir_ech.solve(targ_basis.coords(target))
-            if direct is not None:
-                continue
             qi, corrector = self._solve_deformation_step(gi, i)
+            if corrector is None:     # already a pure Casimir slice
+                continue
             # exact certificates, never trusted silently
             residual = gi - qi
             if d_pi(corrector, cat.poisson) != cat.pi * residual:
@@ -559,43 +552,35 @@ class HomologyEngine:
 
     def _solve_deformation_step(self, gi, i):
         """Find q_i (Casimir slice) and X with d_pi(X) = (g_i - q_i) pi,
-        iota_X df1 = iota_X df2 = 0, by one augmented exact solve."""
+        iota_X df1 = iota_X df2 = 0, by one augmented exact solve of a system
+        cached per weight.  Its Casimir generators come first, so X is None
+        exactly when df1^df2 * g_i is a Casimir slice."""
         cat = self.cat
         w = i + 4
-        basis3 = self.basis(3, w)
         basis2 = self.basis(2, w)
-        fun_basis = self.basis(0, i + 2)
-        n2, n0 = len(basis2), len(fun_basis)
-
-        def extended(coords2, c1, c2):
-            vec = dict(coords2)
-            for off, fn in ((n2, c1), (n2 + n0, c2)):
-                if fn is None:
-                    continue
-                for idx, val in fun_basis.coords(fn).items():
-                    vec[off + idx] = val
-            return vec
-
-        fmonos = f_monomials(cat, i)
-        gens = []
-        for _, fm in fmonos:
-            gens.append(extended(basis2.coords(cat.df1df2 * fm), None, None))
-        # column j of delta_3 is the image of basis 3-form j
-        images = self.delta_matrix(3, w).columns()
-        tau_elems = []
-        for j in range(len(basis3)):
-            tau = basis3.element(j)
-            xt = star_inv(tau)
-            gens.append(extended(images[j],
-                                 GradedElement.from_polynomial(
-                                     contract(xt, cat.df1).coefficient(())),
-                                 GradedElement.from_polynomial(
-                                     contract(xt, cat.df2).coefficient(()))))
-            tau_elems.append(tau)
-        ech = QEchelon(track=True)
-        for vec in gens:
-            ech.insert(vec)
-        coords = ech.solve(extended(basis2.coords(cat.df1df2 * gi), None, None))
+        if i not in self._deformation:
+            basis3 = self.basis(3, w)
+            fun_basis = self.basis(0, i + 2)
+            n2, n0 = len(basis2), len(fun_basis)
+            fmonos = f_monomials(cat, i)
+            ech = QEchelon(track=True)
+            for _, fm in fmonos:
+                ech.insert(basis2.coords(cat.df1df2 * fm))
+            # column j of delta_3 is the image of basis 3-form j, extended
+            # by the functions iota_X df1 and iota_X df2 of X = star_inv(tau_j)
+            images = self.delta_matrix(3, w).columns()
+            for j in range(len(basis3)):
+                xt = star_inv(basis3.element(j))
+                vec = dict(images[j])
+                for off, df in ((n2, cat.df1), (n2 + n0, cat.df2)):
+                    fn = GradedElement.from_polynomial(
+                        contract(xt, df).coefficient(()))
+                    for idx, val in fun_basis.coords(fn).items():
+                        vec[off + idx] = val
+                ech.insert(vec)
+            self._deformation[i] = (fmonos, basis3, ech)
+        fmonos, basis3, ech = self._deformation[i]
+        coords = ech.solve(basis2.coords(cat.df1df2 * gi))
         if coords is None:
             raise InvariantViolation("deformation step unsolvable at weight %d "
                                      "(contradicts the classification)" % i)
@@ -605,8 +590,8 @@ class HomologyEngine:
             if gen_index < len(fmonos):
                 qi = qi + fmonos[gen_index][1] * coeff
             else:
-                tau = tau + tau_elems[gen_index - len(fmonos)] * coeff
-        return qi, star_inv(tau)
+                tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
+        return qi, (star_inv(tau) if tau else None)
 
     def _exp_lie(self, field, bivec, w_max):
         """Pullback of a bivector along the time-1 flow of a positive-weight field."""
@@ -634,10 +619,13 @@ class HomologyEngine:
                                          "degree %d outside 0..%d"
                                          % (w, d, w_max))
             basisw = self.basis(2, w)
-            ech = QEchelon(track=True)
-            monos = sorted(monomials_of_degree(4, d), key=monomial_key)
-            for m in monos:
-                ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
+            if w not in self._conformal:
+                ech = QEchelon(track=True)
+                monos = sorted(monomials_of_degree(4, d), key=monomial_key)
+                for m in monos:
+                    ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
+                self._conformal[w] = (monos, ech)
+            monos, ech = self._conformal[w]
             coords = ech.solve(basisw.coords(two_form.weight_slice(w)))
             if coords is None:
                 raise InvariantViolation("flow pullback is not a multiple of "

@@ -10,9 +10,11 @@ Gaussian elimination", Math. Comp. 1968), so entries stay small without
 any rational arithmetic.  Every reduced vector is a nonzero multiple of
 the one rational elimination along the same pivots gives, so ranks,
 memberships and solved coordinates are exactly those of a rational
-echelon.  Columns are inserted sparsest first, which is what keeps
-elimination fill-in tame on the banded slice matrices.  Re-running with
-permuted input yields the same rank and an equivalent kernel span.
+echelon.  `QEchelon.quotient` solves modulo a span eliminated once
+without tracking, such as the boundaries of one slice.  Columns are
+inserted sparsest first, which is what keeps elimination fill-in tame
+on the banded slice matrices.  Re-running with permuted input yields the
+same rank and an equivalent kernel span.
 """
 
 from heapq import heapify, heappop, heappush
@@ -157,6 +159,16 @@ class QEchelon:
         out.count = self.count
         return out
 
+    def quotient(self):
+        """Tracked echelon that solves modulo this span.
+
+        Its rows start as these rows with their coordinates dropped, so
+        reducing by one only scales the tracked coordinates, and `solve`
+        gives coordinates over the generators inserted into the view."""
+        out = QEchelon(track=True)
+        out.rows = {p: (main, {}) for p, (main, _) in self.rows.items()}
+        return out
+
     def contains(self, vec):
         _, v = _integer_row(vec)
         self._reduce(v, None)
@@ -202,9 +214,6 @@ class ExactMatrix:
                 if v:
                     entries[(r, c)] = v
         return cls(len(rowvecs), cols, entries)
-
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def columns(self):
         cols = [{} for _ in range(self.cols)]

@@ -17,10 +17,6 @@ from .rationals import QONE, QZERO, as_q
 Monomial = tuple
 
 
-def monomial_degree(m):
-    return sum(m)
-
-
 def monomial_mul(a, b):
     if len(a) != len(b):
         raise ValueError("monomial dimension mismatch")

@@ -22,11 +22,3 @@ def as_q(x):
     if isinstance(x, float):
         raise TypeError("floating point coefficients are not allowed")
     return Q(x)
-
-
-def numer(x):
-    return int(x.numerator)
-
-
-def denom(x):
-    return int(x.denominator)

@@ -2,7 +2,9 @@ import pytest
 
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, de_rham,
                                     enumerate_basis, star_inv, wedge)
-from poisson_forge.homology import InvariantViolation, f_monomials
+from poisson_forge.homology import (HomologyEngine, InvariantViolation,
+                                    f_monomials)
+from poisson_forge.linalg import QEchelon
 from poisson_forge.poisson import delta_pi
 from poisson_forge.polynomials import Polynomial
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
@@ -86,6 +88,24 @@ def test_boundary_adjoined_is_dependent(engine, cat):
     for r in engine.representative_basis(3, w):
         assert ech.insert(basis.coords(r))
     assert not ech.insert(basis.coords(boundary))
+
+
+def test_class_coordinates_over_representatives(engine, cat):
+    # a representative plus a boundary has class coordinates {j: 1};
+    # a boundary alone has none
+    for k in range(5):
+        for w in range(6):
+            reps, independent, ech = engine.class_echelon(k, w)
+            assert independent
+            basis = engine.basis(k, w)
+            above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
+            boundaries = [delta_pi(above.element(i) * x(1), cat.poisson)
+                          for i in range(len(above))]
+            for b in boundaries:
+                assert ech.solve(basis.coords(b)) == {}
+            for j, r in enumerate(reps):
+                form = r + boundaries[j % len(boundaries)] if boundaries else r
+                assert ech.solve(basis.coords(form)) == {j: 1}
 
 
 def test_f_monomial_order(cat):
@@ -182,6 +202,43 @@ def test_normalize_linear_deformation(engine, cat):
     for s in steps:
         assert contract(s.corrector, cat.df1).is_zero()
         assert contract(s.corrector, cat.df2).is_zero()
+
+
+def test_deformation_step_folds_the_casimir_check(engine, cat):
+    # reference: the separate pre-check the cached system replaced, an
+    # echelon of the df1^df2 * f-monomial images alone
+    def casimir_reference(gi, i):
+        basis2 = engine.basis(2, i + 4)
+        ech = QEchelon(track=True)
+        for _, fm in f_monomials(cat, i):
+            ech.insert(basis2.coords(cat.df1df2 * fm))
+        return ech.solve(basis2.coords(cat.df1df2 * gi)) is not None
+
+    slices = [(cat.f1, True), (cat.f1 * cat.f2, True),
+              (cat.f1 * 3 - cat.f2 * 2, True), (x(1), False),
+              (x(1) * x(3), False), (cat.f1 + x(2) * x(2), False),
+              (cat.f2 * x(4), False), (x(2) ** 5, False)]
+    for gi, casimir in slices:
+        i = gi.degree()
+        assert i <= 5
+        assert casimir_reference(gi, i) == casimir
+        qi, corrector = engine._solve_deformation_step(gi, i)
+        assert (corrector is None) == casimir
+        if casimir:
+            assert qi == gi
+
+
+def test_normalizer_systems_shared_across_g(cat):
+    g1 = Polynomial.constant(4, 1) + x(1)
+    g2 = Polynomial.constant(4, 2) + x(2) - x(1) * x(3) + x(4) * x(4) * 2
+    warm = HomologyEngine()
+    warm.normalize_volume_deformation(g1, 4)
+    q, steps = warm.normalize_volume_deformation(g2, 4)
+    q0, steps0 = HomologyEngine().normalize_volume_deformation(g2, 4)
+    assert q == q0
+    assert ([(s.weight, s.casimir_part, s.corrector) for s in steps]
+            == [(s.weight, s.casimir_part, s.corrector) for s in steps0])
+    assert steps
 
 
 def test_normalize_rejects_bad_constant(engine):

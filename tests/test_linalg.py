@@ -177,6 +177,48 @@ def test_integer_echelon_rejects_floats():
     assert ech.rank == 1 and ech.count == 1
 
 
+@pytest.mark.parametrize("track", [False, True])
+def test_quotient_solves_modulo_the_base(track):
+    rng = random.Random(77 + track)
+    for _ in range(40):
+        dim = rng.randint(1, 9)
+        vecs = _random_vectors(rng, dim, rng.randint(0, 14))
+        cut = rng.randint(0, len(vecs))
+        base_gens, gens = vecs[:cut], vecs[cut:]
+        probes = _random_vectors(rng, dim, 6) + gens[:3] + base_gens[:3]
+        base, ref = QEchelon(track=track), FractionEchelon()
+        for b in base_gens:
+            base.insert(b)
+            ref.insert(b)
+        before = ({p: (dict(m), dict(a)) for p, (m, a) in base.rows.items()},
+                  base.rank, base.count)
+        quo = base.quotient()
+        assert quo.count == 0
+        for g in gens:
+            assert quo.insert(g) == ref.insert(g)
+            assert quo.rank == ref.rank
+        assert quo.count == len(gens)
+        for v in probes:
+            coords = quo.solve(v)
+            assert (coords is None) == (not ref.contains(v))
+            if coords is None:
+                continue
+            # v - sum c_i g_i lies in span(B), and only G carries coordinates
+            assert set(coords) <= set(range(len(gens)))
+            rest = dict(v)
+            for i, c in coords.items():
+                for j, x in gens[i].items():
+                    rest[j] = rest.get(j, 0) - c * x
+            assert base.contains(rest)
+        after = ({p: (dict(m), dict(a)) for p, (m, a) in base.rows.items()},
+                 base.rank, base.count)
+        assert after == before
+    with pytest.raises(TypeError):
+        quo.insert({0: 0.5})
+    with pytest.raises(TypeError):
+        quo.solve({0: 0.5})
+
+
 def test_kernel_basis_on_rational_matrices():
     rng = random.Random(17)
     for _ in range(30):

@@ -268,6 +268,10 @@ def _execute(args, argv):
     elif args.cmd == "kernels":
         _kernels_block(doc, eng, w_max)
     elif args.cmd == "division":
+        if args.max_degree < 0:
+            print("max degree %d is negative" % args.max_degree,
+                  file=sys.stderr)
+            return None, USAGE_ERROR
         if args.p != 2 and args.p != 1:
             doc.add_table("D^%d slices" % args.p, ["weight", "dim"],
                           [[w, division_group_dim(

@@ -333,6 +333,15 @@ def star_inv(a):
     return GradedElement(a.n, a.n - a.degree, MULTIVECTOR, comps)
 
 
+def divergence(v, mu=None):
+    """star_inv(d(star(v, mu))), one multivector degree lower.
+
+    For a vector field Y this is the function div(Y) with
+    L_Y mu = div(Y) mu; for a bivector it is the modular field.
+    """
+    return star_inv(de_rham(star(v, mu)))
+
+
 def lie_derivative(v, g):
     """Lie derivative along a vector field of a Polynomial or a form (Cartan)."""
     if v.kind != MULTIVECTOR or v.degree != 1:

@@ -18,16 +18,18 @@ representative families (unique normal forms of classes), certifies the
 module-structure relations over the Casimir ring as boundary memberships,
 computes the de Rham complex induced on homology, and runs the
 volume-deformation normalizer that rewrites g*pi as q*pi with q a Casimir
-function, through a chosen weight.  Its step and conformal-factor systems
-depend only on the weight and are built once per engine and weight.
+function, through a chosen weight.  Its step system depends only on the
+weight and is built once per engine and weight; it is the normalizer's only
+linear system.  The flow that pulls h*pi back stays on the ray of pi, so the
+pullback is a scalar series acting on the conformal factor h.
 """
 
 from .catalog import lefschetz_catalog
-from .exterior import (FORM, GradedElement, contract, de_rham,
-                       enumerate_basis, star, star_inv, wedge)
+from .exterior import (FORM, GradedElement, contract, de_rham, divergence,
+                       enumerate_basis, lie_derivative, star_inv, wedge)
 from .linalg import ExactMatrix, QEchelon
 from .poisson import _delta_term
-from .polynomials import Polynomial, monomial_key, monomials_of_degree
+from .polynomials import Polynomial
 from .rationals import Q
 from .series import H_SERIES
 
@@ -201,7 +203,6 @@ class HomologyEngine:
         self._boundaries = {}
         self._classes = {}
         self._deformation = {}
-        self._conformal = {}
         self._families = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
 
@@ -500,9 +501,11 @@ class HomologyEngine:
         """Rewrite g*pi as q*pi modulo a formal diffeomorphism, weight by weight.
 
         At each weight i the residual slice g_i is split as q_i + d_pi-exact
-        (q_i over the Casimir monomials), the correction field is certified
-        exactly, and the running bivector is pulled back along the time-1
-        flow, truncated above w_max.  Returns (q, transcript).
+        (q_i over the Casimir monomials) and the correction field X is
+        certified exactly.  X is tangent to the fibration, so the time-1 flow
+        of Y = -X/h keeps h*pi on the ray: it pulls h*pi back to
+        (exp(D) h)*pi with D h = Y(h) - div(Y) h, each term truncated above
+        w_max.  Returns (q, transcript).
         """
         from .poisson import d_pi
         cat = self.cat
@@ -530,22 +533,18 @@ class HomologyEngine:
                 if not contract(corrector, df).is_zero():
                     raise InvariantViolation("correction field is not tangent "
                                              "to the fibration at weight %d" % i)
+            # tangency and d_pi(X) = residual * pi force div(X) = -residual
+            if divergence(corrector).coefficient(()) != -residual:
+                raise InvariantViolation("correction field divergence "
+                                         "certificate failed at weight %d" % i)
             transcript.append(DeformationStep(i, qi, corrector, True))
-            # pull the bivector back along the time-1 flow of -corrector/g
+            # pull current*pi back along the time-1 flow of -corrector/current
             flow_field = (corrector * current.inverse(w_max)) * Q(-1)
             flow_field = flow_field.truncate_weight(w_max)
-            bivec = self._exp_lie(flow_field, cat.pi * current, w_max)
-            current = self._conformal_factor(bivec, w_max)
+            current = _exp_flow(flow_field, current, w_max)
         q = current
         for d, part in q.homogeneous_parts().items():
-            if d == 0:
-                continue
-            fmonos = f_monomials(cat, d)
-            span = QEchelon()
-            basis0 = self.basis(0, d)
-            for _, fm in fmonos:
-                span.insert(basis0.coords(GradedElement.from_polynomial(fm)))
-            if not span.contains(basis0.coords(GradedElement.from_polynomial(part))):
+            if d and self._solve_deformation_step(part, d)[1] is not None:
                 raise InvariantViolation("normalized factor is not a Casimir "
                                          "series at degree %d" % d)
         return q, transcript
@@ -593,46 +592,24 @@ class HomologyEngine:
                 tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
         return qi, (star_inv(tau) if tau else None)
 
-    def _exp_lie(self, field, bivec, w_max):
-        """Pullback of a bivector along the time-1 flow of a positive-weight field."""
-        from .poisson import schouten
-        result = bivec.truncate_weight(w_max)
-        term = result
-        fact = 1
-        for m in range(1, w_max + 2):
-            term = schouten(field, term).truncate_weight(w_max)
-            if term.is_zero():
-                break
-            fact *= m
-            result = result + term * Q(1, fact)
-        return result
 
-    def _conformal_factor(self, bivec, w_max):
-        """Exact g with bivec = g * pi; raises if the bivector left the ray."""
-        cat = self.cat
-        two_form = star(bivec)
-        out = Polynomial.zero(4)
-        for w in sorted(set(two_form.weights())):
-            d = w - 4
-            if d < 0 or d > w_max:
-                raise InvariantViolation("conformal factor at weight %d has "
-                                         "degree %d outside 0..%d"
-                                         % (w, d, w_max))
-            basisw = self.basis(2, w)
-            if w not in self._conformal:
-                ech = QEchelon(track=True)
-                monos = sorted(monomials_of_degree(4, d), key=monomial_key)
-                for m in monos:
-                    ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
-                self._conformal[w] = (monos, ech)
-            monos, ech = self._conformal[w]
-            coords = ech.solve(basisw.coords(two_form.weight_slice(w)))
-            if coords is None:
-                raise InvariantViolation("flow pullback is not a multiple of "
-                                         "pi at weight %d" % w)
-            for idx, c in coords.items():
-                out = out + Polynomial.monomial(4, monos[idx], c)
-        return out
+def _exp_flow(field, h, w_max):
+    """exp(D) h with D h = field(h) - div(field) h, truncated at degree w_max.
+
+    For a field tangent to the fibration, L_field df_i = 0 and
+    L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
+    """
+    div = divergence(field).coefficient(())
+    result = h.truncate(w_max)
+    term = result
+    fact = 1
+    for m in range(1, w_max + 2):
+        term = (lie_derivative(field, term) - div * term).truncate(w_max)
+        if term.is_zero():
+            break
+        fact *= m
+        result = result + term * Q(1, fact)
+    return result
 
 
 _ENGINE = None

@@ -32,7 +32,8 @@ vector fields and to X(g) on (vector, function), and [pi, pi] = 0.
 from operator import add
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, contract, de_rham,
-                       star, star_inv, volume_form, wedge, wedge_all)
+                       divergence, star, star_inv, volume_form, wedge,
+                       wedge_all)
 from .polynomials import Polynomial
 
 
@@ -222,7 +223,7 @@ def _as_int(q):
 
 def modular_field(structure):
     """Vector field X with star(X) = d(star(pi)); zero iff unimodular volume."""
-    return star_inv(de_rham(star(structure.bivector, structure.volume)))
+    return divergence(structure.bivector, structure.volume)
 
 
 # -- the identity suite ------------------------------------------------------

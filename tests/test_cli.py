@@ -57,6 +57,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["division", "--max-degree", "-3"],
+                                  ["division", "--p", "3", "--max-degree", "-2"]])
+def test_division_negative_max_degree(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max degree %s" % argv[-1] in captured.err
+
+
 def test_parse_error_exit(capsys):
     assert main(["nf", "--poly", "x1^-1"]) == 2
     err = capsys.readouterr().err

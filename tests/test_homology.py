@@ -1,12 +1,14 @@
 import pytest
 
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, de_rham,
-                                    enumerate_basis, star_inv, wedge)
+                                    enumerate_basis, star, star_inv, wedge)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
                                     f_monomials)
 from poisson_forge.linalg import QEchelon
-from poisson_forge.poisson import delta_pi
-from poisson_forge.polynomials import Polynomial
+from poisson_forge.parsing import parse_polynomial
+from poisson_forge.poisson import delta_pi, schouten
+from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
+from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
 
 
@@ -238,6 +240,89 @@ def test_normalizer_systems_shared_across_g(cat):
     assert q == q0
     assert ([(s.weight, s.casimir_part, s.corrector) for s in steps]
             == [(s.weight, s.casimir_part, s.corrector) for s in steps0])
+    assert steps
+
+
+class BivectorRoute(HomologyEngine):
+    """The normalizer's former flow pullback, kept as the reference route.
+
+    The running bivector h*pi is pulled back through Schouten brackets
+    term by term and its conformal factor is solved back out of it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._conformal = {}
+
+    def normalize_by_bivector(self, g, w_max):
+        """(q, [(weight, casimir_part, corrector)]) on the bivector route."""
+        cat = self.cat
+        current = g.truncate(w_max)
+        transcript = []
+        for i in range(1, w_max + 1):
+            gi = current.homogeneous_part(i)
+            if gi.is_zero():
+                continue
+            qi, corrector = self._solve_deformation_step(gi, i)
+            if corrector is None:
+                continue
+            transcript.append((i, qi, corrector))
+            flow_field = (corrector * current.inverse(w_max)) * Q(-1)
+            flow_field = flow_field.truncate_weight(w_max)
+            bivec = self._exp_lie(flow_field, cat.pi * current, w_max)
+            current = self._conformal_factor(bivec, w_max)
+        return current, transcript
+
+    def _exp_lie(self, field, bivec, w_max):
+        """Pullback of a bivector along the time-1 flow of a positive-weight field."""
+        result = bivec.truncate_weight(w_max)
+        term = result
+        fact = 1
+        for m in range(1, w_max + 2):
+            term = schouten(field, term).truncate_weight(w_max)
+            if term.is_zero():
+                break
+            fact *= m
+            result = result + term * Q(1, fact)
+        return result
+
+    def _conformal_factor(self, bivec, w_max):
+        """Exact g with bivec = g * pi; raises if the bivector left the ray."""
+        cat = self.cat
+        two_form = star(bivec)
+        out = Polynomial.zero(4)
+        for w in sorted(set(two_form.weights())):
+            d = w - 4
+            if d < 0 or d > w_max:
+                raise InvariantViolation("conformal factor at weight %d has "
+                                         "degree %d outside 0..%d"
+                                         % (w, d, w_max))
+            basisw = self.basis(2, w)
+            if w not in self._conformal:
+                ech = QEchelon(track=True)
+                monos = sorted(monomials_of_degree(4, d), key=monomial_key)
+                for m in monos:
+                    ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
+                self._conformal[w] = (monos, ech)
+            monos, ech = self._conformal[w]
+            coords = ech.solve(basisw.coords(two_form.weight_slice(w)))
+            if coords is None:
+                raise InvariantViolation("flow pullback is not a multiple of "
+                                         "pi at weight %d" % w)
+            for idx, c in coords.items():
+                out = out + Polynomial.monomial(4, monos[idx], c)
+        return out
+
+
+@pytest.mark.parametrize("g", ["1+x1", "2+x1*x3-x2^2", "1+x1+x2*x4+x3^3"])
+def test_scalar_pullback_matches_bivector_route(g):
+    ref = BivectorRoute()
+    g = parse_polynomial(g)
+    q, steps = ref.normalize_volume_deformation(g, 4)
+    q_ref, steps_ref = ref.normalize_by_bivector(g, 4)
+    assert q == q_ref
+    assert ([(s.weight, s.casimir_part, s.corrector) for s in steps]
+            == steps_ref)
     assert steps
 
 

@@ -9,7 +9,9 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from poisson_forge.exterior import FORM, MULTIVECTOR, GradedElement, de_rham
+from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, contract,
+                                    de_rham, divergence)
+from poisson_forge.parsing import parse_polynomial, print_polynomial
 from poisson_forge.poisson import delta_pi, schouten
 from poisson_forge.polynomials import Polynomial
 
@@ -35,6 +37,7 @@ def elements(draw, kind, degree=None):
 
 forms = elements(FORM)
 vector_fields = elements(MULTIVECTOR, 1)
+polynomials = elements(FORM, 0).map(lambda a: a.coefficient(()))
 
 
 @CHECKS
@@ -68,3 +71,44 @@ def test_d_squared_zero(a):
 def test_schouten_antisymmetric_on_vector_fields(u, v):
     assert schouten(u, v) == -schouten(v, u)
     assert schouten(u, u).is_zero()
+
+
+def _brackets_in_range(pqr):
+    # every bracket of the identity has degree in 0..4: schouten gives a
+    # degree-0 zero for degree -1 and cuts off above 4, and elements of
+    # different degrees never compare equal
+    p, q, r = pqr
+    return (all(1 <= s <= 5 for s in (p + q, p + r, q + r))
+            and p + q + r <= 6)
+
+
+@CHECKS
+@given(st.tuples(*[st.integers(0, 4)] * 3).filter(_brackets_in_range)
+       .flatmap(lambda pqr: st.tuples(*[elements(MULTIVECTOR, k) for k in pqr])))
+def test_schouten_graded_jacobi_mixed_degrees(abc):
+    # [a, [b, c]] = [[a, b], c] + (-1)^((p-1)(q-1)) [b, [a, c]]
+    a, b, c = abc
+    term = schouten(b, schouten(a, c))
+    if (a.degree - 1) * (b.degree - 1) % 2:
+        term = -term
+    assert schouten(a, schouten(b, c)) == schouten(schouten(a, b), c) + term
+
+
+@CHECKS
+@given(polynomials, polynomials)
+def test_tangent_fields_rescale_pi_by_their_divergence(cat, h, u):
+    # Y = u * X_h kills f1 and f2, so [Y, pi] = -div(Y) pi: the identity
+    # that keeps the normalizer's flow on the ray of pi
+    dh = de_rham(GradedElement.from_polynomial(h))
+    field = contract(dh, cat.pi) * u
+    for df in (cat.df1, cat.df2):
+        assert contract(field, df).is_zero()
+    assert schouten(field, cat.pi) == cat.pi * -divergence(field).coefficient(())
+
+
+@CHECKS
+@given(st.dictionaries(monomials, st.builds(Fraction, st.integers(-99, 99),
+                                            st.integers(1, 99)), max_size=6))
+def test_print_parse_roundtrip(terms):
+    p = Polynomial(4, terms)
+    assert parse_polynomial(print_polynomial(p)) == p

@@ -2,16 +2,16 @@
 homology of the Lefschetz singularity on R^4."""
 
 from .catalog import LefschetzCatalog, lefschetz_catalog
-from .exterior import (FORM, MULTIVECTOR, GradedElement, WeightSliceBasis,
-                       contract, de_rham, enumerate_basis, lie_derivative,
-                       star, star_inv, wedge)
+from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
+                       WeightSliceBasis, contract, de_rham, enumerate_basis,
+                       lie_derivative, star, star_inv, wedge)
 from .homology import (HomologyEngine, HomologyReport, InvariantViolation,
                        RepresentativeFamily, default_engine)
-from .linalg import ExactMatrix, membership, quotient_dim, rank_kernel
+from .linalg import ExactMatrix, membership, quotient_dim
 from .poisson import (PoissonStructure, d_pi, delta_pi, jacobi_poisson,
                       modular_field, schouten, verify_identity_suite)
 from .polynomials import Polynomial, monomial_cmp
-from .series import RationalSeries, series_arith, shift
+from .series import RationalSeries
 
 __version__ = "0.1.0"
 
@@ -19,9 +19,9 @@ __all__ = [
     "FORM", "MULTIVECTOR", "ExactMatrix", "GradedElement", "HomologyEngine",
     "HomologyReport", "InvariantViolation", "LefschetzCatalog",
     "PoissonStructure", "Polynomial", "RepresentativeFamily",
-    "RationalSeries", "WeightSliceBasis", "contract", "d_pi", "de_rham",
-    "default_engine", "delta_pi", "enumerate_basis", "jacobi_poisson",
-    "lefschetz_catalog", "lie_derivative", "membership", "modular_field",
-    "monomial_cmp", "quotient_dim", "rank_kernel", "schouten", "series_arith",
-    "shift", "star", "star_inv", "verify_identity_suite", "wedge",
+    "RationalSeries", "SliceOperator", "WeightSliceBasis", "contract", "d_pi",
+    "de_rham", "default_engine", "delta_pi", "enumerate_basis",
+    "jacobi_poisson", "lefschetz_catalog", "lie_derivative", "membership",
+    "modular_field", "monomial_cmp", "quotient_dim", "schouten", "star",
+    "star_inv", "verify_identity_suite", "wedge",
 ]

@@ -337,7 +337,12 @@ def main(argv=None):
         print("parse error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     if doc is not None:
-        payload = emit_report(doc, args.format, args.output)
+        try:
+            payload = emit_report(doc, args.format, args.output)
+        except OSError as exc:
+            print("cannot write the report to %s: %s"
+                  % (args.output, exc.strerror), file=sys.stderr)
+            return USAGE_ERROR
         if args.output is None:
             sys.stdout.write(payload)
     return code

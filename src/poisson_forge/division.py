@@ -6,18 +6,21 @@ For 1-forms a_1, ..., a_k the p-th division group is
                        / sum_i a_i ^ Omega^{p-1}.
 
 All inputs here are weight-homogeneous, so the groups split into weight
-slices and every dimension is a rank difference of exact matrices.  The
+slices and every dimension is a rank difference of exact matrices, whose
+columns (wedging, multiplication by a polynomial) come from SliceOperators;
+only division_group_dim_via_kernel_basis wedges form by form.  The
 Lefschetz case (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit
 generators c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured
 failure of the isolated-singularity depth bound.
 """
 
+from functools import lru_cache
 from math import comb
 
 from .catalog import lefschetz_catalog
-from .exterior import FORM, GradedElement, enumerate_basis, wedge, wedge_all
-from .linalg import QEchelon
-from .polynomials import Polynomial, monomials_of_degree
+from .exterior import FORM, SliceOperator, enumerate_basis, wedge, wedge_all
+from .linalg import ExactMatrix, QEchelon, quotient_dim
+from .polynomials import Polynomial
 
 
 class DivisionProblem:
@@ -41,40 +44,42 @@ class DivisionProblem:
         self.w = w
 
 
+@lru_cache(maxsize=None)
+def _wedge_by(a, right=False):
+    """SliceOperator of b -> a ^ b, or of b -> b ^ a when right."""
+    return SliceOperator((lambda b: wedge(b, a)) if right else
+                         (lambda b: wedge(a, b)))
+
+
+@lru_cache(maxsize=None)
+def _times(g):
+    """SliceOperator of multiplication by the polynomial g."""
+    return SliceOperator(lambda b: b * g)
+
+
 def _submodule_echelon(prob, src):
     """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
     ech = QEchelon()
     for a in prob.forms:
-        u = a.weights()[0]
-        lower = enumerate_basis(prob.p - 1, prob.w - u, FORM, a.n)
-        for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
-            if img:
-                ech.insert(src.coords(img))
+        lower = enumerate_basis(prob.p - 1, prob.w - a.weights()[0], FORM, a.n)
+        for col in _wedge_by(a).columns(lower, src):
+            if col:
+                ech.insert(col)
     return ech
 
 
 def _wedge_kernel_echelon(prob):
     """(kernel_dim, submodule echelon) of the slice."""
     alpha = wedge_all(prob.forms)
-    aw = alpha.weights()
-    n = alpha.n
-    p, w = prob.p, prob.w
-    src = enumerate_basis(p, w, FORM, n)
-    if len(src) == 0:
-        return 0, QEchelon()
-    if not aw or p + alpha.degree > n:   # wedging with alpha is the zero map
-        kernel_dim = len(src)
-    else:
-        dst = enumerate_basis(p + alpha.degree, w + aw[0], FORM, n)
-        ech = QEchelon()
-        rank = 0
-        for i in range(len(src)):
-            img = wedge(src.element(i), alpha)
-            if img and ech.insert(dst.coords(img)):
-                rank += 1
-        kernel_dim = len(src) - rank
-    return kernel_dim, _submodule_echelon(prob, src)
+    src = enumerate_basis(prob.p, prob.w, FORM, alpha.n)
+    # the weight of alpha; when alpha is zero every column is empty
+    u = sum(a.weights()[0] for a in prob.forms)
+    dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
+    ech = QEchelon()
+    for col in _wedge_by(alpha, right=True).columns(src, dst):
+        if col:
+            ech.insert(col)
+    return len(src) - ech.rank, _submodule_echelon(prob, src)
 
 
 def division_group_dim(prob):
@@ -88,8 +93,6 @@ def division_group_dim_via_kernel_basis(prob):
 
     Used as an independent cross-check of division_group_dim.
     """
-    from .linalg import ExactMatrix, quotient_dim
-
     alpha = wedge_all(prob.forms)
     aw = alpha.weights()
     n = alpha.n
@@ -160,8 +163,8 @@ def verify_division_basis(prob, cat=None):
     reps = division_group_basis(prob, cat)
     kernel_dim, sub = _wedge_kernel_echelon(prob)
     dim = kernel_dim - sub.rank
-    alpha = wedge_all(prob.forms)
-    all_kernel = all(wedge(r, alpha).is_zero() for r in reps)
+    op = _wedge_by(wedge_all(prob.forms), right=True)
+    all_kernel = all(op.apply(r).is_zero() for r in reps)
     src = enumerate_basis(prob.p, prob.w, FORM, 4)
     independent = all(sub.insert(src.coords(r)) for r in reps)
     return len(reps), dim, independent, all_kernel
@@ -181,12 +184,9 @@ def ideal_slice_echelon(generators, d, n=4):
     basis = enumerate_basis(0, d, FORM, n)
     ech = QEchelon()
     for g in generators:
-        gd = g.degree()
-        if gd > d:
-            continue
-        for m in monomials_of_degree(n, d - gd):
-            prod = g * Polynomial.monomial(n, m)
-            ech.insert(basis.coords(GradedElement.from_polynomial(prod)))
+        for col in _times(g).columns(enumerate_basis(0, d - g.degree(), FORM, n),
+                                     basis):
+            ech.insert(col)
     return ech
 
 
@@ -226,13 +226,9 @@ def regular_sequence_check(seq, w_max, n=4):
         for d in range(0, w_max - e + 1):
             ideal_lo = ideal_slice_echelon(prev, d, n)
             ideal_hi = ideal_slice_echelon(prev, d + e, n)
-            basis_hi = enumerate_basis(0, d + e, FORM, n)
-            kills = 0
-            ech = ideal_hi.clone()
-            for m in monomials_of_degree(n, d):
-                prod = f * Polynomial.monomial(n, m)
-                if not ech.insert(basis_hi.coords(GradedElement.from_polynomial(prod))):
-                    kills += 1
+            products = _times(f).columns(enumerate_basis(0, d, FORM, n),
+                                         enumerate_basis(0, d + e, FORM, n))
+            kills = sum(not ideal_hi.insert(col) for col in products)
             # multiplication kernel on the quotient must be exactly the ideal slice
             if kills != ideal_lo.rank:
                 return False, (i, d)

@@ -14,9 +14,14 @@ Contraction pairs the two kinds through the determinant pairing
 the single-factor insertions first factor innermost.  With this
 convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
 bivector to df_1 ^ df_2.
+
+A SliceOperator wraps one fixed linear map on forms (delta_pi, a ^ ., a
+product with a polynomial) and expands it term by term through a stencil,
+both on forms and as sparse columns between the slice bases below.
 """
 
 from itertools import combinations
+from operator import add
 
 from .polynomials import Polynomial, monomial_key, monomials_of_degree
 
@@ -430,3 +435,94 @@ def enumerate_basis(degree, weight, kind=FORM, n=4):
     if key not in _BASIS_CACHE:
         _BASIS_CACHE[key] = WeightSliceBasis(n, degree, weight, kind)
     return _BASIS_CACHE[key]
+
+
+# -- fixed linear maps on slices ---------------------------------------------
+
+
+class SliceOperator:
+    """A fixed linear map fn on forms, expanded through a stencil.
+
+    fn has polynomial coefficients and differential order at most one, so
+    d brings down at most one exponent and
+
+        fn(x^m dx_I) = sum (c0 + c.m) x^(m+t) dx_J
+
+    over a short row of (J, t, c0, c) that depends on I and fn but not on m,
+    with every shift t >= -1.  A shift t_i = -1 comes only from d/dx_i
+    acting on x^m, so its coefficient is a multiple of m_i and no negative
+    exponent is ever produced.  `rows` maps each index tuple I to its row.
+    """
+
+    __slots__ = ("fn", "rows", "_zeros")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = {}
+        self._zeros = {}          # degree k -> fn of the zero k-form
+
+    def row(self, idx, n):
+        """The (J, t, c0, c) of fn(x^m dx_idx) on R^n; cached.
+
+        c is sparse, a tuple of (axis position, coefficient) pairs.  The row
+        is read off fn at m = (1,...,1) and at its n unit steps m + e_i: the
+        coefficient of x^(m+t) dx_J there is c0 + c.m, and since every
+        t >= -1 no term is lost at these points.  Coefficients with
+        denominator 1 are stored as ints.
+        """
+        row = self.rows.get(idx)
+        if row is not None:
+            return row
+        ones = (1,) * n
+        values = []
+        for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
+            image = self.fn(GradedElement.basis(n, FORM, idx,
+                                                Polynomial.monomial(n, m)))
+            values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): coeff
+                           for J, p in image.comps.items()
+                           for mt, coeff in p.terms.items()})
+        row = []
+        for key in sorted(set().union(*values)):
+            base = values[0].get(key, 0)
+            c = [image.get(key, 0) - base for image in values[1:]]
+            c0 = base - sum(c)
+            row.append((key[0], key[1], _as_int(c0),
+                        tuple((i, _as_int(ci)) for i, ci in enumerate(c) if ci)))
+        row = self.rows[idx] = tuple(row)
+        return row
+
+    def _terms(self, idx, m):
+        """fn(x^m dx_idx) as a list of (J, exponent, nonzero coefficient)."""
+        out = []
+        for J, t, c0, c in self.row(idx, len(m)):
+            v = c0
+            for i, ci in c:
+                v += ci * m[i]
+            if v:
+                out.append((J, tuple(map(add, m, t)), v))
+        return out
+
+    def columns(self, src, dst):
+        """Sparse columns of fn from the slice basis src into the slice basis dst."""
+        pos = dst.positions
+        return [{pos[(J, mt)]: v for J, mt, v in self._terms(idx, m)}
+                for idx, m in src.elements]
+
+    def apply(self, a):
+        """fn(a) for any form a; fn of the zero form fixes the result's degree."""
+        comps = {}
+        for idx, p in a.comps.items():
+            for m, c in p.terms.items():
+                for J, mt, v in self._terms(idx, m):
+                    terms = comps.setdefault(J, {})
+                    terms[mt] = terms.get(mt, 0) + c * v
+        zero = self._zeros.get(a.degree)
+        if zero is None:
+            zero = self.fn(GradedElement.zero(a.n, a.degree, FORM))
+            self._zeros[a.degree] = zero
+        return GradedElement(a.n, zero.degree, zero.kind,
+                             {J: Polynomial(a.n, t) for J, t in comps.items()})
+
+
+def _as_int(q):
+    return int(q) if q.denominator == 1 else q

@@ -5,13 +5,15 @@ the form complex splits into finite slices of fixed scaling weight w:
 
     (4,w) -> (3,w) -> (2,w) -> (1,w) -> (0,w)
 
-Each slice map is assembled as an exact sparse matrix in the deterministic
-monomial bases of exterior.py; homology dimensions are rank differences,
-homology classes are handled through one cached echelonized boundary basis
-per slice.  Its quotient view with the representatives inserted
-(`class_echelon`, also cached) gives the coordinates of a class over the
-representatives alone; it serves both the independence check and the
-induced de Rham complex, so no boundary is ever eliminated with tracking.
+Each slice map is an exact sparse matrix in the deterministic monomial
+bases of exterior.py, read off the structure's delta_pi SliceOperator;
+homology dimensions are rank differences, and homology classes are handled
+through one cached echelonized boundary basis per slice.  Its quotient view
+with the representatives inserted (`class_echelon`, also cached) gives the
+coordinates of a class over the representatives alone; it serves both the
+independence check and the induced de Rham complex, so no boundary is ever
+eliminated with tracking.  Representatives are checked as cycles on their
+coordinates, by the slice's delta matrix.
 
 Besides dimensions this module instantiates and verifies the explicit
 representative families (unique normal forms of classes), certifies the
@@ -19,16 +21,18 @@ module-structure relations over the Casimir ring as boundary memberships,
 computes the de Rham complex induced on homology, and runs the
 volume-deformation normalizer that rewrites g*pi as q*pi with q a Casimir
 function, through a chosen weight.  Its step system depends only on the
-weight and is built once per engine and weight; it is the normalizer's only
-linear system.  The flow that pulls h*pi back stays on the ray of pi, so the
+weight and is built once per engine and weight from operator columns
+(delta_pi and the tangency maps); it is the normalizer's only linear
+system.  The flow that pulls h*pi back stays on the ray of pi, so the
 pullback is a scalar series acting on the conformal factor h.
 """
 
 from .catalog import lefschetz_catalog
-from .exterior import (FORM, GradedElement, contract, de_rham, divergence,
-                       enumerate_basis, lie_derivative, star_inv, wedge)
+from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
+                       divergence, enumerate_basis, lie_derivative, star_inv,
+                       wedge)
 from .linalg import ExactMatrix, QEchelon
-from .poisson import _delta_term
+from .poisson import d_pi, delta_pi
 from .polynomials import Polynomial
 from .rationals import Q
 from .series import H_SERIES
@@ -205,6 +209,10 @@ class HomologyEngine:
         self._deformation = {}
         self._families = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
+        # the normalizer's tangency conditions tau -> iota_X df_i, X = star_inv(tau)
+        self._tangency = [SliceOperator(lambda tau, df=df:
+                                        contract(star_inv(tau), df))
+                          for df in (self.cat.df1, self.cat.df2)]
 
     # -- matrices and dimensions ------------------------------------
 
@@ -217,20 +225,15 @@ class HomologyEngine:
     def delta_matrix(self, k, w):
         """Matrix of delta_pi from the (k, w) slice to the (k-1, w) slice.
 
-        Column i is the stencil expansion of basis term i, with integer
-        entries in the Lefschetz case, placed by the target slice's
-        position map.
+        Its columns are read off the structure's delta_pi stencil, with
+        integer entries in the Lefschetz case.
         """
         if not 1 <= k <= 4:
             raise ValueError("degree out of range")
         key = (k, w)
         if key not in self._delta:
-            structure = self.cat.poisson
             dst = self.basis(k - 1, w)
-            pos = dst.positions
-            columns = [{pos[(J, mt)]: v
-                        for J, mt, v in _delta_term(structure, idx, m)}
-                       for idx, m in self.basis(k, w).elements]
+            columns = self.cat.poisson.delta.columns(self.basis(k, w), dst)
             self._delta[key] = ExactMatrix.from_columns(columns, len(dst))
         return self._delta[key]
 
@@ -394,10 +397,11 @@ class HomologyEngine:
 
     def verify_representatives(self, k, w):
         """Cycles, independent modulo boundaries, count equals dimension."""
-        from .poisson import delta_pi
         reps, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
-        all_cycles = all(delta_pi(r, self.cat.poisson).is_zero() for r in reps)
+        basis = self.basis(k, w)
+        all_cycles = k == 0 or all(
+            not self.delta_matrix(k, w).apply(basis.coords(r)) for r in reps)
         return RepresentativeVerdict(k, w, len(reps), dim, all_cycles, independent)
 
     # -- module structure over the Casimir ring ------------------------
@@ -485,7 +489,6 @@ class HomologyEngine:
 
     def cohomology_transfer(self, h):
         """star_inv of a verified homology cycle; checks it is d_pi-closed."""
-        from .poisson import d_pi, delta_pi
         if not delta_pi(h, self.cat.poisson).is_zero():
             raise ValueError("input is not a delta_pi cycle")
         v = star_inv(h)
@@ -507,7 +510,6 @@ class HomologyEngine:
         (exp(D) h)*pi with D h = Y(h) - div(Y) h, each term truncated above
         w_max.  Returns (q, transcript).
         """
-        from .poisson import d_pi
         cat = self.cat
         if not isinstance(g, Polynomial):
             raise TypeError("g must be a Polynomial")
@@ -568,13 +570,10 @@ class HomologyEngine:
             # column j of delta_3 is the image of basis 3-form j, extended
             # by the functions iota_X df1 and iota_X df2 of X = star_inv(tau_j)
             images = self.delta_matrix(3, w).columns()
-            for j in range(len(basis3)):
-                xt = star_inv(basis3.element(j))
-                vec = dict(images[j])
-                for off, df in ((n2, cat.df1), (n2 + n0, cat.df2)):
-                    fn = GradedElement.from_polynomial(
-                        contract(xt, df).coefficient(()))
-                    for idx, val in fun_basis.coords(fn).items():
+            tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
+            for j, vec in enumerate(images):
+                for off, cols in zip((n2, n2 + n0), tangent):
+                    for idx, val in cols[j].items():
                         vec[off + idx] = val
                 ech.insert(vec)
             self._deformation[i] = (fmonos, basis3, ech)

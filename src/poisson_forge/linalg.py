@@ -256,19 +256,13 @@ class ExactMatrix:
         return ExactMatrix(self.rows, other.cols, entries)
 
     def apply(self, vec):
-        """Matrix times sparse column vector."""
+        """Matrix times sparse column vector, in one pass over the entries."""
         out = {}
-        bycol = {}
         for (r, c), v in self.entries.items():
-            bycol.setdefault(c, []).append((r, v))
-        for c, x in vec.items():
-            for r, v in bycol.get(c, ()):
-                s = out.get(r, QZERO) + v * x
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return out
+            x = vec.get(c)
+            if x:
+                out[r] = out.get(r, 0) + v * x
+        return {r: s for r, s in out.items() if s}
 
     def echelon(self):
         """Echelon of the column span, columns inserted sparsest first."""
@@ -297,12 +291,6 @@ class ExactMatrix:
                 basis.append(vec)
             ech.insert(col)
         return basis
-
-
-def rank_kernel(m):
-    """(rank, kernel basis) with rank + len(kernel) = cols."""
-    kernel = m.kernel_basis()
-    return m.cols - len(kernel), kernel
 
 
 def membership(v, span):

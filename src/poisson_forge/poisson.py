@@ -13,45 +13,39 @@ with the determinant-pairing contraction of exterior.py; the sign is the
 one that gives delta_pi(g mu) = dg ^ df_1 ^ df_2 on top forms, and it
 satisfies star o d_pi = delta_pi o star for the unimodular case.
 
-It is evaluated through a stencil.  d brings down exactly one exponent,
-so for any polynomial bivector
-
-    delta_pi(x^m dx_I) = sum (c0 + c.m) x^(m+t) dx_J
-
-over a short table of (J, t, c0, c) that depends on I and pi but not on
-m, with every shift t >= -1.  Each structure reads its table off the
-definition above at m = (1,...,1) and its n unit steps, once per I on
-first use; delta_pi of a form and the slice matrices of homology.py both
-expand terms through it.
+It is evaluated through a stencil: d brings down exactly one exponent,
+so each structure carries delta_pi as a SliceOperator of exterior.py
+(`delta`), whose rows of (J, t, c0, c) are read off the definition above
+once per index tuple I on first use.  delta_pi of a form and the slice
+matrices of homology.py both expand terms through it.
 
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions; it restricts to the Lie bracket on
 vector fields and to X(g) on (vector, function), and [pi, pi] = 0.
 """
 
-from operator import add
-
-from .exterior import (FORM, MULTIVECTOR, GradedElement, contract, de_rham,
-                       divergence, star, star_inv, volume_form, wedge,
+from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
+                       contract, de_rham, divergence, enumerate_basis,
+                       lie_derivative, star, star_inv, volume_form, wedge,
                        wedge_all)
 from .polynomials import Polynomial
+from .rationals import Q
 
 
 class PoissonStructure:
     """Bivector + Casimirs + volume; immutable after construction.
 
-    `_stencil` maps a form index tuple I to the delta_pi table of x^m dx_I
-    (see _stencil_row); rows are added on first use.
+    `delta` is the SliceOperator of delta_pi; its rows are read on first use.
     """
 
-    __slots__ = ("n", "bivector", "casimirs", "volume", "_stencil")
+    __slots__ = ("n", "bivector", "casimirs", "volume", "delta")
 
     def __init__(self, bivector, casimirs, volume):
         self.n = bivector.n
         self.bivector = bivector
         self.casimirs = list(casimirs)
         self.volume = volume
-        self._stencil = {}
+        self.delta = SliceOperator(_koszul_brylinski(bivector))
 
 
 def jacobi_poisson(fns, n):
@@ -150,75 +144,19 @@ def delta_pi(a, structure):
         raise ValueError("delta_pi acts on forms")
     if a.n != structure.n:
         raise ValueError("dimension mismatch")
-    if a.degree == 0:
-        return GradedElement.zero(a.n, 0, FORM)
-    comps = {}
-    for idx, p in a.comps.items():
-        for m, c in p.terms.items():
-            for J, mt, v in _delta_term(structure, idx, m):
-                terms = comps.setdefault(J, {})
-                terms[mt] = terms.get(mt, 0) + c * v
-    return GradedElement(a.n, a.degree - 1, FORM,
-                         {J: Polynomial(a.n, t) for J, t in comps.items()})
+    return structure.delta.apply(a)
 
 
-def _delta_term(structure, idx, m):
-    """delta_pi(x^m dx_idx) as a list of (J, exponent, nonzero coefficient).
-
-    The coefficient is an int whenever the stencil's entries are.  A shift
-    t_i = -1 comes only from d/dx_i acting on a monomial whose x_i exponent
-    is m_i, so its coefficient is a multiple of m_i and is zero wherever
-    m_i + t_i < 0: no negative exponent is ever returned.
-    """
-    out = []
-    for J, t, c0, c in _stencil_row(structure, idx):
-        v = c0
-        for i, ci in c:
-            v += ci * m[i]
-        if v:
-            out.append((J, tuple(map(add, m, t)), v))
-    return out
-
-
-def _stencil_row(structure, idx):
-    """The (J, t, c0, c) of delta_pi(x^m dx_idx) = sum (c0 + c.m) x^(m+t) dx_J.
-
-    c is sparse, a tuple of (axis position, coefficient) pairs.  The row is
-    read off d o iota_pi - iota_pi o d at m = (1,...,1) and at its n unit
-    steps m + e_i: the coefficient of x^(m+t) dx_J there is c0 + c.m, and
-    since every t >= -1 no term is lost at these points.  Coefficients with
-    denominator 1 are stored as ints.
-    """
-    row = structure._stencil.get(idx)
-    if row is not None:
-        return row
-    n, k, pi = structure.n, len(idx), structure.bivector
-    values = []
-    if k:
-        zero = GradedElement.zero(n, k - 1, FORM)
-        ones = (1,) * n
-        for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
-            a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
-            first = de_rham(contract(pi, a)) if k >= 2 else zero
-            second = contract(pi, de_rham(a)) if k < n else zero
-            image = {}
-            for J, p in (first - second).comps.items():
-                for mt, coeff in p.terms.items():
-                    image[(J, tuple(e - mi for e, mi in zip(mt, m)))] = coeff
-            values.append(image)
-    row = []
-    for key in sorted(set().union(*values)):
-        base = values[0].get(key, 0)
-        c = [image.get(key, 0) - base for image in values[1:]]
-        c0 = base - sum(c)
-        row.append((key[0], key[1], _as_int(c0),
-                    tuple((i, _as_int(ci)) for i, ci in enumerate(c) if ci)))
-    row = structure._stencil[idx] = tuple(row)
-    return row
-
-
-def _as_int(q):
-    return int(q) if q.denominator == 1 else q
+def _koszul_brylinski(pi):
+    """d o iota_pi - iota_pi o d on forms."""
+    def fn(a):
+        out = GradedElement.zero(a.n, max(a.degree - 1, 0), FORM)
+        if a.degree >= 2:
+            out = out + de_rham(contract(pi, a))
+        if 1 <= a.degree < a.n:
+            out = out - contract(pi, de_rham(a))
+        return out
+    return fn
 
 
 def modular_field(structure):
@@ -259,8 +197,6 @@ def verify_identity_suite(cat, max_weight=6):
     identity star o d_pi = delta_pi o star slice-by-slice up to max_weight.
     Failures are reported, never raised.
     """
-    from .exterior import enumerate_basis, lie_derivative
-
     checks = []
     P = cat.poisson
     top = GradedElement.basis(4, MULTIVECTOR, (1, 2, 3, 4))
@@ -281,13 +217,13 @@ def verify_identity_suite(cat, max_weight=6):
     checks.append(_eq_check("star(E2) = zeta2^d(zeta1)", cat.eps2,
                             wedge(cat.zeta2, cat.beta1)))
     checks.append(_eq_check("star(T1) = -1/4 df1^d(zeta1)", star(cat.T1),
-                            wedge(cat.df1, cat.beta1) * _q(-1, 4)))
+                            wedge(cat.df1, cat.beta1) * Q(-1, 4)))
     checks.append(_eq_check("star(T1) = -1/4 df2^d(zeta2)", star(cat.T1),
-                            wedge(cat.df2, cat.beta2) * _q(-1, 4)))
+                            wedge(cat.df2, cat.beta2) * Q(-1, 4)))
     checks.append(_eq_check("star(T2) = -1/4 df2^d(zeta1)", star(cat.T2),
-                            wedge(cat.df2, cat.beta1) * _q(-1, 4)))
+                            wedge(cat.df2, cat.beta1) * Q(-1, 4)))
     checks.append(_eq_check("star(T2) = 1/4 df1^d(zeta2)", star(cat.T2),
-                            wedge(cat.df1, cat.beta2) * _q(1, 4)))
+                            wedge(cat.df1, cat.beta2) * Q(1, 4)))
 
     # contraction relations of T_i against zeta_j
     for name, field, form, want in [
@@ -350,24 +286,19 @@ def verify_identity_suite(cat, max_weight=6):
                             top * (cat.f1 * cat.f1 + cat.f2 * cat.f2)))
 
     # homotopy identity star o d_pi = delta_pi o star, slice by slice
-    eq4_ok = True
-    eq4_bad = ""
-    for k in range(0, 5):
-        for w in range(-k, max_weight + 1):
-            basis = enumerate_basis(k, w, MULTIVECTOR)
-            for idx, m in basis:
-                v = GradedElement.basis(4, MULTIVECTOR, idx,
-                                        Polynomial.monomial(4, m))
-                if star(d_pi(v, P)) != delta_pi(star(v), P):
-                    eq4_ok = False
-                    eq4_bad = "first failure at degree %d weight %d" % (k, w)
-                    break
-            if not eq4_ok:
-                break
-        if not eq4_ok:
-            break
+    def first_eq4_failure():
+        for k in range(0, 5):
+            for w in range(-k, max_weight + 1):
+                for idx, m in enumerate_basis(k, w, MULTIVECTOR):
+                    v = GradedElement.basis(4, MULTIVECTOR, idx,
+                                            Polynomial.monomial(4, m))
+                    if star(d_pi(v, P)) != delta_pi(star(v), P):
+                        return "first failure at degree %d weight %d" % (k, w)
+        return ""
+
+    eq4_bad = first_eq4_failure()
     checks.append(IdentityCheck("star o d_pi = delta_pi o star (X_mu = 0)",
-                                "pass" if eq4_ok else "fail", eq4_bad))
+                                "fail" if eq4_bad else "pass", eq4_bad))
 
     # recorded values, not assertions: star_inv(df1 ^ zeta_i)
     for i, zi in ((1, cat.zeta1), (2, cat.zeta2)):
@@ -375,11 +306,6 @@ def verify_identity_suite(cat, max_weight=6):
         checks.append(IdentityCheck("star_inv(df1^zeta%d) recorded" % i, "info",
                                     str(val)))
     return checks
-
-
-def _q(a, b):
-    from .rationals import Q
-    return Q(a, b)
 
 
 def _wedge_ratio(target, source):

@@ -167,19 +167,6 @@ class RationalSeries:
     __repr__ = __str__
 
 
-def series_arith(a, b, op):
-    """Pointwise add/sub of two series; op is 'add' or 'sub'."""
-    if op == "add":
-        return a.add(b)
-    if op == "sub":
-        return a.sub(b)
-    raise ValueError("op must be 'add' or 'sub'")
-
-
-def shift(a, k):
-    return a.shift(k)
-
-
 # the reference series of the Lefschetz computation ------------------------
 
 def forms_series(m, n=4):

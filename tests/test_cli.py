@@ -66,6 +66,17 @@ def test_division_negative_max_degree(capsys, argv):
     assert "max degree %s" % argv[-1] in captured.err
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "f.json"
+    assert main(["homology", "--degree", "1", "--max-weight", "2",
+                 "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
 def test_parse_error_exit(capsys):
     assert main(["nf", "--poly", "x1^-1"]) == 2
     err = capsys.readouterr().err

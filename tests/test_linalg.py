@@ -5,8 +5,7 @@ from math import gcd
 
 import pytest
 
-from poisson_forge.linalg import (ExactMatrix, QEchelon, membership,
-                                  quotient_dim, rank_kernel)
+from poisson_forge.linalg import ExactMatrix, QEchelon, membership, quotient_dim
 from poisson_forge.rationals import Q, QZERO, as_q
 
 
@@ -243,16 +242,16 @@ def test_kernel_basis_on_rational_matrices():
 
 def test_rank_kernel_examples():
     ident = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    r, kernel = rank_kernel(ident)
-    assert r == 3 and kernel == []
+    kernel = ident.kernel_basis()
+    assert ident.rank() == 3 and kernel == []
 
     zero = ExactMatrix(2, 5)
-    r, kernel = rank_kernel(zero)
-    assert r == 0 and len(kernel) == 5
+    kernel = zero.kernel_basis()
+    assert zero.rank() == 0 and len(kernel) == 5
 
     m = ExactMatrix.from_rows([[1, 2], [2, 4]], 2)
-    r, kernel = rank_kernel(m)
-    assert r == 1 and len(kernel) == 1
+    kernel = m.kernel_basis()
+    assert m.rank() == 1 and len(kernel) == 1
     v = kernel[0]
     # spanned by (2, -1): proportionality check
     assert v[0] * (-1) == v[1] * 2
@@ -266,8 +265,8 @@ def test_kernel_vectors_annihilate():
                    for r in range(rows) for c in range(cols)
                    if rng.random() < 0.5}
         m = ExactMatrix(rows, cols, entries)
-        r, kernel = rank_kernel(m)
-        assert r + len(kernel) == cols
+        kernel = m.kernel_basis()
+        assert m.rank() + len(kernel) == cols
         for v in kernel:
             assert m.apply(v) == {}
 

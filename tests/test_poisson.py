@@ -6,8 +6,8 @@ import pytest
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     contract, de_rham, enumerate_basis, star,
                                     star_inv, wedge)
-from poisson_forge.poisson import (_stencil_row, d_pi, delta_pi,
-                                   jacobi_poisson, modular_field, schouten,
+from poisson_forge.poisson import (d_pi, delta_pi, jacobi_poisson,
+                                   modular_field, schouten,
                                    verify_identity_suite)
 from poisson_forge.polynomials import Polynomial
 from poisson_forge.rationals import Q
@@ -236,7 +236,7 @@ def test_delta_stencil_matches_definition_on_rational_structures(cat):
                 for i in range(len(basis)):
                     a = basis.element(i)
                     assert delta_pi(a, P) == delta_reference(a, P), (n, k, w, i)
-        entries = [e for row in P._stencil.values() for _, _, c0, c in row
+        entries = [e for row in P.delta.rows.values() for _, _, c0, c in row
                    for e in (c0,) + tuple(ci for _, ci in c)]
         assert any(isinstance(e, type(Q(1))) for e in entries)
         assert all(isinstance(e, (int, type(Q(1)))) for e in entries)
@@ -250,7 +250,7 @@ def test_delta_stencil_matches_definition_on_rational_structures(cat):
 def test_lefschetz_stencil_is_integral(cat):
     for k in range(5):
         for idx in combinations(range(1, 5), k):
-            for _, t, c0, c in _stencil_row(cat.poisson, idx):
+            for _, t, c0, c in cat.poisson.delta.row(idx, 4):
                 assert min(t) >= -1 and list(t).count(-1) <= 1
                 assert all(type(e) is int
                            for e in (c0,) + tuple(v for _, v in c))

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from poisson_forge.series import (H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES,
-                                  RationalSeries, forms_series, series_arith,
-                                  shift)
+                                  RationalSeries, forms_series)
 
 
 def test_expand_examples():
@@ -15,10 +14,10 @@ def test_expand_examples():
 
 
 def test_shift():
-    s = shift(RationalSeries({0: 1}, (1,)), 2)
+    s = RationalSeries({0: 1}, (1,)).shift(2)
     assert s.expand(4) == [0, 0, 1, 1, 1]
     with pytest.raises(ValueError):
-        shift(s, -1)
+        s.shift(-1)
 
 
 def test_arith_pointwise():
@@ -28,26 +27,25 @@ def test_arith_pointwise():
                            tuple(rng.choice([1, 2]) for _ in range(2)))
         b = RationalSeries({i: rng.randint(-3, 3) for i in range(4)},
                            tuple(rng.choice([1, 2, 3]) for _ in range(2)))
-        for op, pyop in (("add", lambda x, y: x + y),
-                         ("sub", lambda x, y: x - y)):
-            c = series_arith(a, b, op)
+        for op, pyop in ((RationalSeries.add, lambda x, y: x + y),
+                         (RationalSeries.sub, lambda x, y: x - y)):
+            c = op(a, b)
             ea, eb, ec = a.expand(12), b.expand(12), c.expand(12)
             assert ec == [pyop(u, v) for u, v in zip(ea, eb)]
     x = RationalSeries({1: 2}, (2,))
-    assert series_arith(x, x, "sub").expand(6) == [0] * 7
+    assert x.sub(x).expand(6) == [0] * 7
 
 
 def test_shift_matches_indexing():
     a = RationalSeries({0: 1, 2: 3}, (1, 2))
     k = 3
-    ea, es = a.expand(9), shift(a, k).expand(9)
+    ea, es = a.expand(9), a.shift(k).expand(9)
     for i in range(10):
         assert es[i] == (ea[i - k] if i >= k else 0)
 
 
 def test_kernel_sum_reproduces_h1():
-    lhs = series_arith(series_arith(KERNEL_SERIES[1], KERNEL_SERIES[2], "add"),
-                       forms_series(2), "sub")
+    lhs = KERNEL_SERIES[1].add(KERNEL_SERIES[2]).sub(forms_series(2))
     assert lhs == H_SERIES[1]
     assert lhs.expand(12) == H_SERIES[1].expand(12)
 
@@ -58,8 +56,7 @@ def test_exact_sequences_all_degrees():
              (2, KERNEL_SERIES[2], KERNEL_SERIES[3], forms_series(3)),
              (3, KERNEL_SERIES[3], KERNEL_SERIES[4], forms_series(4))]
     for k, ker_k, ker_next, omega in pairs:
-        assert series_arith(series_arith(ker_k, ker_next, "add"),
-                            omega, "sub") == H_SERIES[k]
+        assert ker_k.add(ker_next).sub(omega) == H_SERIES[k]
     assert KERNEL_SERIES[4] == H_SERIES[4]
 
 

@@ -46,7 +46,10 @@ def _working_weight(args):
                   file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
     cap = WEIGHT_CAPS["working weight"]
-    if w < 0 or w > cap:
+    if w < 0:
+        print("max weight %d is negative" % w, file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    if w > cap:
         print("max weight %d beyond configured maximum %d" % (w, cap),
               file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -62,18 +65,18 @@ def _capped(doc, w_max, label):
     return min(w_max, cap)
 
 
-def _homology_block(doc, eng, k, w_max, with_reps=True):
-    report = eng.homology_report(k, w_max, with_representatives=with_reps)
+def _homology_block(doc, eng, k, w_max):
+    w_reps = _capped(doc, w_max, "representative verification")
+    report = eng.homology_report(k, w_max, w_reps)
     doc.add_table("homology degree %d" % k,
                   ["weight", "dim_ker", "dim_im", "dim_H"],
                   [list(r) for r in report.rows])
     doc.add_series("H%d Hilbert function" % k, report.hilbert, report.expected,
                    str(report.series))
-    if with_reps:
-        verdicts = [v.as_dict() for v in report.representative_verdicts]
-        for v in verdicts:
-            v["name"] = "representatives (k=%d, w=%d)" % (v["degree"], v["weight"])
-        doc.add_verdicts("representative families degree %d" % k, verdicts)
+    verdicts = [v.as_dict() for v in report.representative_verdicts]
+    for v in verdicts:
+        v["name"] = "representatives (k=%d, w=%d)" % (v["degree"], v["weight"])
+    doc.add_verdicts("representative families degree %d" % k, verdicts)
 
 
 def _kernels_block(doc, eng, w_max):

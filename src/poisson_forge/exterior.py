@@ -505,8 +505,13 @@ class SliceOperator:
     def columns(self, src, dst):
         """Sparse columns of fn from the slice basis src into the slice basis dst."""
         pos = dst.positions
-        return [{pos[(J, mt)]: v for J, mt, v in self._terms(idx, m)}
-                for idx, m in src.elements]
+        try:
+            return [{pos[(J, mt)]: v for J, mt, v in self._terms(idx, m)}
+                    for idx, m in src.elements]
+        except KeyError:
+            raise ValueError("the image of the (%d,%d) slice leaves the (%d,%d) "
+                             "slice" % (src.degree, src.weight, dst.degree,
+                                        dst.weight)) from None
 
     def apply(self, a):
         """fn(a) for any form a; fn of the zero form fixes the result's degree."""

@@ -12,19 +12,23 @@ through one cached echelonized boundary basis per slice.  Its quotient view
 with the representatives inserted (`class_echelon`, also cached) gives the
 coordinates of a class over the representatives alone; it serves both the
 independence check and the induced de Rham complex, so no boundary is ever
-eliminated with tracking.  Representatives are checked as cycles on their
-coordinates, by the slice's delta matrix.
+eliminated with tracking.  `class_echelon` also keeps each representative's
+coordinates, computed once per slice, and the cycle check applies the
+slice's delta matrix to them.
 
-Besides dimensions this module instantiates and verifies the explicit
-representative families (unique normal forms of classes), certifies the
-module-structure relations over the Casimir ring as boundary memberships,
-computes the de Rham complex induced on homology, and runs the
-volume-deformation normalizer that rewrites g*pi as q*pi with q a Casimir
-function, through a chosen weight.  Its step system depends only on the
-weight and is built once per engine and weight from operator columns
-(delta_pi and the tangency maps); it is the normalizer's only linear
-system.  The flow that pulls h*pi back stays on the ray of pi, so the
-pullback is a scalar series acting on the conformal factor h.
+The explicit representative families (unique normal forms of classes) are
+one data table: a label, a parameter space, a base form and an optional
+de_rham applied after scaling by the parameter; each weight offset is read
+off the template.  Besides dimensions this module instantiates and
+verifies these families, certifies the module-structure relations over the
+Casimir ring as boundary memberships, computes the de Rham complex induced
+on homology, and runs the volume-deformation normalizer that rewrites g*pi
+as q*pi with q a Casimir function, through a chosen weight.  Its step
+system depends only on the weight and is built once per engine and weight
+from operator columns (delta_pi and the tangency maps); it is the
+normalizer's only linear system.  The flow that pulls h*pi back stays on
+the ray of pi, so the pullback is a scalar series acting on the conformal
+factor h.
 """
 
 from .catalog import lefschetz_catalog
@@ -40,23 +44,6 @@ from .series import H_SERIES
 
 class InvariantViolation(Exception):
     """A certified step of a computation failed; never silently ignored."""
-
-
-class SliceComplex:
-    """All delta matrices acting within one scaling weight."""
-
-    __slots__ = ("weight", "matrices")
-
-    def __init__(self, weight, matrices):
-        self.weight = weight
-        self.matrices = matrices          # k -> ExactMatrix for delta on (k, w)
-
-    def composition_is_zero(self):
-        for k in range(2, 5):
-            lower, upper = self.matrices[k - 1], self.matrices[k]
-            if not lower.matmul(upper).is_zero():
-                return False
-        return True
 
 
 class RepresentativeVerdict:
@@ -119,34 +106,61 @@ X2SQ_X4 = "R[[x2^2,x4]]"
 class RepresentativeFamily:
     """One generator template of the unique-normal-form description.
 
-    Instantiating the template at a parameter monomial of the right degree
-    yields a weight-homogeneous cycle; the parameter space is either the
-    Casimir ring or R[[x2^2, x4]].
+    A parameter monomial p of the family's parameter space, the Casimir
+    ring or R[[x2^2, x4]], instantiates to the weight-homogeneous cycle
+    post(p * base); post is the identity (None) or de_rham.  The weight
+    offset is the weight of the template at p = 1.
     """
 
-    __slots__ = ("degree", "label", "parameter_space", "weight_offset",
-                 "builder", "cat")
+    __slots__ = ("label", "parameter_space", "base", "post", "weight_offset")
 
-    def __init__(self, degree, label, parameter_space, weight_offset, builder,
-                 cat=None):
-        self.degree = degree
+    def __init__(self, label, parameter_space, base, post=None):
         self.label = label
         self.parameter_space = parameter_space
-        self.weight_offset = weight_offset
-        self.builder = builder
-        self.cat = cat
-
-    def parameters(self, w):
-        d = w - self.weight_offset
-        if self.parameter_space == CASIMIR:
-            return [p for _, p in f_monomials(self.cat, d)]
-        return a_monomials(d)
+        self.base = base
+        self.post = post
+        one = Polynomial.constant(base.n, 1)
+        self.weight_offset = self.instantiate(one).weights()[0]
 
     def instantiate(self, param):
-        return self.builder(param)
+        form = self.base * param
+        return self.post(form) if self.post else form
 
-    def instantiate_at_weight(self, w):
-        return [self.builder(p) for p in self.parameters(w)]
+
+def _family_table(cat):
+    """The generator templates of H_0 .. H_4, indexed by degree.
+
+    d(a*x_i)^df1 is written as d(a*x_i*df1), which is the same form since
+    d(df1) = 0.
+    """
+    F = RepresentativeFamily
+    # x[i] = x_i and x0[i] the 0-form x_i, with x_0 = 1
+    x = [Polynomial.constant(4, 1)] + [Polynomial.variable(4, i)
+                                       for i in range(1, 5)]
+    x0 = [GradedElement.from_polynomial(p) for p in x]
+    return [
+        [F("p", CASIMIR, x0[0])]
+        + [F("a%d*x%d" % (i, i), X2SQ_X4, x0[i]) for i in range(1, 5)],
+        [F("p1*zeta1", CASIMIR, cat.zeta1), F("p2*zeta2", CASIMIR, cat.zeta2),
+         F("q1*df1", CASIMIR, cat.df1), F("q2*df2", CASIMIR, cat.df2)]
+        + [F("d(a%d*x%d)" % (i, i), X2SQ_X4, x0[i], de_rham)
+           for i in range(1, 5)]
+        + [F("b%d*x%d*df1" % (i, i), X2SQ_X4, cat.df1 * x[i])
+           for i in range(1, 5)],
+        [F("p*zeta1^zeta2", CASIMIR, wedge(cat.zeta1, cat.zeta2)),
+         F("q*df1^df2", CASIMIR, cat.df1df2),
+         F("p1*d(f1*zeta1)", CASIMIR, de_rham(cat.zeta1 * cat.f1)),
+         F("p2*d(f1*zeta2)", CASIMIR, de_rham(cat.zeta2 * cat.f1)),
+         F("q1*d(zeta1)", CASIMIR, cat.beta1),
+         F("q2*d(zeta2)", CASIMIR, cat.beta2)]
+        + [F("d(a%d*x%d)^df1" % (i, i), X2SQ_X4, cat.df1 * x[i], de_rham)
+           for i in range(1, 5)],
+        [F("p1*zeta2^d(zeta1)", CASIMIR, wedge(cat.zeta2, cat.beta1)),
+         F("p2*zeta2^d(zeta2)", CASIMIR, wedge(cat.zeta2, cat.beta2)),
+         F("q1*df1^d(zeta1)", CASIMIR, wedge(cat.df1, cat.beta1)),
+         F("q2*df1^d(zeta2)", CASIMIR, wedge(cat.df1, cat.beta2))],
+        [F("p*mu", CASIMIR, cat.mu)],
+    ]
 
 
 class HomologyReport:
@@ -207,7 +221,8 @@ class HomologyEngine:
         self._boundaries = {}
         self._classes = {}
         self._deformation = {}
-        self._families = {}
+        self._families = None
+        self._parameters = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         # the normalizer's tangency conditions tau -> iota_X df_i, X = star_inv(tau)
         self._tangency = [SliceOperator(lambda tau, df=df:
@@ -237,9 +252,6 @@ class HomologyEngine:
             self._delta[key] = ExactMatrix.from_columns(columns, len(dst))
         return self._delta[key]
 
-    def slice_complex(self, w):
-        return SliceComplex(w, {k: self.delta_matrix(k, w) for k in range(1, 5)})
-
     def delta_rank(self, k, w):
         if k == 5:
             return 0
@@ -261,14 +273,14 @@ class HomologyEngine:
     def kernel_hilbert(self, k, w_max):
         return [self.kernel_dim(k, w) for w in range(w_max + 1)]
 
-    def homology_report(self, k, w_max, with_representatives=True):
+    def homology_report(self, k, w_max, w_reps):
+        """Dimension rows through w_max, representative verdicts through w_reps."""
         rows = []
         for w in range(w_max + 1):
             kd = self.kernel_dim(k, w)
             im = self.delta_rank(k + 1, w)
             rows.append((w, kd, im, kd - im))
-        verdicts = [self.verify_representatives(k, w)
-                    for w in range(w_max + 1)] if with_representatives else []
+        verdicts = [self.verify_representatives(k, w) for w in range(w_reps + 1)]
         return HomologyReport(k, rows, self.hilbert_function(k, w_max),
                               H_SERIES[k].expand(w_max), H_SERIES[k], verdicts)
 
@@ -283,8 +295,9 @@ class HomologyEngine:
         return self._boundaries[key]
 
     def class_echelon(self, k, w):
-        """(reps, independent, ech) of the (k, w) homology classes; cached.
+        """(reps, coords, independent, ech) of the (k, w) homology classes; cached.
 
+        `coords` are the representatives' coordinates in the slice basis.
         `ech` is the boundary echelon's quotient view with the
         representatives inserted, so its `solve` gives the coordinates of a
         cycle's class over the representatives only.  `independent` is false
@@ -295,13 +308,10 @@ class HomologyEngine:
         if key not in self._classes:
             reps = self.representative_basis(k, w)
             basis = self.basis(k, w)
+            coords = [basis.coords(r) for r in reps]
             ech = self.boundary_echelon(k, w).quotient()
-            independent = True
-            for r in reps:
-                if not r or not ech.insert(basis.coords(r)):
-                    independent = False
-                    break
-            self._classes[key] = (reps, independent, ech)
+            independent = all(ech.insert(c) for c in coords)
+            self._classes[key] = (reps, coords, independent, ech)
         return self._classes[key]
 
     def is_boundary(self, form):
@@ -319,89 +329,32 @@ class HomologyEngine:
     def representative_basis(self, k, w):
         """Instantiates the unique-normal-form families at every parameter
         monomial of weight w; each returned form is a weight-w cycle."""
-        out = []
-        for family in self.representative_families(k):
-            out.extend(family.instantiate_at_weight(w))
-        return out
+        return [fam.instantiate(p) for fam in self.representative_families(k)
+                for p in self.parameters(fam.parameter_space,
+                                         w - fam.weight_offset)]
 
     def representative_families(self, k):
         """The generator templates of one homology degree."""
-        if k not in self._families:
-            cat = self.cat
-            x = self._x
-
-            def scale(base):
-                return lambda p: base * p
-
-            def d_of(mult):
-                return lambda a: de_rham(GradedElement.from_polynomial(a * mult))
-
-            def d_wedge_df1(mult):
-                return lambda a: wedge(
-                    de_rham(GradedElement.from_polynomial(a * mult)), cat.df1)
-
-            if k == 0:
-                fams = [RepresentativeFamily(0, "p", CASIMIR, 0,
-                        lambda p: GradedElement.from_polynomial(p))]
-                fams += [RepresentativeFamily(
-                    0, "a%d*x%d" % (i + 1, i + 1), X2SQ_X4, 1,
-                    (lambda xi: lambda a: GradedElement.from_polynomial(a * xi))(x[i]))
-                    for i in range(4)]
-            elif k == 1:
-                fams = [RepresentativeFamily(1, "p%d*zeta%d" % (j, j), CASIMIR,
-                                             2, scale(z))
-                        for j, z in ((1, cat.zeta1), (2, cat.zeta2))]
-                fams += [RepresentativeFamily(1, "q%d*df%d" % (j, j), CASIMIR,
-                                              2, scale(df))
-                         for j, df in ((1, cat.df1), (2, cat.df2))]
-                fams += [RepresentativeFamily(1, "d(a%d*x%d)" % (i + 1, i + 1),
-                                              X2SQ_X4, 1, d_of(x[i]))
-                         for i in range(4)]
-                fams += [RepresentativeFamily(
-                    1, "b%d*x%d*df1" % (i + 1, i + 1), X2SQ_X4, 3,
-                    (lambda xi: lambda b: cat.df1 * (b * xi))(x[i]))
-                    for i in range(4)]
-            elif k == 2:
-                fams = [RepresentativeFamily(2, "p*zeta1^zeta2", CASIMIR, 4,
-                                             scale(wedge(cat.zeta1, cat.zeta2))),
-                        RepresentativeFamily(2, "q*df1^df2", CASIMIR, 4,
-                                             scale(cat.df1df2))]
-                fams += [RepresentativeFamily(2, "p%d*d(f1*zeta%d)" % (j, j),
-                                              CASIMIR, 4,
-                                              scale(de_rham(z * cat.f1)))
-                         for j, z in ((1, cat.zeta1), (2, cat.zeta2))]
-                fams += [RepresentativeFamily(2, "q%d*d(zeta%d)" % (j, j),
-                                              CASIMIR, 2, scale(b))
-                         for j, b in ((1, cat.beta1), (2, cat.beta2))]
-                fams += [RepresentativeFamily(2, "d(a%d*x%d)^df1" % (i + 1, i + 1),
-                                              X2SQ_X4, 3, d_wedge_df1(x[i]))
-                         for i in range(4)]
-            elif k == 3:
-                fams = [RepresentativeFamily(3, "p%d*zeta2^d(zeta%d)" % (j, j),
-                                             CASIMIR, 4,
-                                             scale(wedge(cat.zeta2, b)))
-                        for j, b in ((1, cat.beta1), (2, cat.beta2))]
-                fams += [RepresentativeFamily(3, "q%d*df1^d(zeta%d)" % (j, j),
-                                              CASIMIR, 4,
-                                              scale(wedge(cat.df1, b)))
-                         for j, b in ((1, cat.beta1), (2, cat.beta2))]
-            elif k == 4:
-                fams = [RepresentativeFamily(4, "p*mu", CASIMIR, 4,
-                                             scale(cat.mu))]
-            else:
-                raise ValueError("degree out of range")
-            for fam in fams:
-                fam.cat = cat
-            self._families[k] = fams
+        if not 0 <= k <= 4:
+            raise ValueError("degree out of range")
+        if self._families is None:
+            self._families = _family_table(self.cat)
         return self._families[k]
+
+    def parameters(self, space, d):
+        """The parameter monomials of x-degree d in `space`; cached."""
+        key = (space, d)
+        if key not in self._parameters:
+            self._parameters[key] = ([p for _, p in f_monomials(self.cat, d)]
+                                     if space == CASIMIR else a_monomials(d))
+        return self._parameters[key]
 
     def verify_representatives(self, k, w):
         """Cycles, independent modulo boundaries, count equals dimension."""
-        reps, independent, _ = self.class_echelon(k, w)
+        reps, coords, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
-        basis = self.basis(k, w)
-        all_cycles = k == 0 or all(
-            not self.delta_matrix(k, w).apply(basis.coords(r)) for r in reps)
+        all_cycles = k == 0 or not any(map(self.delta_matrix(k, w).apply,
+                                           coords))
         return RepresentativeVerdict(k, w, len(reps), dim, all_cycles, independent)
 
     # -- module structure over the Casimir ring ------------------------
@@ -462,7 +415,7 @@ class HomologyEngine:
             reps = {0: self.representative_basis(0, w)}
             ranks = {}
             for k in range(4):
-                reps[k + 1], independent, ech = self.class_echelon(k + 1, w)
+                reps[k + 1], _, independent, ech = self.class_echelon(k + 1, w)
                 if not independent:
                     raise InvariantViolation("dependent representatives at "
                                              "(%d, %d)" % (k + 1, w))
@@ -569,9 +522,9 @@ class HomologyEngine:
                 ech.insert(basis2.coords(cat.df1df2 * fm))
             # column j of delta_3 is the image of basis 3-form j, extended
             # by the functions iota_X df1 and iota_X df2 of X = star_inv(tau_j)
-            images = self.delta_matrix(3, w).columns()
             tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
-            for j, vec in enumerate(images):
+            for j, col in enumerate(self.delta_matrix(3, w).columns):
+                vec = dict(col)
                 for off, cols in zip((n2, n2 + n0), tangent):
                     for idx, val in cols[j].items():
                         vec[off + idx] = val

@@ -14,7 +14,9 @@ echelon.  `QEchelon.quotient` solves modulo a span eliminated once
 without tracking, such as the boundaries of one slice.  Columns are
 inserted sparsest first, which is what keeps elimination fill-in tame
 on the banded slice matrices.  Re-running with permuted input yields the
-same rank and an equivalent kernel span.
+same rank and an equivalent kernel span.  `ExactMatrix` stores the sparse
+columns that slice matrices are written in; `apply` reads only the columns
+its vector uses, and `matmul` applies the left factor column by column.
 """
 
 from heapq import heapify, heappop, heappush
@@ -176,35 +178,31 @@ class QEchelon:
 
 
 class ExactMatrix:
-    """Sparse exact matrix: entries (row, col) -> rational, no stored zeros.
+    """Sparse exact matrix stored by column, with no stored zeros.
 
-    Integer entries are kept as ints; any other entry becomes a Q.
+    `columns[c]` is a sparse dict row -> value.  Integer entries are kept as
+    ints; any other entry becomes a Q.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "columns")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
-        self.cols = cols
-        clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError("entry out of bounds")
-                if type(v) is not int:
-                    v = as_q(v)
-                if v:
-                    clean[(r, c)] = v
-        self.entries = clean
+        self.columns = [{} for _ in range(cols)]
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError("entry out of bounds")
+            if type(v) is not int:
+                v = as_q(v)
+            if v:
+                self.columns[c][r] = v
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """columns: list of sparse dicts row -> value."""
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                entries[(r, c)] = v
-        return cls(rows, len(columns), entries)
+        """columns: sparse dicts row -> nonzero int or Q, stored as given."""
+        out = cls(rows, 0)
+        out.columns = columns
+        return out
 
     @classmethod
     def from_rows(cls, rowvecs, cols):
@@ -215,59 +213,43 @@ class ExactMatrix:
                     entries[(r, c)] = v
         return cls(len(rowvecs), cols, entries)
 
-    def columns(self):
-        cols = [{} for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
+    @property
+    def cols(self):
+        return len(self.columns)
+
+    @property
+    def entries(self):
+        """{(row, col): value} for every stored entry."""
+        return {(r, c): v for c, col in enumerate(self.columns)
+                for r, v in col.items()}
 
     def transpose(self):
         return ExactMatrix(self.cols, self.rows,
                            {(c, r): v for (r, c), v in self.entries.items()})
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        byrow = {}
-        for (r, c), v in self.entries.items():
-            byrow.setdefault(r, {})[c] = v
-        bycol = {}
-        for (r, c), v in other.entries.items():
-            bycol.setdefault(c, {})[r] = v
-        entries = {}
-        for r, rv in byrow.items():
-            for c, cv in bycol.items():
-                s = QZERO
-                if len(rv) <= len(cv):
-                    for k, v in rv.items():
-                        w = cv.get(k)
-                        if w is not None:
-                            s += v * w
-                else:
-                    for k, w in cv.items():
-                        v = rv.get(k)
-                        if v is not None:
-                            s += v * w
-                if s:
-                    entries[(r, c)] = s
-        return ExactMatrix(self.rows, other.cols, entries)
+        return ExactMatrix.from_columns([self.apply(col) for col in other.columns],
+                                        self.rows)
 
     def apply(self, vec):
-        """Matrix times sparse column vector, in one pass over the entries."""
+        """Matrix times sparse column vector, reading only the columns vec uses."""
         out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
+        columns = self.columns
+        for c, x in vec.items():
             if x:
-                out[r] = out.get(r, 0) + v * x
+                for r, v in columns[c].items():
+                    out[r] = out.get(r, 0) + v * x
         return {r: s for r, s in out.items() if s}
 
     def echelon(self):
         """Echelon of the column span, columns inserted sparsest first."""
         ech = QEchelon()
-        for col in sorted((c for c in self.columns() if c), key=len):
+        for col in sorted((c for c in self.columns if c), key=len):
             ech.insert(col)
         return ech
 
@@ -282,7 +264,7 @@ class ExactMatrix:
         """
         ech = QEchelon(track=True)
         basis = []
-        for c, col in enumerate(self.columns()):
+        for c, col in enumerate(self.columns):
             coords = ech.solve(col)
             if coords is not None:
                 vec = {c: QONE}

@@ -88,6 +88,28 @@ def test_weight_cap(capsys):
     capsys.readouterr()
 
 
+def test_negative_weight_is_a_usage_error(capsys, monkeypatch):
+    assert main(["hilbert", "--group", "H0", "--max-weight", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "max weight -1 is negative\n"
+    monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "-1")
+    assert main(["hilbert", "--group", "H0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "max weight -1 is negative\n"
+
+
+def test_homology_caps_the_representative_verdicts(capsys):
+    assert main(["homology", "--degree", "4", "--max-weight", "11",
+                 "--format", "json"]) == 0
+    blocks = {b["block"]: b for b in json.loads(capsys.readouterr().out)["blocks"]}
+    assert blocks["weight cap"]["text"] == ("representative verification runs "
+                                            "at weight 10 (requested 11)")
+    assert [row[0] for row in blocks["homology degree 4"]["rows"]] == list(range(12))
+    assert len(blocks["H4 Hilbert function"]["computed"]) == 12
+    verdicts = blocks["representative families degree 4"]["verdicts"]
+    assert [v["weight"] for v in verdicts] == list(range(11))
+
+
 def test_env_weight(capsys, monkeypatch):
     monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "3")
     code = main(["hilbert", "--group", "H0"])

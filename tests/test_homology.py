@@ -33,7 +33,9 @@ def test_zeta1_in_kernel(engine, cat):
 
 def test_composition_zero(engine):
     for w in range(1, 11):
-        assert engine.slice_complex(w).composition_is_zero()
+        for k in range(2, 5):
+            assert engine.delta_matrix(k - 1, w).matmul(
+                engine.delta_matrix(k, w)).is_zero()
 
 
 # -- dimensions ---------------------------------------------------------
@@ -97,7 +99,7 @@ def test_class_coordinates_over_representatives(engine, cat):
     # a boundary alone has none
     for k in range(5):
         for w in range(6):
-            reps, independent, ech = engine.class_echelon(k, w)
+            reps, _, independent, ech = engine.class_echelon(k, w)
             assert independent
             basis = engine.basis(k, w)
             above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
@@ -123,11 +125,48 @@ def test_family_templates_yield_cycles(engine, cat):
         assert all(f.parameter_space in (CASIMIR, X2SQ_X4) for f in fams)
         for fam in fams:
             for w in range(fam.weight_offset, fam.weight_offset + 5):
-                for p in fam.parameters(w):
+                for p in engine.parameters(fam.parameter_space,
+                                           w - fam.weight_offset):
                     inst = fam.instantiate(p)
                     assert delta_pi(inst, cat.poisson).is_zero(), fam.label
                     if inst:
                         assert inst.weights() == [w]
+
+
+FAMILY_TABLE = [
+    (0, "p", "R[[f1,f2]]", 0),
+    (0, "a1*x1", "R[[x2^2,x4]]", 1), (0, "a2*x2", "R[[x2^2,x4]]", 1),
+    (0, "a3*x3", "R[[x2^2,x4]]", 1), (0, "a4*x4", "R[[x2^2,x4]]", 1),
+    (1, "p1*zeta1", "R[[f1,f2]]", 2), (1, "p2*zeta2", "R[[f1,f2]]", 2),
+    (1, "q1*df1", "R[[f1,f2]]", 2), (1, "q2*df2", "R[[f1,f2]]", 2),
+    (1, "d(a1*x1)", "R[[x2^2,x4]]", 1), (1, "d(a2*x2)", "R[[x2^2,x4]]", 1),
+    (1, "d(a3*x3)", "R[[x2^2,x4]]", 1), (1, "d(a4*x4)", "R[[x2^2,x4]]", 1),
+    (1, "b1*x1*df1", "R[[x2^2,x4]]", 3), (1, "b2*x2*df1", "R[[x2^2,x4]]", 3),
+    (1, "b3*x3*df1", "R[[x2^2,x4]]", 3), (1, "b4*x4*df1", "R[[x2^2,x4]]", 3),
+    (2, "p*zeta1^zeta2", "R[[f1,f2]]", 4), (2, "q*df1^df2", "R[[f1,f2]]", 4),
+    (2, "p1*d(f1*zeta1)", "R[[f1,f2]]", 4), (2, "p2*d(f1*zeta2)", "R[[f1,f2]]", 4),
+    (2, "q1*d(zeta1)", "R[[f1,f2]]", 2), (2, "q2*d(zeta2)", "R[[f1,f2]]", 2),
+    (2, "d(a1*x1)^df1", "R[[x2^2,x4]]", 3), (2, "d(a2*x2)^df1", "R[[x2^2,x4]]", 3),
+    (2, "d(a3*x3)^df1", "R[[x2^2,x4]]", 3), (2, "d(a4*x4)^df1", "R[[x2^2,x4]]", 3),
+    (3, "p1*zeta2^d(zeta1)", "R[[f1,f2]]", 4),
+    (3, "p2*zeta2^d(zeta2)", "R[[f1,f2]]", 4),
+    (3, "q1*df1^d(zeta1)", "R[[f1,f2]]", 4),
+    (3, "q2*df1^d(zeta2)", "R[[f1,f2]]", 4),
+    (4, "p*mu", "R[[f1,f2]]", 4),
+]
+
+
+def test_family_table(engine):
+    got = [(k, f.label, f.parameter_space, f.weight_offset)
+           for k in range(5) for f in engine.representative_families(k)]
+    assert got == FAMILY_TABLE
+    one = Polynomial.constant(4, 1)
+    for k in range(5):
+        for f in engine.representative_families(k):
+            assert f.instantiate(one).degree == k, f.label
+    for k in (-1, 5):
+        with pytest.raises(ValueError):
+            engine.representative_families(k)
 
 
 # -- module structure ---------------------------------------------------

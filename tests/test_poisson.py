@@ -260,7 +260,7 @@ def test_delta_matrix_columns_match_definition(engine, cat):
     for k in range(1, 5):
         for w in range(k, 7):
             src, dst = engine.basis(k, w), engine.basis(k - 1, w)
-            columns = engine.delta_matrix(k, w).columns()
+            columns = engine.delta_matrix(k, w).columns
             assert len(columns) == len(src)
             for i, col in enumerate(columns):
                 want = dst.coords(delta_reference(src.element(i), cat.poisson))

@@ -56,6 +56,13 @@ def test_columns_are_coordinates_of_the_map(instances, name):
             assert op.columns(src, dst) == [dst.coords(a) for a in images], (k, w)
 
 
+def test_columns_name_both_slices_when_the_image_leaves_dst():
+    # the rational structure on R^4 does not preserve the weight
+    with pytest.raises(ValueError, match=r"\(2,5\) slice leaves the \(1,5\) slice"):
+        rational_structures()[0].delta.columns(enumerate_basis(2, 5),
+                                               enumerate_basis(1, 5))
+
+
 @st.composite
 def forms(draw, n, degrees):
     """A form on R^n of one of the degrees, up to four terms of x-degree <= 2n."""

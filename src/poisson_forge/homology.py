@@ -14,7 +14,7 @@ coordinates of a class over the representatives alone; it serves both the
 independence check and the induced de Rham complex, so no boundary is ever
 eliminated with tracking.  `class_echelon` also keeps each representative's
 coordinates, computed once per slice, and the cycle check applies the
-slice's delta matrix to them.
+slice's delta matrix to them, cleared of denominators.
 
 The explicit representative families (unique normal forms of classes) are
 one data table: a label, a parameter space, a base form and an optional
@@ -23,9 +23,10 @@ off the template.  Besides dimensions this module instantiates and
 verifies these families, certifies the module-structure relations over the
 Casimir ring as boundary memberships, computes the de Rham complex induced
 on homology, and runs the volume-deformation normalizer that rewrites g*pi
-as q*pi with q a Casimir function, through a chosen weight.  Its step
-system depends only on the weight and is built once per engine and weight
-from operator columns (delta_pi and the tangency maps); it is the
+as q*pi with q a Casimir function, through a chosen weight.  Its step is
+the scalar equation d(tau) = (g_i - q_i) mu on tangent fields X =
+-star_inv(tau), since [X, pi] = -div(X) pi; the system is built once per
+weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The flow that pulls h*pi back stays on
 the ray of pi, so the pullback is a scalar series acting on the conformal
 factor h.
@@ -35,7 +36,7 @@ from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
                        divergence, enumerate_basis, lie_derivative, star_inv,
                        wedge)
-from .linalg import ExactMatrix, QEchelon
+from .linalg import ExactMatrix, QEchelon, integer_row
 from .poisson import d_pi, delta_pi
 from .polynomials import Polynomial
 from .rationals import Q
@@ -224,7 +225,8 @@ class HomologyEngine:
         self._families = None
         self._parameters = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
-        # the normalizer's tangency conditions tau -> iota_X df_i, X = star_inv(tau)
+        # the normalizer's step maps d and tau -> iota_X df_i, X = star_inv(tau)
+        self._d = SliceOperator(de_rham)
         self._tangency = [SliceOperator(lambda tau, df=df:
                                         contract(star_inv(tau), df))
                           for df in (self.cat.df1, self.cat.df2)]
@@ -353,8 +355,8 @@ class HomologyEngine:
         """Cycles, independent modulo boundaries, count equals dimension."""
         reps, coords, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
-        all_cycles = k == 0 or not any(map(self.delta_matrix(k, w).apply,
-                                           coords))
+        all_cycles = k == 0 or not any(
+            self.delta_matrix(k, w).apply(integer_row(c)[1]) for c in coords)
         return RepresentativeVerdict(k, w, len(reps), dim, all_cycles, independent)
 
     # -- module structure over the Casimir ring ------------------------
@@ -507,31 +509,32 @@ class HomologyEngine:
     def _solve_deformation_step(self, gi, i):
         """Find q_i (Casimir slice) and X with d_pi(X) = (g_i - q_i) pi,
         iota_X df1 = iota_X df2 = 0, by one augmented exact solve of a system
-        cached per weight.  Its Casimir generators come first, so X is None
-        exactly when df1^df2 * g_i is a Casimir slice."""
+        cached per weight.  For tangent X, star(d_pi X) = -div(X) df1^df2
+        and d(star X) = div(X) mu, so the system is d(tau) = (g_i - q_i) mu
+        with X = -star_inv(tau).  Its Casimir generators mu * f1^a f2^b
+        come first, so X is None exactly when g_i is a Casimir slice."""
         cat = self.cat
         w = i + 4
-        basis2 = self.basis(2, w)
+        top = self.basis(4, w)
         if i not in self._deformation:
             basis3 = self.basis(3, w)
             fun_basis = self.basis(0, i + 2)
-            n2, n0 = len(basis2), len(fun_basis)
+            n4, n0 = len(top), len(fun_basis)
             fmonos = f_monomials(cat, i)
             ech = QEchelon(track=True)
             for _, fm in fmonos:
-                ech.insert(basis2.coords(cat.df1df2 * fm))
-            # column j of delta_3 is the image of basis 3-form j, extended
-            # by the functions iota_X df1 and iota_X df2 of X = star_inv(tau_j)
+                ech.insert(top.coords(cat.mu * fm))
+            # column j is d(tau_j), extended by the functions iota_X df1
+            # and iota_X df2 of X = star_inv(tau_j)
             tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
-            for j, col in enumerate(self.delta_matrix(3, w).columns):
-                vec = dict(col)
-                for off, cols in zip((n2, n2 + n0), tangent):
-                    for idx, val in cols[j].items():
+            for vec, *cols in zip(self._d.columns(basis3, top), *tangent):
+                for off, col in zip((n4, n4 + n0), cols):
+                    for idx, val in col.items():
                         vec[off + idx] = val
                 ech.insert(vec)
             self._deformation[i] = (fmonos, basis3, ech)
         fmonos, basis3, ech = self._deformation[i]
-        coords = ech.solve(basis2.coords(cat.df1df2 * gi))
+        coords = ech.solve(top.coords(cat.mu * gi))
         if coords is None:
             raise InvariantViolation("deformation step unsolvable at weight %d "
                                      "(contradicts the classification)" % i)
@@ -542,7 +545,7 @@ class HomologyEngine:
                 qi = qi + fmonos[gen_index][1] * coeff
             else:
                 tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
-        return qi, (star_inv(tau) if tau else None)
+        return qi, (-star_inv(tau) if tau else None)
 
 
 def _exp_flow(field, h, w_max):

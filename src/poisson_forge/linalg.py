@@ -25,7 +25,7 @@ from math import gcd, lcm
 from .rationals import Q, QONE, QZERO, as_q
 
 
-def _integer_row(vec):
+def integer_row(vec):
     """(D, D*vec) for a sparse rational vector, D the lcm of its denominators."""
     row = {}
     den = 1
@@ -118,7 +118,7 @@ class QEchelon:
 
     def insert(self, vec):
         """Insert generator; its coordinate index is the insertion count."""
-        den, v = _integer_row(vec)
+        den, v = integer_row(vec)
         aug = {self.count: den} if self.track else None
         self.count += 1
         self._reduce(v, aug)
@@ -143,7 +143,7 @@ class QEchelon:
         """
         if not self.track:
             raise ValueError("echelon was built without coordinate tracking")
-        den, v = _integer_row(vec)
+        den, v = integer_row(vec)
         # vec enters as a would-be generator at the next index; its
         # coordinate there stays a positive scale s, and once vec reduces
         # to zero, s*vec + sum aug[i]*generator_i = 0
@@ -172,7 +172,7 @@ class QEchelon:
         return out
 
     def contains(self, vec):
-        _, v = _integer_row(vec)
+        _, v = integer_row(vec)
         self._reduce(v, None)
         return not v
 

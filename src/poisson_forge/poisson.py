@@ -285,15 +285,17 @@ def verify_identity_suite(cat, max_weight=6):
                             wedge_all([cat.E1, cat.E2, cat.T1, cat.T2]) * 16,
                             top * (cat.f1 * cat.f1 + cat.f2 * cat.f2)))
 
-    # homotopy identity star o d_pi = delta_pi o star, slice by slice
+    # homotopy identity star o d_pi = delta_pi o star on the multivector slice
+    # (k, w), read on its form slice (4-k, w+4); both vanish for k = 4
+    conjugate = SliceOperator(lambda a: star(d_pi(star_inv(a), P)))
+
     def first_eq4_failure():
-        for k in range(0, 5):
+        for k in range(4):
             for w in range(-k, max_weight + 1):
-                for idx, m in enumerate_basis(k, w, MULTIVECTOR):
-                    v = GradedElement.basis(4, MULTIVECTOR, idx,
-                                            Polynomial.monomial(4, m))
-                    if star(d_pi(v, P)) != delta_pi(star(v), P):
-                        return "first failure at degree %d weight %d" % (k, w)
+                src = enumerate_basis(4 - k, w + 4)
+                dst = enumerate_basis(3 - k, w + 4)
+                if conjugate.columns(src, dst) != P.delta.columns(src, dst):
+                    return "first failure at degree %d weight %d" % (k, w)
         return ""
 
     eq4_bad = first_eq4_failure()

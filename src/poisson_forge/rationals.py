@@ -2,23 +2,17 @@
 
 Every coefficient in this package is an exact rational: arbitrary-precision
 integer numerator, positive integer denominator, always in lowest terms.
-gmpy2's mpq gives that contract with much better speed than Fraction; we
-fall back to fractions.Fraction when gmpy2 is unavailable.
+That is fractions.Fraction, the one scalar type `Q`.
 """
 
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
+from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)
 
 
 def as_q(x):
-    """Coerce an int / Fraction / mpq / numeric string to the package rational type."""
+    """Coerce an int / Fraction / numeric string to Q."""
     if isinstance(x, float):
         raise TypeError("floating point coefficients are not allowed")
     return Q(x)

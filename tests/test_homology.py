@@ -82,6 +82,19 @@ def test_vacuous_odd_weight_top(engine):
     assert v.count == v.dimension == 0 and v.ok
 
 
+def test_cycle_check_flags_a_non_cycle(cat):
+    # the check runs on denominator-cleared rows: x1*mu/3 is not a cycle,
+    # f1*mu/3 is
+    class OneRepresentative(HomologyEngine):
+        def representative_basis(self, k, w):
+            return [rep]
+
+    for rep, w, cycle in ((cat.mu * x(1) * Q(1, 3), 5, False),
+                          (cat.mu * cat.f1 * Q(1, 3), 6, True)):
+        assert OneRepresentative(cat).verify_representatives(4, w).all_cycles \
+            == cycle
+
+
 def test_boundary_adjoined_is_dependent(engine, cat):
     # delta of x1*mu is a boundary, so adjoining it to the degree-3
     # representatives must be detected as dependent
@@ -362,6 +375,60 @@ def test_scalar_pullback_matches_bivector_route(g):
     assert q == q_ref
     assert ([(s.weight, s.casimir_part, s.corrector) for s in steps]
             == steps_ref)
+    assert steps
+
+
+class TwoFormStepRoute(HomologyEngine):
+    """The normalizer's former step system, kept as the reference route.
+
+    It solves delta_pi(tau) = (g_i - q_i) df1^df2 in the 2-form slice,
+    with the delta_3 columns extended by the tangency conditions, and
+    X = star_inv(tau).
+    """
+
+    def _solve_deformation_step(self, gi, i):
+        cat = self.cat
+        w = i + 4
+        basis2 = self.basis(2, w)
+        if i not in self._deformation:
+            basis3 = self.basis(3, w)
+            fun_basis = self.basis(0, i + 2)
+            n2, n0 = len(basis2), len(fun_basis)
+            fmonos = f_monomials(cat, i)
+            ech = QEchelon(track=True)
+            for _, fm in fmonos:
+                ech.insert(basis2.coords(cat.df1df2 * fm))
+            tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
+            for j, col in enumerate(self.delta_matrix(3, w).columns):
+                vec = dict(col)
+                for off, cols in zip((n2, n2 + n0), tangent):
+                    for idx, val in cols[j].items():
+                        vec[off + idx] = val
+                ech.insert(vec)
+            self._deformation[i] = (fmonos, basis3, ech)
+        fmonos, basis3, ech = self._deformation[i]
+        coords = ech.solve(basis2.coords(cat.df1df2 * gi))
+        assert coords is not None
+        qi = Polynomial.zero(4)
+        tau = GradedElement.zero(4, 3, FORM)
+        for gen_index, coeff in coords.items():
+            if gen_index < len(fmonos):
+                qi = qi + fmonos[gen_index][1] * coeff
+            else:
+                tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
+        return qi, (star_inv(tau) if tau else None)
+
+
+@pytest.mark.parametrize("g", ["1+x1", "2+x1*x3-x2^2", "1+x1+x2*x4+x3^3"])
+def test_scalar_step_matches_two_form_route(engine, g):
+    # the routes may pick different correctors, so only q and the
+    # Casimir part of each step are compared
+    g = parse_polynomial(g)
+    q, steps = engine.normalize_volume_deformation(g, 5)
+    q_ref, steps_ref = TwoFormStepRoute().normalize_volume_deformation(g, 5)
+    assert q == q_ref
+    assert ([(s.weight, s.casimir_part) for s in steps]
+            == [(s.weight, s.casimir_part) for s in steps_ref])
     assert steps
 
 

@@ -376,6 +376,22 @@ def test_identity_suite_detects_sabotage(cat):
     assert "star(E1) = zeta1^d(zeta1)" in bad
 
 
+def test_identity_suite_reports_the_first_homotopy_failure(cat):
+    import copy
+    from poisson_forge.poisson import PoissonStructure
+    # pi = x1^2 e1^e2 is Poisson and of weight 0 with modular field
+    # 2 x1 e2, so the homotopy identity fails on the constant function:
+    # d_pi(1) = 0 while delta_pi(mu) = d(star(pi)) = 2 x1 dx1^dx3^dx4
+    bent = copy.copy(cat)
+    bent.pi = GradedElement.basis(4, MULTIVECTOR, (1, 2), x(1) * x(1))
+    bent.poisson = PoissonStructure(bent.pi, [], cat.mu)
+    assert not modular_field(bent.poisson).is_zero()
+    checks = {c.name: c for c in verify_identity_suite(bent, max_weight=2)}
+    check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]
+    assert (check.status, check.detail) == \
+        ("fail", "first failure at degree 0 weight 0")
+
+
 def test_identities_weight_homogeneous(cat):
     # the identities live in single weights, so a low working weight passes
     checks = verify_identity_suite(cat, max_weight=4)

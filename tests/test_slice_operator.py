@@ -20,7 +20,7 @@ from test_poisson import rational_structures
 from test_properties import CHECKS, coefficients
 
 NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
-         "df1 ^ .", "df2 ^ .", ". ^ df1^df2",
+         "d", "df1 ^ .", "df2 ^ .", ". ^ df1^df2",
          "contract(star_inv(.), df1)", "contract(star_inv(.), df2)",
          "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
 
@@ -32,6 +32,7 @@ def instances(cat, engine):
     out = {"delta Lefschetz": (cat.poisson.delta, 4, range(5), 0),
            "delta rational R^4": (on_r4.delta, 4, range(5), 0),
            "delta rational R^3": (on_r3.delta, 3, range(4), 0),
+           "d": (engine._d, 4, range(4), 0),
            "df1 ^ .": (_wedge_by(cat.df1), 4, range(4), 2),
            "df2 ^ .": (_wedge_by(cat.df2), 4, range(4), 2),
            ". ^ df1^df2": (_wedge_by(cat.df1df2, right=True), 4, range(3), 4)}

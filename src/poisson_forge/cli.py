@@ -29,7 +29,7 @@ WEIGHT_CAPS = {
     "representative verification": 10,
     "module structure": 10,
     "induced de Rham": 10,
-    "deformation normalizer": 8,
+    "deformation normalizer": 10,
 }
 USAGE_ERROR = 2
 

@@ -167,10 +167,6 @@ class GradedElement:
     def map_coefficients(self, fn):
         return self._like({i: fn(p) for i, p in self.comps.items()})
 
-    def truncate_weight(self, w_max):
-        d = w_max - self.degree if self.kind == FORM else w_max + self.degree
-        return self.map_coefficients(lambda p: p.truncate(d))
-
     def __str__(self):
         if not self.comps:
             return "0"
@@ -412,18 +408,6 @@ class WeightSliceBasis:
                                      % (self.degree, self.weight))
                 out[self.positions[key]] = c
         return out
-
-    def from_coords(self, vec):
-        """Element from dense list or sparse dict of coordinates."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        comps = {}
-        for i, c in items:
-            if not c:
-                continue
-            idx, m = self.elements[i]
-            comps.setdefault(idx, {})[m] = c
-        return GradedElement(self.n, self.degree, self.kind,
-                             {idx: Polynomial(self.n, t) for idx, t in comps.items()})
 
 
 _BASIS_CACHE = {}

@@ -27,9 +27,9 @@ as q*pi with q a Casimir function, through a chosen weight.  Its step is
 the scalar equation d(tau) = (g_i - q_i) mu on tangent fields X =
 -star_inv(tau), since [X, pi] = -div(X) pi; the system is built once per
 weight from operator columns (d and the tangency maps) and is the
-normalizer's only linear system.  The flow that pulls h*pi back stays on
-the ray of pi, so the pullback is a scalar series acting on the conformal
-factor h.
+normalizer's only linear system.  The flow of the homogeneous field
+-X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
+scalar series acting on the conformal factor h, certified by flowing back.
 """
 
 from .catalog import lefschetz_catalog
@@ -461,9 +461,12 @@ class HomologyEngine:
         At each weight i the residual slice g_i is split as q_i + d_pi-exact
         (q_i over the Casimir monomials) and the correction field X is
         certified exactly.  X is tangent to the fibration, so the time-1 flow
-        of Y = -X/h keeps h*pi on the ray: it pulls h*pi back to
+        of Y = -X/g(0) keeps h*pi on the ray: it pulls h*pi back to
         (exp(D) h)*pi with D h = Y(h) - div(Y) h, each term truncated above
-        w_max.  Returns (q, transcript).
+        w_max.  Y kills the Casimir parts of h below weight i and D raises
+        degrees by exactly i, so the weight-i part becomes h_i + div(X) =
+        q_i.  The round trip exp(-D) exp(D) h = h certifies the series.
+        Returns (q, transcript).
         """
         cat = self.cat
         if not isinstance(g, Polynomial):
@@ -471,8 +474,7 @@ class HomologyEngine:
         c0 = g.constant_term()
         if c0 <= 0:
             raise ValueError("g must have positive constant term")
-        g = g.truncate(w_max)
-        current = g
+        current = g.truncate(w_max)
         transcript = []
         for i in range(1, w_max + 1):
             gi = current.homogeneous_part(i)
@@ -495,10 +497,14 @@ class HomologyEngine:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
             transcript.append(DeformationStep(i, qi, corrector, True))
-            # pull current*pi back along the time-1 flow of -corrector/current
-            flow_field = (corrector * current.inverse(w_max)) * Q(-1)
-            flow_field = flow_field.truncate_weight(w_max)
-            current = _exp_flow(flow_field, current, w_max)
+            # pull current*pi back along the time-1 flow of -corrector/g(0)
+            flow_field = corrector * Q(-1, c0)
+            pulled = _exp_flow(flow_field, current, w_max)
+            # the flow back must return current, higher-order terms included
+            if _exp_flow(-flow_field, pulled, w_max) != current:
+                raise InvariantViolation("flow pullback certificate failed "
+                                         "at weight %d" % i)
+            current = pulled
         q = current
         for d, part in q.homogeneous_parts().items():
             if d and self._solve_deformation_step(part, d)[1] is not None:
@@ -555,15 +561,13 @@ def _exp_flow(field, h, w_max):
     L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
     """
     div = divergence(field).coefficient(())
-    result = h.truncate(w_max)
-    term = result
-    fact = 1
+    result = term = h.truncate(w_max)
     for m in range(1, w_max + 2):
-        term = (lie_derivative(field, term) - div * term).truncate(w_max)
+        # term = D^m h / m!
+        term = (lie_derivative(field, term) - div * term).truncate(w_max) * Q(1, m)
         if term.is_zero():
             break
-        fact *= m
-        result = result + term * Q(1, fact)
+        result = result + term
     return result
 
 

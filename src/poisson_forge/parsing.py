@@ -17,6 +17,7 @@ is rejected.  Printing of canonical objects round-trips through parsing.
 """
 
 import re
+import sys
 
 from .exterior import FORM, MULTIVECTOR, GradedElement, wedge
 from .polynomials import Polynomial
@@ -31,6 +32,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# raised where an integer is longer than the interpreter converts to decimal
+_TOO_LONG = "coefficient with more than %d digits cannot be printed"
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<dx>dx(?=\d))|(?P<var>x(?=\d))"
                     r"|(?P<vec>e(?=\d))|(?P<op>[-+*/^()\[\]]))")
 
@@ -73,7 +76,11 @@ class _Parser:
 
     def _int(self):
         tok = self.take("num")
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(_TOO_LONG % sys.get_int_max_str_digits(),
+                             tok[2]) from None
 
     def _axis(self, tok_pos):
         k = self._int()
@@ -129,15 +136,15 @@ class _Parser:
     def atom(self):
         tok = self.peek()
         if tok[0] == "num":
-            self.take()
+            num = self._int()
             nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "/":
                 self.take()
                 den = self._int()
                 if den == 0:
                     raise ParseError("zero denominator", nxt[2])
-                return Polynomial.constant(self.n, Q(int(tok[1]), den))
-            return Polynomial.constant(self.n, int(tok[1]))
+                return Polynomial.constant(self.n, Q(num, den))
+            return Polynomial.constant(self.n, num)
         if tok[0] == "var":
             self.take()
             return Polynomial.variable(self.n, self._axis(tok[2]))
@@ -206,12 +213,16 @@ class _Parser:
 
 
 def parse_expression(src, n=4):
-    """Parse to a Polynomial or GradedElement."""
+    """Parse to a Polynomial or GradedElement whose coefficients print."""
     p = _Parser(src, n)
     value = p.expr()
     tok = p.peek()
     if tok[0] != "end":
         raise ParseError("trailing input", tok[2])
+    try:
+        str(value)
+    except ValueError:
+        raise ParseError(_TOO_LONG % sys.get_int_max_str_digits(), 0) from None
     return value
 
 

@@ -233,22 +233,6 @@ class Polynomial:
         """Drop every term of total degree > d."""
         return Polynomial(self.n, {m: c for m, c in self.terms.items() if sum(m) <= d})
 
-    def inverse(self, d):
-        """Power-series inverse 1/self through total degree d; nonzero constant term required."""
-        c = self.constant_term()
-        if c == 0:
-            raise ValueError("not invertible: zero constant term")
-        u = (Polynomial.constant(self.n, 1) - self * (QONE / c)).truncate(d)
-        # 1/self = (1/c) * sum u^m, u has positive valuation
-        acc = Polynomial.constant(self.n, 1)
-        pw = Polynomial.constant(self.n, 1)
-        for _ in range(d):
-            pw = (pw * u).truncate(d)
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return acc * (QONE / c)
-
     # -- comparison / hashing / printing ------------------------------
 
     def __eq__(self, other):

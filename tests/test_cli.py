@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_parse_error_exit(capsys):
     assert main(["nf", "--poly", "x1^-1"]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("argv", [["normalize", "--g", "2^100000"],
+                                  ["nf", "--poly", "3^10000*x1"],
+                                  ["nf", "--poly", "1" * 5000 + "*x1"]])
+def test_unprintable_coefficient_is_a_parse_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "parse error: coefficient with more than %d digits cannot be printed"
+        % sys.get_int_max_str_digits())
+    assert "Traceback" not in captured.err
 
 
 def test_weight_cap(capsys):

@@ -149,11 +149,24 @@ def test_enumerate_basis_sizes():
             assert len(enumerate_basis(k, w, FORM)) == expect
 
 
+def from_coords(basis, vec):
+    """Element of a slice basis from dense list or sparse dict of coordinates."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    comps = {}
+    for i, c in items:
+        if not c:
+            continue
+        idx, m = basis.elements[i]
+        comps.setdefault(idx, {})[m] = c
+    return GradedElement(basis.n, basis.degree, basis.kind,
+                         {idx: Polynomial(basis.n, t) for idx, t in comps.items()})
+
+
 def test_basis_coords_roundtrip():
     basis = enumerate_basis(2, 4, FORM)
     elem = basis.element(5) * 3 - basis.element(17) * 2
     coords = basis.coords(elem)
-    assert basis.from_coords(coords) == elem
+    assert from_coords(basis, coords) == elem
 
 
 def test_lie_derivative_examples(cat):

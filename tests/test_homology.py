@@ -1,9 +1,12 @@
 import pytest
 
+from poisson_forge import homology
+from poisson_forge.cli import main
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, de_rham,
-                                    enumerate_basis, star, star_inv, wedge)
+                                    divergence, enumerate_basis, lie_derivative,
+                                    star, star_inv, wedge)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
-                                    f_monomials)
+                                    _exp_flow, f_monomials)
 from poisson_forge.linalg import QEchelon
 from poisson_forge.parsing import parse_polynomial
 from poisson_forge.poisson import delta_pi, schouten
@@ -295,11 +298,60 @@ def test_normalizer_systems_shared_across_g(cat):
     assert steps
 
 
+def series_inverse(h, d):
+    """Power-series inverse 1/h through total degree d; nonzero constant term required."""
+    c = h.constant_term()
+    if c == 0:
+        raise ValueError("not invertible: zero constant term")
+    u = (Polynomial.constant(h.n, 1) - h * Q(1, c)).truncate(d)
+    # 1/h = (1/c) * sum u^m, u has positive valuation
+    acc = Polynomial.constant(h.n, 1)
+    pw = Polynomial.constant(h.n, 1)
+    for _ in range(d):
+        pw = (pw * u).truncate(d)
+        if pw.is_zero():
+            break
+        acc = acc + pw
+    return acc * Q(1, c)
+
+
+def truncate_weight(a, w_max):
+    """The part of a graded element of scaling weight at most w_max."""
+    d = w_max - a.degree if a.kind == FORM else w_max + a.degree
+    return a.map_coefficients(lambda p: p.truncate(d))
+
+
+def test_series_inverse():
+    g = Polynomial.constant(4, 2) + x(1) + x(2) * x(3)
+    h = series_inverse(g, 6)
+    assert (g * h).truncate(6) == Polynomial.constant(4, 1)
+    with pytest.raises(ValueError):
+        series_inverse(x(1), 4)
+
+
+def normalize_uncertified(engine, g, w_max, pullback):
+    """(q, [(weight, casimir_part, corrector)]) of the normalizer loop with
+    the flow pullback h -> pullback(corrector, h) and no certificates."""
+    current = g.truncate(w_max)
+    transcript = []
+    for i in range(1, w_max + 1):
+        gi = current.homogeneous_part(i)
+        if gi.is_zero():
+            continue
+        qi, corrector = engine._solve_deformation_step(gi, i)
+        if corrector is None:
+            continue
+        transcript.append((i, qi, corrector))
+        current = pullback(corrector, current)
+    return current, transcript
+
+
 class BivectorRoute(HomologyEngine):
     """The normalizer's former flow pullback, kept as the reference route.
 
-    The running bivector h*pi is pulled back through Schouten brackets
-    term by term and its conformal factor is solved back out of it.
+    The running bivector h*pi is pulled back along the engine's field
+    -X/g(0) through Schouten brackets term by term, and its conformal
+    factor is solved back out of it.
     """
 
     def __init__(self):
@@ -308,30 +360,20 @@ class BivectorRoute(HomologyEngine):
 
     def normalize_by_bivector(self, g, w_max):
         """(q, [(weight, casimir_part, corrector)]) on the bivector route."""
-        cat = self.cat
-        current = g.truncate(w_max)
-        transcript = []
-        for i in range(1, w_max + 1):
-            gi = current.homogeneous_part(i)
-            if gi.is_zero():
-                continue
-            qi, corrector = self._solve_deformation_step(gi, i)
-            if corrector is None:
-                continue
-            transcript.append((i, qi, corrector))
-            flow_field = (corrector * current.inverse(w_max)) * Q(-1)
-            flow_field = flow_field.truncate_weight(w_max)
-            bivec = self._exp_lie(flow_field, cat.pi * current, w_max)
-            current = self._conformal_factor(bivec, w_max)
-        return current, transcript
+        field_scale = Q(-1, g.constant_term())
+
+        def pullback(corrector, h):
+            bivec = self._exp_lie(corrector * field_scale, self.cat.pi * h, w_max)
+            return self._conformal_factor(bivec, w_max)
+        return normalize_uncertified(self, g, w_max, pullback)
 
     def _exp_lie(self, field, bivec, w_max):
         """Pullback of a bivector along the time-1 flow of a positive-weight field."""
-        result = bivec.truncate_weight(w_max)
+        result = truncate_weight(bivec, w_max)
         term = result
         fact = 1
         for m in range(1, w_max + 2):
-            term = schouten(field, term).truncate_weight(w_max)
+            term = truncate_weight(schouten(field, term), w_max)
             if term.is_zero():
                 break
             fact *= m
@@ -376,6 +418,68 @@ def test_scalar_pullback_matches_bivector_route(g):
     assert ([(s.weight, s.casimir_part, s.corrector) for s in steps]
             == steps_ref)
     assert steps
+
+
+class InverseFlowRoute(HomologyEngine):
+    """The normalizer's former flow field -X/h, kept as a reference route.
+
+    The field divides the corrector by the running factor h through a
+    power-series inverse and is cut above weight w_max; the pullback is the
+    engine's scalar series.
+    """
+
+    def normalize_by_inverse(self, g, w_max):
+        """(q, [(weight, casimir_part, corrector)]) on the -X/h route."""
+        def pullback(corrector, h):
+            field = corrector * series_inverse(h, w_max) * Q(-1)
+            return _exp_flow(truncate_weight(field, w_max), h, w_max)
+        return normalize_uncertified(self, g, w_max, pullback)
+
+
+@pytest.fixture(scope="module")
+def inverse_route():
+    return InverseFlowRoute()
+
+
+@pytest.mark.parametrize("g, generic", [("1+x1", True), ("2+x1*x3-x2^2", True),
+                                        ("1+x1+x2*x4+x3^3", True),
+                                        ("1+f1+x1^3", False)])
+def test_homogeneous_flow_matches_inverse_flow_route(engine, cat, inverse_route,
+                                                     g, generic):
+    # q is the invariant; the corrected weights depend on the flow when g
+    # has a nonconstant Casimir part below a corrected weight
+    g = parse_polynomial(g.replace("f1", "(%s)" % cat.f1))
+    q, steps = engine.normalize_volume_deformation(g, 6)
+    q_ref, steps_ref = inverse_route.normalize_by_inverse(g, 6)
+    assert q == q_ref
+    parts = [(s.weight, s.casimir_part) for s in steps]
+    parts_ref = [(w, qw) for w, qw, _ in steps_ref]
+    if generic:
+        assert parts == parts_ref
+    for w, qw in parts + parts_ref:
+        assert qw == q.homogeneous_part(w)
+    assert steps and steps_ref
+
+
+def test_flow_pullback_certificate_catches_a_wrong_series(engine, monkeypatch,
+                                                          capsys):
+    # _exp_flow without its 1/m! factors, in both directions of the round trip
+    def exp_flow_without_factorials(field, h, w_max):
+        div = divergence(field).coefficient(())
+        result = term = h.truncate(w_max)
+        for _ in range(w_max + 1):
+            term = (lie_derivative(field, term) - div * term).truncate(w_max)
+            if term.is_zero():
+                break
+            result = result + term
+        return result
+
+    monkeypatch.setattr(homology, "_exp_flow", exp_flow_without_factorials)
+    message = "flow pullback certificate failed at weight 1"
+    with pytest.raises(InvariantViolation, match=message):
+        engine.normalize_volume_deformation(parse_polynomial("1+x1"), 4)
+    assert main(["normalize", "--g", "1+x1", "--max-weight", "4"]) == 1
+    assert message in capsys.readouterr().out
 
 
 class TwoFormStepRoute(HomologyEngine):

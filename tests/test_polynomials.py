@@ -81,14 +81,6 @@ def test_diff():
     assert p.diff(4).is_zero()
 
 
-def test_series_inverse():
-    g = Polynomial.constant(4, 2) + x(1) + x(2) * x(3)
-    h = g.inverse(6)
-    assert (g * h).truncate(6) == Polynomial.constant(4, 1)
-    with pytest.raises(ValueError):
-        x(1).inverse(4)
-
-
 def test_leading_term():
     f1 = x(1) ** 2 - x(2) ** 2 + x(3) ** 2 - x(4) ** 2
     m, c = f1.leading_term()

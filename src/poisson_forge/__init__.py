@@ -5,7 +5,7 @@ from .catalog import LefschetzCatalog, lefschetz_catalog
 from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
                        WeightSliceBasis, contract, de_rham, enumerate_basis,
                        lie_derivative, star, star_inv, wedge)
-from .homology import (HomologyEngine, HomologyReport, InvariantViolation,
+from .homology import (HomologyEngine, InvariantViolation,
                        RepresentativeFamily, default_engine)
 from .linalg import ExactMatrix, membership, quotient_dim
 from .poisson import (PoissonStructure, d_pi, delta_pi, jacobi_poisson,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FORM", "MULTIVECTOR", "ExactMatrix", "GradedElement", "HomologyEngine",
-    "HomologyReport", "InvariantViolation", "LefschetzCatalog",
+    "InvariantViolation", "LefschetzCatalog",
     "PoissonStructure", "Polynomial", "RepresentativeFamily",
     "RationalSeries", "SliceOperator", "WeightSliceBasis", "contract", "d_pi",
     "de_rham", "default_engine", "delta_pi", "enumerate_basis",

@@ -27,7 +27,6 @@ WEIGHT_CAPS = {
     "working weight": 20,
     "identity suite": 8,
     "representative verification": 10,
-    "module structure": 10,
     "induced de Rham": 10,
     "deformation normalizer": 10,
 }
@@ -67,16 +66,15 @@ def _capped(doc, w_max, label):
 
 def _homology_block(doc, eng, k, w_max):
     w_reps = _capped(doc, w_max, "representative verification")
-    report = eng.homology_report(k, w_max, w_reps)
     doc.add_table("homology degree %d" % k,
                   ["weight", "dim_ker", "dim_im", "dim_H"],
-                  [list(r) for r in report.rows])
-    doc.add_series("H%d Hilbert function" % k, report.hilbert, report.expected,
-                   str(report.series))
-    verdicts = [v.as_dict() for v in report.representative_verdicts]
-    for v in verdicts:
-        v["name"] = "representatives (k=%d, w=%d)" % (v["degree"], v["weight"])
-    doc.add_verdicts("representative families degree %d" % k, verdicts)
+                  [[w, eng.kernel_dim(k, w), eng.delta_rank(k + 1, w),
+                    eng.homology_dimension(k, w)] for w in range(w_max + 1)])
+    doc.add_series("H%d Hilbert function" % k, eng.hilbert_function(k, w_max),
+                   H_SERIES[k].expand(w_max), str(H_SERIES[k]))
+    doc.add_verdicts("representative families degree %d" % k,
+                     [eng.verify_representatives(k, w)
+                      for w in range(w_reps + 1)])
 
 
 def _kernels_block(doc, eng, w_max):
@@ -146,13 +144,6 @@ def _division_blocks(doc, eng, d_max):
     doc.add_verdicts("Jacobian quotient dimensions", verd3)
 
 
-def _module_structure_block(doc, eng, w_max):
-    results = [r.as_dict() for r in eng.module_structure_check(w_max)]
-    for r in results:
-        r["status"] = "pass" if r["ok"] else "fail"
-    doc.add_verdicts("module structure relations", results)
-
-
 def _derham_block(doc, eng, w_max):
     table = eng.induced_de_rham(w_max)
     rows = [[k, w, table[(k, w)], 1 if (k, w) == (0, 0) else 0]
@@ -165,30 +156,25 @@ def _derham_block(doc, eng, w_max):
         "status": "pass" if ok else "fail"}])
 
 
-def _identities_block(doc, cat, w_max):
-    checks = verify_identity_suite(cat, max_weight=w_max)
-    doc.add_verdicts("identity suite", [c.as_dict() for c in checks])
-
-
 def _normalize_block(doc, eng, g, w_max):
     try:
         q, steps = eng.normalize_volume_deformation(g, w_max)
+        # q's coefficients can outgrow the printable length of g's
+        printed_q = print_polynomial(q)
+        step_rows = [{"name": "weight %d residual certified in im d_pi "
+                              "(Casimir part %s)"
+                              % (s.weight, print_polynomial(s.casimir_part)),
+                      "status": "pass"} for s in steps]
     except (InvariantViolation, ValueError) as exc:
         doc.add_verdicts("volume deformation", [{"name": str(exc),
                                                  "status": "fail"}])
         return
-    doc.add_note("normalized factor q", print_polynomial(q))
-    verdicts = [{"name": "q(0) = g(0)",
-                 "status": "pass" if q.constant_term() == g.constant_term()
-                 else "fail"},
-                {"name": "q lies in the Casimir ring (certified slicewise)",
-                 "status": "pass"}]
-    for s in steps:
-        verdicts.append({"name": "weight %d residual certified in im d_pi "
-                                 "(Casimir part %s)" %
-                                 (s.weight, print_polynomial(s.casimir_part)),
-                         "status": "pass" if s.certified else "fail"})
-    doc.add_verdicts("volume deformation", verdicts)
+    doc.add_note("normalized factor q", printed_q)
+    doc.add_verdicts("volume deformation", [
+        {"name": "q(0) = g(0)",
+         "status": "pass" if q.constant_term() == g.constant_term() else "fail"},
+        {"name": "q lies in the Casimir ring (certified slicewise)",
+         "status": "pass"}] + step_rows)
 
 
 def build_parser():
@@ -283,25 +269,36 @@ def _execute(args, argv):
         else:
             _division_blocks(doc, eng, args.max_degree)
     elif args.cmd == "nf":
-        from .normalform import lefschetz_ideal_basis, normal_form
+        from .normalform import (lefschetz_ideal_basis, membership_crosscheck,
+                                 normal_form)
         try:
             poly = parse_polynomial(args.poly)
         except ParseError as exc:
             print("parse error: %s" % exc, file=sys.stderr)
             return None, USAGE_ERROR
-        nf = normal_form(poly, lefschetz_ideal_basis(eng.cat))
+        basis = lefschetz_ideal_basis(eng.cat)
+        nf, quotients = normal_form(poly, basis, with_certificate=True)
+        rebuilt = nf
+        for q, gen in zip(quotients, basis.generators):
+            rebuilt = rebuilt + q * gen
+        nf_member, lin_member, agree = membership_crosscheck(poly, basis)
         doc.add_note("input", print_polynomial(poly))
         doc.add_note("normal form", print_polynomial(nf))
-        doc.add_verdicts("normal form", [{"name": "reduction complete",
-                                          "status": "pass"}])
+        doc.add_verdicts("normal form", [
+            {"name": "f = sum q_i g_i + NF(f) (quotient certificate)",
+             "status": "pass" if rebuilt == poly else "fail"},
+            {"name": "ideal membership by normal form (%s) = by linear "
+                     "algebra (%s)" % ("member" if nf_member else "non-member",
+                                       "member" if lin_member else "non-member"),
+             "status": "pass" if agree else "fail"}])
     elif args.cmd == "verify":
         suites = ([args.suite] if args.suite != "all" else
                   ["identities", "theorem1", "kernels", "division",
                    "module-structure", "derham"])
         for s in suites:
             if s == "identities":
-                _identities_block(doc, eng.cat,
-                                  _capped(doc, w_max, "identity suite"))
+                doc.add_verdicts("identity suite", verify_identity_suite(
+                    eng.cat, _capped(doc, w_max, "identity suite")))
             elif s == "theorem1":
                 w = _capped(doc, w_max, "representative verification")
                 for k in range(5):
@@ -311,8 +308,8 @@ def _execute(args, argv):
             elif s == "division":
                 _division_blocks(doc, eng, max(w_max - 2, 0))
             elif s == "module-structure":
-                _module_structure_block(doc, eng,
-                                        _capped(doc, w_max, "module structure"))
+                doc.add_verdicts("module structure relations",
+                                 eng.module_structure_check(w_max))
             elif s == "derham":
                 _derham_block(doc, eng, _capped(doc, w_max, "induced de Rham"))
     elif args.cmd == "normalize":

@@ -30,74 +30,30 @@ weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The flow of the homogeneous field
 -X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
 scalar series acting on the conformal factor h, certified by flowing back.
+
+The representative and module-structure checks return finished report
+rows, dicts in the key order the report prints.
 """
+
+from collections import namedtuple
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
                        divergence, enumerate_basis, lie_derivative, star_inv,
                        wedge)
 from .linalg import ExactMatrix, QEchelon, integer_row
-from .poisson import d_pi, delta_pi
+from .poisson import d_pi
 from .polynomials import Polynomial
 from .rationals import Q
-from .series import H_SERIES
 
 
 class InvariantViolation(Exception):
     """A certified step of a computation failed; never silently ignored."""
 
 
-class RepresentativeVerdict:
-    __slots__ = ("degree", "weight", "count", "dimension",
-                 "all_cycles", "independent")
-
-    def __init__(self, degree, weight, count, dimension, all_cycles, independent):
-        self.degree = degree
-        self.weight = weight
-        self.count = count
-        self.dimension = dimension
-        self.all_cycles = all_cycles
-        self.independent = independent
-
-    @property
-    def ok(self):
-        return self.all_cycles and self.independent and self.count == self.dimension
-
-    def as_dict(self):
-        return {"degree": self.degree, "weight": self.weight,
-                "count": self.count, "dimension": self.dimension,
-                "all_cycles": self.all_cycles, "independent": self.independent,
-                "ok": self.ok}
-
-
-class RelationResult:
-    __slots__ = ("name", "degree", "weight", "is_boundary", "expect_boundary")
-
-    def __init__(self, name, degree, weight, is_boundary, expect_boundary):
-        self.name = name
-        self.degree = degree
-        self.weight = weight
-        self.is_boundary = is_boundary
-        self.expect_boundary = expect_boundary
-
-    @property
-    def ok(self):
-        return self.is_boundary == self.expect_boundary
-
-    def as_dict(self):
-        return {"name": self.name, "degree": self.degree, "weight": self.weight,
-                "is_boundary": self.is_boundary,
-                "expect_boundary": self.expect_boundary, "ok": self.ok}
-
-
-class DeformationStep:
-    __slots__ = ("weight", "casimir_part", "corrector", "certified")
-
-    def __init__(self, weight, casimir_part, corrector, certified):
-        self.weight = weight
-        self.casimir_part = casimir_part   # Polynomial in f1, f2
-        self.corrector = corrector         # vector field X with d_pi(X) = (g_w - q_w) pi
-        self.certified = certified
+# one certified normalizer step: corrector is the vector field X with
+# d_pi(X) = (g_i - q_i) pi, casimir_part the slice q_i as a polynomial in f1, f2
+DeformationStep = namedtuple("DeformationStep", "weight casimir_part corrector")
 
 
 CASIMIR = "R[[f1,f2]]"
@@ -162,35 +118,6 @@ def _family_table(cat):
          F("q2*df1^d(zeta2)", CASIMIR, wedge(cat.df1, cat.beta2))],
         [F("p*mu", CASIMIR, cat.mu)],
     ]
-
-
-class HomologyReport:
-    """Per-weight dimension data of one homology degree plus verdicts."""
-
-    __slots__ = ("degree", "rows", "hilbert", "expected", "series",
-                 "representative_verdicts")
-
-    def __init__(self, degree, rows, hilbert, expected, series, rep_verdicts):
-        for w, dk, di, dh in rows:
-            if dh != dk - di or dh < 0:
-                raise InvariantViolation(
-                    "inconsistent dimension row at (%d, %d): dim H %d, "
-                    "dim ker %d, dim im %d" % (degree, w, dh, dk, di))
-        self.degree = degree
-        self.rows = rows                    # (weight, dim ker, dim im, dim H)
-        self.hilbert = hilbert
-        self.expected = expected
-        self.series = series
-        self.representative_verdicts = rep_verdicts
-
-    @property
-    def series_match(self):
-        return self.hilbert == self.expected
-
-    @property
-    def ok(self):
-        return self.series_match and all(v.ok for v in
-                                         self.representative_verdicts)
 
 
 def f_monomials(cat, degree):
@@ -267,24 +194,17 @@ class HomologyEngine:
     def homology_dimension(self, k, w):
         if not 0 <= k <= 4:
             raise ValueError("degree out of range")
-        return self.kernel_dim(k, w) - self.delta_rank(k + 1, w)
+        kd, im = self.kernel_dim(k, w), self.delta_rank(k + 1, w)
+        if kd < im:
+            raise InvariantViolation("negative homology dimension at (%d, %d): "
+                                     "dim ker %d, dim im %d" % (k, w, kd, im))
+        return kd - im
 
     def hilbert_function(self, k, w_max):
         return [self.homology_dimension(k, w) for w in range(w_max + 1)]
 
     def kernel_hilbert(self, k, w_max):
         return [self.kernel_dim(k, w) for w in range(w_max + 1)]
-
-    def homology_report(self, k, w_max, w_reps):
-        """Dimension rows through w_max, representative verdicts through w_reps."""
-        rows = []
-        for w in range(w_max + 1):
-            kd = self.kernel_dim(k, w)
-            im = self.delta_rank(k + 1, w)
-            rows.append((w, kd, im, kd - im))
-        verdicts = [self.verify_representatives(k, w) for w in range(w_reps + 1)]
-        return HomologyReport(k, rows, self.hilbert_function(k, w_max),
-                              H_SERIES[k].expand(w_max), H_SERIES[k], verdicts)
 
     # -- boundaries ---------------------------------------------------
 
@@ -352,12 +272,15 @@ class HomologyEngine:
         return self._parameters[key]
 
     def verify_representatives(self, k, w):
-        """Cycles, independent modulo boundaries, count equals dimension."""
+        """Report row: cycles, independent modulo boundaries, count = dimension."""
         reps, coords, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
         all_cycles = k == 0 or not any(
             self.delta_matrix(k, w).apply(integer_row(c)[1]) for c in coords)
-        return RepresentativeVerdict(k, w, len(reps), dim, all_cycles, independent)
+        return {"degree": k, "weight": w, "count": len(reps), "dimension": dim,
+                "all_cycles": all_cycles, "independent": independent,
+                "ok": all_cycles and independent and len(reps) == dim,
+                "name": "representatives (k=%d, w=%d)" % (k, w)}
 
     # -- module structure over the Casimir ring ------------------------
 
@@ -402,11 +325,15 @@ class HomologyEngine:
                 if not form or form.weights()[0] <= w_max]
 
     def module_structure_check(self, w_max):
-        results = []
+        """One report row per relation: is it a boundary, as expected?"""
+        rows = []
         for name, k, form, expect in self.module_structure_relations(w_max):
-            w = form.weights()[0]
-            results.append(RelationResult(name, k, w, self.is_boundary(form), expect))
-        return results
+            is_boundary = self.is_boundary(form)
+            rows.append({"name": name, "degree": k, "weight": form.weights()[0],
+                         "is_boundary": is_boundary, "expect_boundary": expect,
+                         "ok": is_boundary == expect,
+                         "status": "pass" if is_boundary == expect else "fail"})
+        return rows
 
     # -- induced de Rham complex on homology ----------------------------
 
@@ -439,19 +366,6 @@ class HomologyEngine:
                 incoming = ranks[k - 1] if k else 0
                 table[(k, w)] = dim_h - ranks[k] - incoming
         return table
-
-    # -- transfer to cohomology ------------------------------------------
-
-    def cohomology_transfer(self, h):
-        """star_inv of a verified homology cycle; checks it is d_pi-closed."""
-        if not delta_pi(h, self.cat.poisson).is_zero():
-            raise ValueError("input is not a delta_pi cycle")
-        v = star_inv(h)
-        if not d_pi(v, self.cat.poisson).is_zero():
-            raise InvariantViolation("transfer of a degree-%d cycle of weights "
-                                     "%s produced a non-closed multivector"
-                                     % (h.degree, h.weights()))
-        return v
 
     # -- volume deformation normalizer ------------------------------------
 
@@ -496,7 +410,7 @@ class HomologyEngine:
             if divergence(corrector).coefficient(()) != -residual:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
-            transcript.append(DeformationStep(i, qi, corrector, True))
+            transcript.append(DeformationStep(i, qi, corrector))
             # pull current*pi back along the time-1 flow of -corrector/g(0)
             flow_field = corrector * Q(-1, c0)
             pulled = _exp_flow(flow_field, current, w_max)

@@ -124,7 +124,10 @@ class QEchelon:
         self._reduce(v, aug)
         if not v:
             return False
-        aug = aug if aug is not None else {}
+        return self._store(v, aug if aug is not None else {})
+
+    def _store(self, v, aug):
+        """Store the reduced nonzero v with coordinates aug as a primitive row."""
         p = min(v)
         g = gcd(*v.values(), *aug.values())
         if v[p] < 0:
@@ -260,18 +263,24 @@ class ExactMatrix:
         """Exact basis of the right kernel, as sparse dicts col -> rational.
 
         Column c gives a kernel vector exactly when it lies in the span of
-        the columns before it.
+        the columns before it.  Each column is reduced once, tracked as
+        generator c: a nonzero remainder is stored, and a zero one leaves
+        the relation s*col_c + sum aug[j]*col_j = 0 in its coordinates.
         """
         ech = QEchelon(track=True)
         basis = []
         for c, col in enumerate(self.columns):
-            coords = ech.solve(col)
-            if coords is not None:
+            den, v = integer_row(col)
+            aug = {c: den}
+            ech._reduce(v, aug)
+            if v:
+                ech._store(v, aug)
+            else:
+                s = aug.pop(c)
                 vec = {c: QONE}
-                for j, x in coords.items():
-                    vec[j] = -x
+                for j, x in aug.items():
+                    vec[j] = Q(x, s)
                 basis.append(vec)
-            ech.insert(col)
         return basis
 
 

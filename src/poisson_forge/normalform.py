@@ -14,11 +14,6 @@ from .exterior import FORM, GradedElement, enumerate_basis
 from .polynomials import Polynomial
 
 
-def leading_monomial(f):
-    """(monomial, coefficient) maximal under the local order; error on zero."""
-    return f.leading_term()
-
-
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 

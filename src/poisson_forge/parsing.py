@@ -245,7 +245,3 @@ def parse_form(src, n=4):
 def print_polynomial(p):
     """Canonical printing; parse(print(p)) == p."""
     return str(p)
-
-
-def print_element(a):
-    return str(a)

@@ -22,6 +22,9 @@ matrices of homology.py both expand terms through it.
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions; it restricts to the Lie bracket on
 vector fields and to X(g) on (vector, function), and [pi, pi] = 0.
+
+The identity suite returns its verdicts as finished report rows,
+{"name", "status", "detail"}, in the order the report prints them.
 """
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
@@ -167,30 +170,17 @@ def modular_field(structure):
 # -- the identity suite ------------------------------------------------------
 
 
-class IdentityCheck:
-    __slots__ = ("name", "status", "detail")
-
-    def __init__(self, name, status, detail=""):
-        self.name = name
-        self.status = status          # "pass" | "fail" | "info"
-        self.detail = detail
-
-    @property
-    def ok(self):
-        return self.status != "fail"
-
-    def as_dict(self):
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
-
-def _eq_check(name, lhs, rhs, detail=""):
+def _eq_check(name, lhs, rhs):
     same = lhs == rhs
-    return IdentityCheck(name, "pass" if same else "fail",
-                         detail if same else detail or "left != right")
+    return {"name": name, "status": "pass" if same else "fail",
+            "detail": "" if same else "left != right"}
 
 
 def verify_identity_suite(cat, max_weight=6):
-    """Run the catalog identity suite; returns a list of IdentityCheck.
+    """Run the catalog identity suite; returns its report rows.
+
+    Each row is {"name", "status", "detail"}, status "pass", "fail" or
+    "info".
 
     Covers the star/contraction relations of E_i and T_i, the wedge
     relations of pi and W_i, the Lie-derivative table, and the homotopy
@@ -267,15 +257,16 @@ def verify_identity_suite(cat, max_weight=6):
                             star_inv(wedge(cat.zeta1, cat.zeta2)),
                             -wedge(cat.E1, cat.E2)))
     ratio = _wedge_ratio(cat.pi, wedge(cat.T1, cat.T2))
-    checks.append(IdentityCheck(
-        "pi = -8 T1^T2",
-        "pass" if ratio == -8 else "fail",
-        "computed pi = %s * T1^T2; the -8 of the source text is inconsistent "
-        "with the star/contraction normalization of T_i" % ratio
-        if ratio != -8 else ""))
+    checks.append({
+        "name": "pi = -8 T1^T2",
+        "status": "pass" if ratio == -8 else "fail",
+        "detail": "computed pi = %s * T1^T2; the -8 of the source text is "
+                  "inconsistent with the star/contraction normalization of "
+                  "T_i" % ratio if ratio != -8 else ""})
     if ratio is not None and ratio != -8:
-        checks.append(IdentityCheck("pi = %s T1^T2 (computed)" % ratio, "info",
-                                    "exact proportionality constant"))
+        checks.append({"name": "pi = %s T1^T2 (computed)" % ratio,
+                       "status": "info",
+                       "detail": "exact proportionality constant"})
     for i, wi in ((1, cat.W1), (2, cat.W2)):
         checks.append(_eq_check("pi ^ W%d = 0" % i, wedge(cat.pi, wi),
                                 GradedElement.zero(4, 4, MULTIVECTOR)))
@@ -299,14 +290,14 @@ def verify_identity_suite(cat, max_weight=6):
         return ""
 
     eq4_bad = first_eq4_failure()
-    checks.append(IdentityCheck("star o d_pi = delta_pi o star (X_mu = 0)",
-                                "fail" if eq4_bad else "pass", eq4_bad))
+    checks.append({"name": "star o d_pi = delta_pi o star (X_mu = 0)",
+                   "status": "fail" if eq4_bad else "pass", "detail": eq4_bad})
 
     # recorded values, not assertions: star_inv(df1 ^ zeta_i)
     for i, zi in ((1, cat.zeta1), (2, cat.zeta2)):
         val = star_inv(wedge(cat.df1, zi))
-        checks.append(IdentityCheck("star_inv(df1^zeta%d) recorded" % i, "info",
-                                    str(val)))
+        checks.append({"name": "star_inv(df1^zeta%d) recorded" % i,
+                       "status": "info", "detail": str(val)})
     return checks
 
 

@@ -10,6 +10,7 @@ and ties are broken on the first differing exponent, larger exponent
 winning.  This is the ordering ">" used for leading monomials.
 """
 
+import sys
 from functools import cmp_to_key
 
 from .rationals import QONE, QZERO, as_q
@@ -276,4 +277,9 @@ class Polynomial:
 
 
 def _coeff_str(c):
-    return str(c.numerator) if c.denominator == 1 else "%s/%s" % (c.numerator, c.denominator)
+    try:
+        return (str(c.numerator) if c.denominator == 1
+                else "%s/%s" % (c.numerator, c.denominator))
+    except ValueError:      # longer than the interpreter converts to decimal
+        raise ValueError("coefficient with more than %d digits cannot be "
+                         "printed" % sys.get_int_max_str_digits()) from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from poisson_forge.cli import main, run_command
+from poisson_forge.polynomials import Polynomial
 from poisson_forge.reports import SCHEMA, ReportDocument, emit_report
 
 
@@ -205,3 +207,50 @@ def test_emit_report_bad_format():
     doc = ReportDocument("cmd", 4)
     with pytest.raises(ValueError):
         emit_report(doc, "yaml")
+
+
+# sha256 of JSON reports whose verdict rows must not move: the whole
+# verify suite (exit 1 for the printed -8) and one normalizer run
+@pytest.mark.parametrize("argv, code, digest", [
+    (["verify", "--suite", "all", "--max-weight", "5"], 1,
+     "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
+    (["normalize", "--g", "1+x1", "--max-weight", "5"], 0,
+     "bb3c21f1976bdb5f473729b7cffd7a498ee814533d1622fe8b8011d364054be6"),
+])
+def test_report_bytes_are_pinned(capsys, argv, code, digest):
+    assert main(argv + ["--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_nf_verdicts_catch_a_wrong_remainder(capsys, monkeypatch):
+    import poisson_forge.normalform as normalform
+    assert main(["nf", "--poly", "x1^2+x2^2", "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["blocks"][-1]["verdicts"]
+    assert [v["status"] for v in verdicts] == ["pass", "pass"]
+    assert verdicts[1]["name"] == ("ideal membership by normal form (member) "
+                                   "= by linear algebra (member)")
+    right = normalform.normal_form
+
+    def wrong(f, basis, with_certificate=False):
+        out = right(f, basis, with_certificate)
+        if with_certificate:
+            return out[0] + Polynomial.constant(4, 1), out[1]
+        return out + Polynomial.constant(4, 1)
+
+    monkeypatch.setattr(normalform, "normal_form", wrong)
+    assert main(["nf", "--poly", "x1^2+x2^2", "--format", "json"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["blocks"][-1]["verdicts"]
+    assert [v["status"] for v in verdicts] == ["fail", "fail"]
+
+
+def test_normalize_unprintable_q_is_a_failing_verdict(capsys):
+    # g prints, but q's coefficients outgrow the printable length
+    assert main(["normalize", "--g", "1+10^1000*x1", "--max-weight", "6",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    blocks = json.loads(captured.out)["blocks"]
+    assert blocks[-1]["verdicts"] == [{
+        "name": "coefficient with more than %d digits cannot be printed"
+                % sys.get_int_max_str_digits(), "status": "fail"}]

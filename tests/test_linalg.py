@@ -257,6 +257,21 @@ def test_rank_kernel_examples():
     assert v[0] * (-1) == v[1] * 2
 
 
+def test_kernel_basis_reduces_each_column_once(monkeypatch):
+    calls = []
+    reduce = QEchelon._reduce
+
+    def counted(self, vec, aug):
+        calls.append(len(vec))
+        reduce(self, vec, aug)
+
+    monkeypatch.setattr(QEchelon, "_reduce", counted)
+    m = ExactMatrix.from_rows([[1, 2, 0, 3], [2, 4, 1, 6]], 4)
+    kernel = m.kernel_basis()
+    assert len(calls) == m.cols
+    assert kernel == [{1: 1, 0: -2}, {3: 1, 0: -3}]
+
+
 def test_kernel_vectors_annihilate():
     rng = random.Random(3)
     for _ in range(15):

@@ -4,8 +4,7 @@ import pytest
 
 from poisson_forge.normalform import (OrderedIdealBasis,
                                       casimir_intersection_check,
-                                      is_reduced_wrt, leading_monomial,
-                                      lefschetz_ideal_basis,
+                                      is_reduced_wrt, lefschetz_ideal_basis,
                                       linear_membership, membership_crosscheck,
                                       normal_form)
 from poisson_forge.polynomials import Polynomial, monomials_of_degree
@@ -16,10 +15,10 @@ def x(i):
 
 
 def test_leading_monomial_examples(cat):
-    m, c = leading_monomial(cat.f1)
+    m, c = cat.f1.leading_term()
     assert m == (2, 0, 0, 0) and c == 1
-    assert leading_monomial(Polynomial.constant(4, 1) + x(1))[0] == (0,) * 4
-    assert leading_monomial(x(2) + x(1))[0] == (1, 0, 0, 0)
+    assert (Polynomial.constant(4, 1) + x(1)).leading_term()[0] == (0,) * 4
+    assert (x(2) + x(1)).leading_term()[0] == (1, 0, 0, 0)
 
 
 def test_basis_is_reduced(cat):

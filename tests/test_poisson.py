@@ -357,14 +357,14 @@ def test_modular_field(cat):
 
 def test_identity_suite_passes(cat):
     checks = verify_identity_suite(cat, max_weight=4)
-    failures = [c.name for c in checks if c.status == "fail"]
+    failures = [c["name"] for c in checks if c["status"] == "fail"]
     # the single -8 proportionality printed in the source text cannot hold
     # together with the star and contraction normalization of T_i; the
     # computed constant is -16 and the suite reports it
     assert failures == ["pi = -8 T1^T2"]
-    detail = next(c.detail for c in checks if c.name == "pi = -8 T1^T2")
+    detail = next(c["detail"] for c in checks if c["name"] == "pi = -8 T1^T2")
     assert "-16" in detail
-    assert any(c.name.startswith("star_inv(df1^zeta") for c in checks)
+    assert any(c["name"].startswith("star_inv(df1^zeta") for c in checks)
 
 
 def test_identity_suite_detects_sabotage(cat):
@@ -372,7 +372,7 @@ def test_identity_suite_detects_sabotage(cat):
     broken = copy.copy(cat)
     broken.zeta1 = -cat.zeta1
     checks = verify_identity_suite(broken, max_weight=2)
-    bad = {c.name for c in checks if c.status == "fail"}
+    bad = {c["name"] for c in checks if c["status"] == "fail"}
     assert "star(E1) = zeta1^d(zeta1)" in bad
 
 
@@ -386,17 +386,17 @@ def test_identity_suite_reports_the_first_homotopy_failure(cat):
     bent.pi = GradedElement.basis(4, MULTIVECTOR, (1, 2), x(1) * x(1))
     bent.poisson = PoissonStructure(bent.pi, [], cat.mu)
     assert not modular_field(bent.poisson).is_zero()
-    checks = {c.name: c for c in verify_identity_suite(bent, max_weight=2)}
+    checks = {c["name"]: c for c in verify_identity_suite(bent, max_weight=2)}
     check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]
-    assert (check.status, check.detail) == \
+    assert (check["status"], check["detail"]) == \
         ("fail", "first failure at degree 0 weight 0")
 
 
 def test_identities_weight_homogeneous(cat):
     # the identities live in single weights, so a low working weight passes
     checks = verify_identity_suite(cat, max_weight=4)
-    names_low = {c.name: c.status for c in checks}
+    names_low = {c["name"]: c["status"] for c in checks}
     checks8 = verify_identity_suite(cat, max_weight=6)
     for c in checks8:
-        if c.name in names_low:
-            assert names_low[c.name] == c.status
+        if c["name"] in names_low:
+            assert names_low[c["name"]] == c["status"]

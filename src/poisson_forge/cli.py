@@ -282,15 +282,21 @@ def _execute(args, argv):
         for q, gen in zip(quotients, basis.generators):
             rebuilt = rebuilt + q * gen
         nf_member, lin_member, agree = membership_crosscheck(poly, basis)
-        doc.add_note("input", print_polynomial(poly))
-        doc.add_note("normal form", print_polynomial(nf))
-        doc.add_verdicts("normal form", [
-            {"name": "f = sum q_i g_i + NF(f) (quotient certificate)",
-             "status": "pass" if rebuilt == poly else "fail"},
-            {"name": "ideal membership by normal form (%s) = by linear "
-                     "algebra (%s)" % ("member" if nf_member else "non-member",
-                                       "member" if lin_member else "non-member"),
-             "status": "pass" if agree else "fail"}])
+        try:
+            # NF(f)'s coefficients can outgrow the printable length of f's
+            printed = print_polynomial(poly), print_polynomial(nf)
+        except ValueError as exc:
+            doc.add_verdicts("normal form", [{"name": str(exc), "status": "fail"}])
+        else:
+            doc.add_note("input", printed[0])
+            doc.add_note("normal form", printed[1])
+            doc.add_verdicts("normal form", [
+                {"name": "f = sum q_i g_i + NF(f) (quotient certificate)",
+                 "status": "pass" if rebuilt == poly else "fail"},
+                {"name": "ideal membership by normal form (%s) = by linear "
+                         "algebra (%s)" % ("member" if nf_member else "non-member",
+                                           "member" if lin_member else "non-member"),
+                 "status": "pass" if agree else "fail"}])
     elif args.cmd == "verify":
         suites = ([args.suite] if args.suite != "all" else
                   ["identities", "theorem1", "kernels", "division",

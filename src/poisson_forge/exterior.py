@@ -24,6 +24,7 @@ from itertools import combinations
 from operator import add
 
 from .polynomials import Polynomial, monomial_key, monomials_of_degree
+from .rationals import exact
 
 
 FORM = "form"
@@ -470,8 +471,8 @@ class SliceOperator:
             base = values[0].get(key, 0)
             c = [image.get(key, 0) - base for image in values[1:]]
             c0 = base - sum(c)
-            row.append((key[0], key[1], _as_int(c0),
-                        tuple((i, _as_int(ci)) for i, ci in enumerate(c) if ci)))
+            row.append((key[0], key[1], exact(c0),
+                        tuple((i, exact(ci)) for i, ci in enumerate(c) if ci)))
         row = self.rows[idx] = tuple(row)
         return row
 
@@ -511,7 +512,3 @@ class SliceOperator:
             self._zeros[a.degree] = zero
         return GradedElement(a.n, zero.degree, zero.kind,
                              {J: Polynomial(a.n, t) for J, t in comps.items()})
-
-
-def _as_int(q):
-    return int(q) if q.denominator == 1 else q

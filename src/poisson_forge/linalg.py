@@ -16,13 +16,13 @@ inserted sparsest first, which is what keeps elimination fill-in tame
 on the banded slice matrices.  Re-running with permuted input yields the
 same rank and an equivalent kernel span.  `ExactMatrix` stores the sparse
 columns that slice matrices are written in; `apply` reads only the columns
-its vector uses, and `matmul` applies the left factor column by column.
+its vector uses.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import Q, QONE, QZERO, as_q
+from .rationals import Q, QONE, QZERO, as_q, exact
 
 
 def integer_row(vec):
@@ -157,13 +157,6 @@ class QEchelon:
         s = aug.pop(self.count)
         return {j: Q(-c, s) for j, c in aug.items()}
 
-    def clone(self):
-        """Snapshot sharing the (immutable) stored rows."""
-        out = QEchelon(track=self.track)
-        out.rows = dict(self.rows)
-        out.count = self.count
-        return out
-
     def quotient(self):
         """Tracked echelon that solves modulo this span.
 
@@ -183,8 +176,7 @@ class QEchelon:
 class ExactMatrix:
     """Sparse exact matrix stored by column, with no stored zeros.
 
-    `columns[c]` is a sparse dict row -> value.  Integer entries are kept as
-    ints; any other entry becomes a Q.
+    `columns[c]` is a sparse dict row -> exact scalar (`rationals.exact`).
     """
 
     __slots__ = ("rows", "columns")
@@ -195,8 +187,7 @@ class ExactMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry out of bounds")
-            if type(v) is not int:
-                v = as_q(v)
+            v = exact(v)
             if v:
                 self.columns[c][r] = v
 
@@ -207,15 +198,6 @@ class ExactMatrix:
         out.columns = columns
         return out
 
-    @classmethod
-    def from_rows(cls, rowvecs, cols):
-        entries = {}
-        for r, row in enumerate(rowvecs):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(len(rowvecs), cols, entries)
-
     @property
     def cols(self):
         return len(self.columns)
@@ -225,19 +207,6 @@ class ExactMatrix:
         """{(row, col): value} for every stored entry."""
         return {(r, c): v for c, col in enumerate(self.columns)
                 for r, v in col.items()}
-
-    def transpose(self):
-        return ExactMatrix(self.cols, self.rows,
-                           {(c, r): v for (r, c), v in self.entries.items()})
-
-    def is_zero(self):
-        return not any(self.columns)
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return ExactMatrix.from_columns([self.apply(col) for col in other.columns],
-                                        self.rows)
 
     def apply(self, vec):
         """Matrix times sparse column vector, reading only the columns vec uses."""

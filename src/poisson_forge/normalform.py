@@ -12,6 +12,7 @@ from .catalog import lefschetz_catalog
 from .division import ideal_slice_echelon
 from .exterior import FORM, GradedElement, enumerate_basis
 from .polynomials import Polynomial
+from .rationals import Q
 
 
 def _divides(a, b):
@@ -79,7 +80,7 @@ def normal_form(f, basis, with_certificate=False):
             continue
         i, mg, cg = hit
         factor = Polynomial.monomial(f.n, tuple(a - b for a, b in zip(m, mg)),
-                                     c / cg)
+                                     Q(c, cg))
         quotients[i] = quotients[i] + factor
         rest = rest - factor * gens[i]
     r = Polynomial(f.n, reduced_terms)

@@ -308,5 +308,5 @@ def _wedge_ratio(target, source):
     idx, p = next(iter(source.comps.items()))
     m, c = p.leading_term()
     tc = target.coefficient(idx).coefficient(m)
-    ratio = tc / c
+    ratio = Q(tc, c)
     return ratio if target == source * ratio else None

@@ -2,7 +2,8 @@
 
 These are the finite truncations of the formal power series ring
 R[[x_1, ..., x_n]].  A monomial is a tuple of n non-negative exponents;
-a polynomial is a sparse map monomial -> nonzero rational.
+a polynomial is a sparse map monomial -> nonzero exact scalar (an int
+when integral, else a Fraction; see `rationals.exact`).
 
 Monomials carry the local ordering used for standard-basis reductions:
 lower total degree is GREATER (so the constant monomial is the maximum),
@@ -12,16 +13,11 @@ winning.  This is the ordering ">" used for leading monomials.
 
 import sys
 from functools import cmp_to_key
+from operator import add
 
-from .rationals import QONE, QZERO, as_q
+from .rationals import exact
 
 Monomial = tuple
-
-
-def monomial_mul(a, b):
-    if len(a) != len(b):
-        raise ValueError("monomial dimension mismatch")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def monomial_cmp(a, b):
@@ -72,11 +68,19 @@ class Polynomial:
             for m, c in terms.items():
                 if len(m) != n or any(e < 0 for e in m):
                     raise ValueError("bad monomial %r for dimension %d" % (m, n))
-                c = as_q(c)
+                c = exact(c)
                 if c != 0:
                     clean[m] = c
         self.terms = clean
         self._hash = None
+
+    @staticmethod
+    def _of(n, terms):
+        """Unchecked constructor: terms already map valid monomials to
+        nonzero exact scalars."""
+        out = Polynomial.__new__(Polynomial)
+        out.n, out.terms, out._hash = n, terms, None
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -86,7 +90,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {(0,) * n: as_q(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n, i):
@@ -94,11 +98,11 @@ class Polynomial:
         if not 1 <= i <= n:
             raise ValueError("variable index out of range")
         m = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {m: QONE})
+        return cls(n, {m: 1})
 
     @classmethod
-    def monomial(cls, n, m, c=QONE):
-        return cls(n, {tuple(m): as_q(c)})
+    def monomial(cls, n, m, c=1):
+        return cls(n, {tuple(m): c})
 
     # -- queries -----------------------------------------------------
 
@@ -119,20 +123,21 @@ class Polynomial:
         return len(degs) <= 1
 
     def homogeneous_part(self, d):
-        return Polynomial(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return Polynomial._of(self.n, {m: c for m, c in self.terms.items()
+                                       if sum(m) == d})
 
     def homogeneous_parts(self):
         """Map degree -> homogeneous component, nonzero components only."""
         parts = {}
         for m, c in self.terms.items():
             parts.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.n, t) for d, t in sorted(parts.items())}
+        return {d: Polynomial._of(self.n, t) for d, t in sorted(parts.items())}
 
     def constant_term(self):
-        return self.terms.get((0,) * self.n, QZERO)
+        return self.terms.get((0,) * self.n, 0)
 
     def coefficient(self, m):
-        return self.terms.get(tuple(m), QZERO)
+        return self.terms.get(tuple(m), 0)
 
     def leading_term(self):
         """(monomial, coefficient) maximal under the local order; error on zero."""
@@ -153,23 +158,17 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, QZERO) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n, out.terms, out._hash = self.n, terms, None
-        return out
+        return Polynomial._of(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Polynomial._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -181,27 +180,22 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = as_q(other)
+            c = exact(other)
             if c == 0:
                 return Polynomial.zero(self.n)
-            out = Polynomial.__new__(Polynomial)
-            out.n = self.n
-            out.terms = {m: v * c for m, v in self.terms.items()}
-            out._hash = None
-            return out
+            return Polynomial._of(self.n, {m: exact(v * c)
+                                           for m, v in self.terms.items()})
         self._check(other)
         terms = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = monomial_mul(ma, mb)
-                s = terms.get(m, QZERO) + ca * cb
+                m = tuple(map(add, ma, mb))
+                s = terms.get(m, 0) + ca * cb
                 if s:
                     terms[m] = s
                 else:
                     del terms[m]
-        out = Polynomial.__new__(Polynomial)
-        out.n, out.terms, out._hash = self.n, terms, None
-        return out
+        return Polynomial._of(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -222,17 +216,14 @@ class Polynomial:
         if not 1 <= i <= self.n:
             raise ValueError("variable index out of range")
         j = i - 1
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[j]
-            if e:
-                dm = m[:j] + (e - 1,) + m[j + 1:]
-                terms[dm] = terms.get(dm, QZERO) + c * e
-        return Polynomial(self.n, terms)
+        # distinct monomials have distinct derivatives: nothing to collect
+        return Polynomial._of(self.n, {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j]
+                                       for m, c in self.terms.items() if m[j]})
 
     def truncate(self, d):
         """Drop every term of total degree > d."""
-        return Polynomial(self.n, {m: c for m, c in self.terms.items() if sum(m) <= d})
+        return Polynomial._of(self.n, {m: c for m, c in self.terms.items()
+                                       if sum(m) <= d})
 
     # -- comparison / hashing / printing ------------------------------
 

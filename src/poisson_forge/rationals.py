@@ -1,8 +1,11 @@
-"""Exact rational scalars.
+"""Exact scalars.
 
-Every coefficient in this package is an exact rational: arbitrary-precision
-integer numerator, positive integer denominator, always in lowest terms.
-That is fractions.Fraction, the one scalar type `Q`.
+Every coefficient in this package is exact: an `int` when it is integral,
+and a fractions.Fraction `Q` (arbitrary-precision numerator, positive
+denominator, lowest terms) only where a denominator exists.  `exact` is
+the one normalizer that makes this decision.  A division between
+coefficients is written `Q(a, b)`, never `a / b`, which turns two ints
+into a float.  Floats are refused everywhere.
 """
 
 from fractions import Fraction as Q
@@ -16,3 +19,11 @@ def as_q(x):
     if isinstance(x, float):
         raise TypeError("floating point coefficients are not allowed")
     return Q(x)
+
+
+def exact(x):
+    """x as an exact scalar: an int when integral, else a Q; floats raise."""
+    if type(x) is int:
+        return x
+    q = as_q(x)
+    return q.numerator if q.denominator == 1 else q

@@ -210,12 +210,18 @@ def test_emit_report_bad_format():
 
 
 # sha256 of JSON reports whose verdict rows must not move: the whole
-# verify suite (exit 1 for the printed -8) and one normalizer run
+# verify suite (exit 1 for the printed -8), one normalizer run, an nf whose
+# quotients have non-integral coefficients (c/cg in normal_form) and a
+# normalizer run with rational g (whose q has non-integral coefficients)
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
     (["normalize", "--g", "1+x1", "--max-weight", "5"], 0,
      "bb3c21f1976bdb5f473729b7cffd7a498ee814533d1622fe8b8011d364054be6"),
+    (["nf", "--poly", "1/3*x1*x4+x1^3-5/2*x2*x3^2"], 0,
+     "ed25eede67cc176af5c671cc10603c5e496f9a2b99c09eeea1947bae995d327b"),
+    (["normalize", "--g", "3/2+1/3*x1-x2^2+x1*x4", "--max-weight", "5"], 0,
+     "6dadbc1937cfd5e7f5554f33f617061ce32384408f2465ec1f43c85f981864f2"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code
@@ -254,3 +260,21 @@ def test_normalize_unprintable_q_is_a_failing_verdict(capsys):
     assert blocks[-1]["verdicts"] == [{
         "name": "coefficient with more than %d digits cannot be printed"
                 % sys.get_int_max_str_digits(), "status": "fail"}]
+
+
+def test_nf_unprintable_normal_form_is_a_failing_verdict(capsys):
+    # f prints at the lowest digit limit, but NF(f) = -8 N (x2^2+x4^2)^3
+    # with N = 10^639 - 1 has the coefficient 24 N of 641 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["nf", "--poly", "9" * 639 + "*(x1^2-x2^2+x3^2-x4^2)^3",
+                     "--format", "json"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["blocks"] == [{
+        "block": "normal form", "kind": "verdicts", "verdicts": [{
+            "name": "coefficient with more than 640 digits cannot be printed",
+            "status": "fail"}]}]

@@ -91,6 +91,40 @@ class FractionEchelon:
         return not v
 
 
+# Matrix and echelon helpers that only the tests use.
+
+
+def from_rows(rowvecs, cols):
+    entries = {}
+    for r, row in enumerate(rowvecs):
+        for c, v in enumerate(row):
+            if v:
+                entries[(r, c)] = v
+    return ExactMatrix(len(rowvecs), cols, entries)
+
+
+def transpose(m):
+    return ExactMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def is_zero(m):
+    return not any(m.columns)
+
+
+def matmul(a, b):
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return ExactMatrix.from_columns([a.apply(col) for col in b.columns], a.rows)
+
+
+def clone(ech):
+    """Snapshot of a QEchelon sharing its (immutable) stored rows."""
+    out = QEchelon(track=ech.track)
+    out.rows = dict(ech.rows)
+    out.count = ech.count
+    return out
+
+
 def _random_scalar(rng):
     if rng.random() < 0.3:
         return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
@@ -150,7 +184,7 @@ def test_integer_echelon_matches_fraction_reference(track):
             assert ech.count == ref.count
             if i == len(gens) // 2:
                 # a snapshot grows on its own without touching the original
-                snap, rsnap = ech.clone(), ref.clone()
+                snap, rsnap = clone(ech), ref.clone()
                 extra = _random_vectors(rng, dim, 3)
                 assert ([snap.insert(v) for v in extra]
                         == [rsnap.insert(v) for v in extra])
@@ -241,7 +275,7 @@ def test_kernel_basis_on_rational_matrices():
 
 
 def test_rank_kernel_examples():
-    ident = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    ident = from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     kernel = ident.kernel_basis()
     assert ident.rank() == 3 and kernel == []
 
@@ -249,7 +283,7 @@ def test_rank_kernel_examples():
     kernel = zero.kernel_basis()
     assert zero.rank() == 0 and len(kernel) == 5
 
-    m = ExactMatrix.from_rows([[1, 2], [2, 4]], 2)
+    m = from_rows([[1, 2], [2, 4]], 2)
     kernel = m.kernel_basis()
     assert m.rank() == 1 and len(kernel) == 1
     v = kernel[0]
@@ -266,7 +300,7 @@ def test_kernel_basis_reduces_each_column_once(monkeypatch):
         reduce(self, vec, aug)
 
     monkeypatch.setattr(QEchelon, "_reduce", counted)
-    m = ExactMatrix.from_rows([[1, 2, 0, 3], [2, 4, 1, 6]], 4)
+    m = from_rows([[1, 2, 0, 3], [2, 4, 1, 6]], 4)
     kernel = m.kernel_basis()
     assert len(calls) == m.cols
     assert kernel == [{1: 1, 0: -2}, {3: 1, 0: -3}]
@@ -294,16 +328,16 @@ def test_rank_equals_transpose_rank():
                    for r in range(rows) for c in range(cols)
                    if rng.random() < 0.4}
         m = ExactMatrix(rows, cols, entries)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_rank_invariant_under_permutation():
     rng = random.Random(9)
     rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(5)]
-    m = ExactMatrix.from_rows(rows, 6)
+    m = from_rows(rows, 6)
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    m2 = ExactMatrix.from_rows(shuffled, 6)
+    m2 = from_rows(shuffled, 6)
     assert m.rank() == m2.rank()
     k1, k2 = m.kernel_basis(), m2.kernel_basis()
     # same span, verified by mutual membership
@@ -346,9 +380,9 @@ def test_quotient_dim():
 
 
 def test_matmul_and_apply():
-    a = ExactMatrix.from_rows([[1, 2], [3, 4]], 2)
-    b = ExactMatrix.from_rows([[0, 1], [1, 0]], 2)
-    ab = a.matmul(b)
+    a = from_rows([[1, 2], [3, 4]], 2)
+    b = from_rows([[0, 1], [1, 0]], 2)
+    ab = matmul(a, b)
     assert ab.entries == {(0, 0): 2, (0, 1): 1, (1, 0): 4, (1, 1): 3}
     assert a.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
 
@@ -357,4 +391,4 @@ def test_entries_validation():
     with pytest.raises(ValueError):
         ExactMatrix(2, 2, {(2, 0): 1})
     m = ExactMatrix(2, 2, {(0, 0): 0})
-    assert m.is_zero()
+    assert is_zero(m)

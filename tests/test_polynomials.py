@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import poisson_forge
 from poisson_forge.polynomials import (Polynomial, monomial_cmp, monomial_key,
                                        monomials_of_degree)
 from poisson_forge.rationals import Q
@@ -96,3 +99,11 @@ def test_exact_coefficients():
     assert p == Polynomial.constant(4, 1)
     with pytest.raises(TypeError):
         Polynomial.constant(4, 0.5)
+
+
+def test_no_true_division_in_the_package():
+    # int / int is a float: exact quotients are written Q(a, b)
+    for path in sorted(Path(poisson_forge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.Div), (path.name, node.lineno)

@@ -7,6 +7,7 @@ no example database is written.
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, contract,
@@ -14,6 +15,7 @@ from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, contract,
 from poisson_forge.parsing import parse_polynomial, print_polynomial
 from poisson_forge.poisson import delta_pi, schouten
 from poisson_forge.polynomials import Polynomial
+from poisson_forge.rationals import exact
 
 CHECKS = settings(max_examples=100, deadline=None, derandomize=True,
                   database=None)
@@ -112,3 +114,80 @@ def test_tangent_fields_rescale_pi_by_their_divergence(cat, h, u):
 def test_print_parse_roundtrip(terms):
     p = Polynomial(4, terms)
     assert parse_polynomial(print_polynomial(p)) == p
+
+
+# -- int-first scalars against a Fraction-only reference route -----------
+
+scalars = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_diff(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i - 1]:
+            dm = m[:i - 1] + (m[i - 1] - 1,) + m[i:]
+            out[dm] = out.get(dm, Fraction(0)) + c * m[i - 1]
+    return out
+
+
+def _stored(p):
+    """p's terms, after checking that each is an int or a Fraction."""
+    assert all(type(c) in (int, Fraction) for c in p.terms.values())
+    return p.terms
+
+
+@CHECKS
+@given(st.dictionaries(monomials, scalars, max_size=5),
+       st.dictionaries(monomials, scalars, max_size=5), scalars,
+       st.integers(0, 3), st.integers(1, 4), st.integers(0, 6))
+def test_int_first_arithmetic_matches_fraction_reference(ta, tb, s, k, i, d):
+    a, b = Polynomial(4, ta), Polynomial(4, tb)
+    ra = {m: Fraction(c) for m, c in ta.items() if c}
+    rb = {m: Fraction(c) for m, c in tb.items() if c}
+    # every entry point stores an integral scalar as an int
+    for p in (a, b, a * s, s * b, Polynomial.constant(4, s),
+              Polynomial.monomial(4, (0, 1, 0, 2), s)):
+        assert all(type(c) is int for c in _stored(p).values()
+                   if c.denominator == 1)
+    assert _stored(a + b) == _ref_add(ra, rb)
+    assert _stored(a - b) == _ref_add(ra, {m: -c for m, c in rb.items()})
+    assert _stored(a * b) == _ref_mul(ra, rb)
+    power = {(0, 0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    assert _stored(a ** k) == power
+    assert _stored(a.diff(i)) == _ref_diff(ra, i)
+    assert _stored(a.truncate(d)) == {m: c for m, c in ra.items() if sum(m) <= d}
+    parts = {}
+    for m, c in ra.items():
+        parts.setdefault(sum(m), {})[m] = c
+    assert {e: _stored(p) for e, p in a.homogeneous_parts().items()} == parts
+    assert _stored(a * s) == {m: c * s for m, c in ra.items() if s}
+
+
+def test_floats_and_bools_never_become_coefficients():
+    with pytest.raises(TypeError):
+        Polynomial(4, {(0, 1, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        Polynomial.variable(4, 1) * 0.5
+    assert type(exact(True)) is int
+    assert _stored(Polynomial(4, {(1, 0, 0, 0): True})) == {(1, 0, 0, 0): 1}

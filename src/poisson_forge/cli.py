@@ -28,7 +28,7 @@ WEIGHT_CAPS = {
     "identity suite": 8,
     "representative verification": 10,
     "induced de Rham": 10,
-    "deformation normalizer": 10,
+    "deformation normalizer": 12,
 }
 USAGE_ERROR = 2
 

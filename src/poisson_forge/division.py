@@ -1,4 +1,4 @@
-"""de Rham-Saito division groups and regular-sequence checks.
+"""de Rham-Saito division groups and slices of polynomial ideals.
 
 For 1-forms a_1, ..., a_k the p-th division group is
 
@@ -208,28 +208,3 @@ def ideal_dim_binomial_print(d):
     if d >= 4:
         val -= comb(d - 1, 3)
     return val
-
-
-def regular_sequence_check(seq, w_max, n=4):
-    """Degreewise regular-sequence verification up to total degree w_max.
-
-    For each step i the multiplication by seq[i] must be injective on
-    R / <seq[0..i-1]> in every degree that fits below w_max.  Returns
-    (ok, first failing (step, degree) or None).
-    """
-    for f in seq:
-        if not f.is_homogeneous() or f.is_zero():
-            raise ValueError("regular-sequence check needs homogeneous nonzero polys")
-    for i, f in enumerate(seq):
-        prev = seq[:i]
-        e = f.degree()
-        for d in range(0, w_max - e + 1):
-            ideal_lo = ideal_slice_echelon(prev, d, n)
-            ideal_hi = ideal_slice_echelon(prev, d + e, n)
-            products = _times(f).columns(enumerate_basis(0, d, FORM, n),
-                                         enumerate_basis(0, d + e, FORM, n))
-            kills = sum(not ideal_hi.insert(col) for col in products)
-            # multiplication kernel on the quotient must be exactly the ideal slice
-            if kills != ideal_lo.rank:
-                return False, (i, d)
-    return True, None

@@ -29,18 +29,19 @@ the scalar equation d(tau) = (g_i - q_i) mu on tangent fields X =
 weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The flow of the homogeneous field
 -X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
-scalar series acting on the conformal factor h, certified by flowing back.
+scalar series acting on the conformal factor h, applied through a stencil
+read off the field and certified by flowing back.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
 """
 
 from collections import namedtuple
+from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
-                       divergence, enumerate_basis, lie_derivative, star_inv,
-                       wedge)
+                       divergence, enumerate_basis, star_inv, wedge)
 from .linalg import ExactMatrix, QEchelon, integer_row
 from .poisson import d_pi
 from .polynomials import Polynomial
@@ -473,12 +474,42 @@ def _exp_flow(field, h, w_max):
 
     For a field tangent to the fibration, L_field df_i = 0 and
     L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
+    D is read once off the field as a stencil: a term a x^s of field_j
+    sends x^m to a m_j x^(m+s-e_j), and a term b x^s of div(field) sends it
+    to -b x^(m+s).  Each entry raises the degree by at least low, the
+    field's lowest weight, so only the part of each term of degree
+    <= w_max - low is expanded, and no image above w_max is formed.
     """
-    div = divergence(field).coefficient(())
     result = term = h.truncate(w_max)
+    weights = field.weights()
+    if not weights:
+        return result
+    stencil = [(j - 1, s[:j - 1] + (s[j - 1] - 1,) + s[j:], a)
+               for (j,), p in field.comps.items() for s, a in p.terms.items()]
+    stencil += [(None, s, -b) for s, b in
+                divergence(field).coefficient(()).terms.items()]
+    stencil = [(j, t, sum(t), a) for j, t, a in stencil]
+    top = w_max - weights[0]
     for m in range(1, w_max + 2):
         # term = D^m h / m!
-        term = (lie_derivative(field, term) - div * term).truncate(w_max) * Q(1, m)
+        image = {}
+        for mono, c in term.terms.items():
+            deg = sum(mono)
+            if deg > top:
+                continue
+            for j, t, rise, a in stencil:
+                if deg + rise > w_max:
+                    continue
+                if j is None:
+                    v = c * a
+                elif mono[j]:
+                    v = c * a * mono[j]
+                else:
+                    continue
+                key = tuple(map(add, mono, t))
+                image[key] = image.get(key, 0) + v
+        scale = Q(1, m)
+        term = Polynomial(h.n, {key: v * scale for key, v in image.items()})
         if term.is_zero():
             break
         result = result + term

@@ -89,12 +89,6 @@ def normal_form(f, basis, with_certificate=False):
     return r
 
 
-def is_reduced_wrt(f, basis):
-    """No monomial of f divisible by a leading monomial of the basis."""
-    lms = basis.leading_monomials()
-    return all(not any(_divides(mg, m) for mg in lms) for m in f.terms)
-
-
 def linear_membership(f, basis):
     """Degreewise linear-algebra ideal membership; f need not be reduced."""
     if f.is_zero():
@@ -112,60 +106,3 @@ def membership_crosscheck(f, basis):
     nf_member = normal_form(f, basis).is_zero()
     lin_member = linear_membership(f, basis)
     return nf_member, lin_member, nf_member == lin_member
-
-
-def casimir_intersection_check(d_max, cat=None):
-    """Slicewise intersection checks of the Jacobian ideal with the Casimir
-    ring and the module <x_1..x_4> over R[[x2^2, x4]].
-
-    Verifies, for every degree d <= d_max:
-      * J_d intersect span(f-monomials) = span((f1^2+f2^2) * f-monomials),
-      * the same after enlarging by the module slice M_d,
-      * span(f-monomials) intersect M_d = 0.
-    Returns (ok, table of per-degree dimension data).
-    """
-    from .homology import a_monomials, f_monomials
-    cat = cat or lefschetz_catalog()
-    x = [Polynomial.variable(4, i) for i in range(1, 5)]
-    ff = cat.f1 * cat.f1 + cat.f2 * cat.f2
-    ok = True
-    table = []
-    for d in range(d_max + 1):
-        slice_basis = enumerate_basis(0, d, FORM, 4)
-
-        def coords(p):
-            return slice_basis.coords(GradedElement.from_polynomial(p))
-
-        j_ech = ideal_slice_echelon(cat.ideal_generators, d, 4)
-        f_vecs = [coords(p) for _, p in f_monomials(cat, d)]
-        m_vecs = [coords(a * xi) for xi in x for a in a_monomials(d - 1)]
-        expect_vecs = [coords(ff * p) for _, p in f_monomials(cat, d - 4)]
-
-        dim_f = _span_dim(f_vecs)
-        dim_m = _span_dim(m_vecs)
-        dim_fm = _span_dim(f_vecs + m_vecs)
-        dim_j = j_ech.rank
-        inter_f = dim_f + dim_j - _span_dim(f_vecs + _rows(j_ech))
-        inter_fm = dim_fm + dim_j - _span_dim(f_vecs + m_vecs + _rows(j_ech))
-        expected = _span_dim(expect_vecs)
-        expected_inside = all(j_ech.contains(v) for v in expect_vecs)
-        row_ok = (inter_f == expected and inter_fm == expected
-                  and dim_f + dim_m == dim_fm and expected_inside)
-        ok = ok and row_ok
-        table.append({"degree": d, "dim_J": dim_j, "dim_F": dim_f,
-                      "dim_M": dim_m, "intersection_F": inter_f,
-                      "intersection_FM": inter_fm, "expected": expected,
-                      "ok": row_ok})
-    return ok, table
-
-
-def _rows(ech):
-    return [dict(main) for main, _ in ech.rows.values()]
-
-
-def _span_dim(vectors):
-    from .linalg import QEchelon
-    ech = QEchelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank

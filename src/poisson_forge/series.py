@@ -169,12 +169,6 @@ class RationalSeries:
 
 # the reference series of the Lefschetz computation ------------------------
 
-def forms_series(m, n=4):
-    """Series of m-forms on R^n: binom(n,m) t^m / (1-t)^n."""
-    from math import comb
-    return RationalSeries({m: comb(n, m)}, (1,) * n)
-
-
 H_SERIES = {
     0: RationalSeries({0: 1, 1: 4, 2: 4}, (2, 2)),
     1: RationalSeries({1: 4, 2: 8, 3: 4, 4: 4}, (2, 2)),

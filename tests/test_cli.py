@@ -181,6 +181,19 @@ def test_normalize_command(capsys):
     assert "q(0) = g(0)" in out
 
 
+def test_normalize_caps_at_weight_12(capsys):
+    # a constant g has no steps, so only the cap note costs anything
+    assert main(["normalize", "--g", "2", "--max-weight", "13",
+                 "--format", "json"]) == 0
+    blocks = {b["block"]: b for b in json.loads(capsys.readouterr().out)["blocks"]}
+    assert blocks["weight cap"]["text"] == ("deformation normalizer runs at "
+                                            "weight 12 (requested 13)")
+    assert main(["normalize", "--g", "2", "--max-weight", "12",
+                 "--format", "json"]) == 0
+    blocks = {b["block"] for b in json.loads(capsys.readouterr().out)["blocks"]}
+    assert "weight cap" not in blocks
+
+
 def test_division_command(capsys):
     code = main(["division", "--p", "2", "--max-degree", "4",
                  "--max-weight", "6"])

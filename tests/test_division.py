@@ -1,12 +1,12 @@
 import pytest
 
-from poisson_forge.division import (DivisionProblem, division_group_basis,
-                                    division_group_dim,
+from poisson_forge.division import (DivisionProblem, _times,
+                                    division_group_basis, division_group_dim,
                                     division_group_dim_via_kernel_basis,
                                     ideal_dim_binomial_print, ideal_slice_dim,
-                                    lefschetz_problem, regular_sequence_check,
+                                    ideal_slice_echelon, lefschetz_problem,
                                     submodule_contains, verify_division_basis)
-from poisson_forge.exterior import FORM, GradedElement, de_rham
+from poisson_forge.exterior import FORM, GradedElement, enumerate_basis
 from poisson_forge.polynomials import Polynomial
 
 
@@ -75,6 +75,31 @@ def test_ideal_slices(cat):
         assert quot == 2 * (d + 1)
         if d >= 2:
             assert dim_j == ideal_dim_binomial_print(d)
+
+
+def regular_sequence_check(seq, w_max, n=4):
+    """Degreewise regular-sequence verification up to total degree w_max.
+
+    For each step i the multiplication by seq[i] must be injective on
+    R / <seq[0..i-1]> in every degree that fits below w_max.  Returns
+    (ok, first failing (step, degree) or None).
+    """
+    for f in seq:
+        if not f.is_homogeneous() or f.is_zero():
+            raise ValueError("regular-sequence check needs homogeneous nonzero polys")
+    for i, f in enumerate(seq):
+        prev = seq[:i]
+        e = f.degree()
+        for d in range(0, w_max - e + 1):
+            ideal_lo = ideal_slice_echelon(prev, d, n)
+            ideal_hi = ideal_slice_echelon(prev, d + e, n)
+            products = _times(f).columns(enumerate_basis(0, d, FORM, n),
+                                         enumerate_basis(0, d + e, FORM, n))
+            kills = sum(not ideal_hi.insert(col) for col in products)
+            # multiplication kernel on the quotient must be exactly the ideal slice
+            if kills != ideal_lo.rank:
+                return False, (i, d)
+    return True, None
 
 
 def test_regular_sequences(cat):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_forge import homology
 from poisson_forge.cli import main
@@ -332,6 +333,23 @@ def test_series_inverse():
         series_inverse(x(1), 4)
 
 
+def generic_exp_flow(field, h, w_max):
+    """exp(D) h with D h = field(h) - div(field) h, truncated at degree w_max.
+
+    For a field tangent to the fibration, L_field df_i = 0 and
+    L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
+    """
+    div = divergence(field).coefficient(())
+    result = term = h.truncate(w_max)
+    for m in range(1, w_max + 2):
+        # term = D^m h / m!
+        term = (lie_derivative(field, term) - div * term).truncate(w_max) * Q(1, m)
+        if term.is_zero():
+            break
+        result = result + term
+    return result
+
+
 def normalize_uncertified(engine, g, w_max, pullback):
     """(q, [(weight, casimir_part, corrector)]) of the normalizer loop with
     the flow pullback h -> pullback(corrector, h) and no certificates."""
@@ -428,14 +446,14 @@ class InverseFlowRoute(HomologyEngine):
 
     The field divides the corrector by the running factor h through a
     power-series inverse and is cut above weight w_max; the pullback is the
-    engine's scalar series.
+    generic scalar series through `lie_derivative`.
     """
 
     def normalize_by_inverse(self, g, w_max):
         """(q, [(weight, casimir_part, corrector)]) on the -X/h route."""
         def pullback(corrector, h):
             field = corrector * series_inverse(h, w_max) * Q(-1)
-            return _exp_flow(truncate_weight(field, w_max), h, w_max)
+            return generic_exp_flow(truncate_weight(field, w_max), h, w_max)
         return normalize_uncertified(self, g, w_max, pullback)
 
 
@@ -483,6 +501,58 @@ def test_flow_pullback_certificate_catches_a_wrong_series(engine, monkeypatch,
         engine.normalize_volume_deformation(parse_polynomial("1+x1"), 4)
     assert main(["normalize", "--g", "1+x1", "--max-weight", "4"]) == 1
     assert message in capsys.readouterr().out
+
+
+coefficients = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def flow_inputs(draw):
+    """(field, h, w_max) with w_max <= 6 and h sparse.  The field is
+    homogeneous of weight -1..4, or of mixed weights (constant and linear
+    parts included) cut above w_max as the inverse-flow route passes it,
+    or zero."""
+    w_max = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["homogeneous", "truncated", "zero"]))
+    if shape == "homogeneous":
+        monos = st.sampled_from(monomials_of_degree(4, draw(st.integers(0, 5))))
+    else:
+        monos = st.tuples(*[st.integers(0, 2)] * 4)
+    comps = {}
+    if shape != "zero":
+        for j, m, c in draw(st.lists(st.tuples(st.integers(1, 4), monos,
+                                               coefficients),
+                                     min_size=1, max_size=4)):
+            comps.setdefault((j,), {})[m] = c
+    field = GradedElement(4, 1, MULTIVECTOR,
+                          {j: Polynomial(4, t) for j, t in comps.items()})
+    if shape == "truncated":
+        field = truncate_weight(field, w_max)
+    h = Polynomial(4, dict(draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * 4), coefficients),
+        max_size=5))))
+    return field, h, w_max
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(flow_inputs())
+def test_stencil_flow_matches_generic_series(args):
+    field, h, w_max = args
+    assert _exp_flow(field, h, w_max) == generic_exp_flow(field, h, w_max)
+
+
+def test_generic_series_catches_a_stencil_without_divergence(engine,
+                                                              monkeypatch):
+    # exp(-D) exp(D) = 1 for any linear D, so the round trip passes a
+    # stencil that drops the divergence entries; the reference route does not
+    _, corrector = engine._solve_deformation_step(x(1), 1)
+    field = corrector * Q(-1)
+    h = Polynomial.constant(4, 1) + x(1)
+    monkeypatch.setattr(homology, "divergence",
+                        lambda v: GradedElement.zero(4, 0, MULTIVECTOR))
+    pulled = _exp_flow(field, h, 6)
+    assert _exp_flow(-field, pulled, 6) == h
+    assert pulled != generic_exp_flow(field, h, 6)
 
 
 class TwoFormStepRoute(HomologyEngine):

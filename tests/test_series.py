@@ -1,9 +1,15 @@
 import random
+from math import comb
 
 import pytest
 
 from poisson_forge.series import (H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES,
-                                  RationalSeries, forms_series)
+                                  RationalSeries)
+
+
+def forms_series(m, n=4):
+    """Series of m-forms on R^n: binom(n,m) t^m / (1-t)^n."""
+    return RationalSeries({m: comb(n, m)}, (1,) * n)
 
 
 def test_expand_examples():

@@ -7,7 +7,7 @@ from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
                        lie_derivative, star, star_inv, wedge)
 from .homology import (HomologyEngine, InvariantViolation,
                        RepresentativeFamily, default_engine)
-from .linalg import ExactMatrix, membership, quotient_dim
+from .linalg import ExactMatrix
 from .poisson import (PoissonStructure, d_pi, delta_pi, jacobi_poisson,
                       modular_field, schouten, verify_identity_suite)
 from .polynomials import Polynomial, monomial_cmp
@@ -21,7 +21,7 @@ __all__ = [
     "PoissonStructure", "Polynomial", "RepresentativeFamily",
     "RationalSeries", "SliceOperator", "WeightSliceBasis", "contract", "d_pi",
     "de_rham", "default_engine", "delta_pi", "enumerate_basis",
-    "jacobi_poisson", "lefschetz_catalog", "lie_derivative", "membership",
-    "modular_field", "monomial_cmp", "quotient_dim", "schouten", "star",
+    "jacobi_poisson", "lefschetz_catalog", "lie_derivative", "modular_field",
+    "monomial_cmp", "schouten", "star",
     "star_inv", "verify_identity_suite", "wedge",
 ]

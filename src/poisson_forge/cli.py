@@ -15,7 +15,7 @@ from .division import (division_group_dim, ideal_dim_binomial_print,
                        ideal_slice_dim, lefschetz_problem,
                        submodule_contains, verify_division_basis)
 from .homology import InvariantViolation, default_engine
-from .parsing import ParseError, parse_polynomial, print_polynomial
+from .parsing import ParseError, parse_polynomial
 from .poisson import verify_identity_suite
 from .reports import ReportDocument, emit_report
 from .series import H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES
@@ -160,10 +160,10 @@ def _normalize_block(doc, eng, g, w_max):
     try:
         q, steps = eng.normalize_volume_deformation(g, w_max)
         # q's coefficients can outgrow the printable length of g's
-        printed_q = print_polynomial(q)
+        printed_q = str(q)
         step_rows = [{"name": "weight %d residual certified in im d_pi "
                               "(Casimir part %s)"
-                              % (s.weight, print_polynomial(s.casimir_part)),
+                              % (s.weight, s.casimir_part),
                       "status": "pass"} for s in steps]
     except (InvariantViolation, ValueError) as exc:
         doc.add_verdicts("volume deformation", [{"name": str(exc),
@@ -276,7 +276,7 @@ def _execute(args, argv):
         except ParseError as exc:
             print("parse error: %s" % exc, file=sys.stderr)
             return None, USAGE_ERROR
-        basis = lefschetz_ideal_basis(eng.cat)
+        basis = lefschetz_ideal_basis()
         nf, quotients = normal_form(poly, basis, with_certificate=True)
         rebuilt = nf
         for q, gen in zip(quotients, basis.generators):
@@ -284,7 +284,7 @@ def _execute(args, argv):
         nf_member, lin_member, agree = membership_crosscheck(poly, basis)
         try:
             # NF(f)'s coefficients can outgrow the printable length of f's
-            printed = print_polynomial(poly), print_polynomial(nf)
+            printed = str(poly), str(nf)
         except ValueError as exc:
             doc.add_verdicts("normal form", [{"name": str(exc), "status": "fail"}])
         else:

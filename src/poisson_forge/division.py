@@ -6,12 +6,13 @@ For 1-forms a_1, ..., a_k the p-th division group is
                        / sum_i a_i ^ Omega^{p-1}.
 
 All inputs here are weight-homogeneous, so the groups split into weight
-slices and every dimension is a rank difference of exact matrices, whose
-columns (wedging, multiplication by a polynomial) come from SliceOperators;
-only division_group_dim_via_kernel_basis wedges form by form.  The
-Lefschetz case (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit
-generators c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured
-failure of the isolated-singularity depth bound.
+slices.  The dimension of a slice is a rank difference: the kernel
+dimension of wedging with a_1 ^ ... ^ a_k, less the rank of the submodule,
+both eliminated on the slice's basis.  Their columns (wedging, multiplication
+by a polynomial) come from SliceOperators.  The Lefschetz case
+(a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit generators
+c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured failure of
+the isolated-singularity depth bound.
 """
 
 from functools import lru_cache
@@ -19,7 +20,7 @@ from math import comb
 
 from .catalog import lefschetz_catalog
 from .exterior import FORM, SliceOperator, enumerate_basis, wedge, wedge_all
-from .linalg import ExactMatrix, QEchelon, quotient_dim
+from .linalg import QEchelon
 from .polynomials import Polynomial
 
 
@@ -45,10 +46,9 @@ class DivisionProblem:
 
 
 @lru_cache(maxsize=None)
-def _wedge_by(a, right=False):
-    """SliceOperator of b -> a ^ b, or of b -> b ^ a when right."""
-    return SliceOperator((lambda b: wedge(b, a)) if right else
-                         (lambda b: wedge(a, b)))
+def _wedge_by(a):
+    """SliceOperator of b -> a ^ b."""
+    return SliceOperator(lambda b: wedge(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +75,9 @@ def _wedge_kernel_echelon(prob):
     # the weight of alpha; when alpha is zero every column is empty
     u = sum(a.weights()[0] for a in prob.forms)
     dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
+    # a ^ b = +-b ^ a, so the rank is that of b -> b ^ alpha
     ech = QEchelon()
-    for col in _wedge_by(alpha, right=True).columns(src, dst):
+    for col in _wedge_by(alpha).columns(src, dst):
         if col:
             ech.insert(col)
     return len(src) - ech.rank, _submodule_echelon(prob, src)
@@ -88,49 +89,19 @@ def division_group_dim(prob):
     return kernel_dim - sub.rank
 
 
-def division_group_dim_via_kernel_basis(prob):
-    """Second route: explicit kernel basis, then quotient by the submodule.
-
-    Used as an independent cross-check of division_group_dim.
-    """
-    alpha = wedge_all(prob.forms)
-    aw = alpha.weights()
-    n = alpha.n
-    p, w = prob.p, prob.w
-    src = enumerate_basis(p, w, FORM, n)
-    if len(src) == 0:
-        return 0
-    if not aw or p + alpha.degree > n:
-        kernel = [{i: 1} for i in range(len(src))]
-    else:
-        dst = enumerate_basis(p + alpha.degree, w + aw[0], FORM, n)
-        cols = [dst.coords(wedge(src.element(i), alpha)) for i in range(len(src))]
-        mat = ExactMatrix.from_columns(cols, len(dst))
-        kernel = mat.kernel_basis()
-    sub = []
-    for a in prob.forms:
-        u = a.weights()[0]
-        lower = enumerate_basis(p - 1, w - u, FORM, n)
-        for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
-            if img:
-                sub.append(src.coords(img))
-    return quotient_dim(kernel, sub)
-
-
-def lefschetz_problem(p, w, cat=None):
-    cat = cat or lefschetz_catalog()
+def lefschetz_problem(p, w):
+    cat = lefschetz_catalog()
     return DivisionProblem([cat.df1, cat.df2], p, w)
 
 
-def division_group_basis(prob, cat=None):
+def division_group_basis(prob):
     """Instantiated generators of D^2(df1, df2) at one coefficient degree.
 
     Images of the classification map (c, p, (q1, q2)) -> c*beta_1 +
     (p*x1 + q1*x3 + q2)*beta_2 at all parameter monomials of the slice,
     in deterministic order.
     """
-    cat = cat or lefschetz_catalog()
+    cat = lefschetz_catalog()
     if prob.p != 2 or prob.forms != [cat.df1, cat.df2]:
         raise ValueError("basis instantiation only supports D^2(df1, df2)")
     d = prob.w - 2          # coefficient degree of the slice
@@ -157,13 +128,12 @@ def _xy_monomials(a, b, d):
     return [(a ** i) * (b ** (d - i)) for i in range(d, -1, -1)]
 
 
-def verify_division_basis(prob, cat=None):
+def verify_division_basis(prob):
     """(count, dim, independent, all_in_kernel) for the instantiated basis."""
-    cat = cat or lefschetz_catalog()
-    reps = division_group_basis(prob, cat)
+    reps = division_group_basis(prob)
     kernel_dim, sub = _wedge_kernel_echelon(prob)
     dim = kernel_dim - sub.rank
-    op = _wedge_by(wedge_all(prob.forms), right=True)
+    op = _wedge_by(wedge_all(prob.forms))
     all_kernel = all(op.apply(r).is_zero() for r in reps)
     src = enumerate_basis(prob.p, prob.w, FORM, 4)
     independent = all(sub.insert(src.coords(r)) for r in reps)
@@ -190,9 +160,9 @@ def ideal_slice_echelon(generators, d, n=4):
     return ech
 
 
-def ideal_slice_dim(d, cat=None):
+def ideal_slice_dim(d):
     """(dim J_d, dim R_d / J_d) for the Lefschetz Jacobian ideal."""
-    cat = cat or lefschetz_catalog()
+    cat = lefschetz_catalog()
     if d < 0:
         raise ValueError("degree must be non-negative")
     dim_j = ideal_slice_echelon(cat.ideal_generators, d).rank

@@ -23,7 +23,7 @@ both on forms and as sparse columns between the slice bases below.
 from itertools import combinations
 from operator import add
 
-from .polynomials import Polynomial, monomial_key, monomials_of_degree
+from .polynomials import Polynomial, monomials_of_degree
 from .rationals import exact
 
 
@@ -157,13 +157,6 @@ class GradedElement:
             for d in p.homogeneous_parts():
                 ws.add(self.term_weight(d))
         return sorted(ws)
-
-    def weight_slice(self, w):
-        """Component of scaling weight exactly w."""
-        d = w - self.degree if self.kind == FORM else w + self.degree
-        if d < 0:
-            return GradedElement.zero(self.n, self.degree, self.kind)
-        return self._like({i: p.homogeneous_part(d) for i, p in self.comps.items()})
 
     def map_coefficients(self, fn):
         return self._like({i: fn(p) for i, p in self.comps.items()})
@@ -378,7 +371,7 @@ class WeightSliceBasis:
         if 0 <= degree <= n:
             d = weight - degree if kind == FORM else weight + degree
             if d >= 0:
-                monos = sorted(monomials_of_degree(n, d), key=monomial_key)
+                monos = monomials_of_degree(n, d)
                 for idx in combinations(range(1, n + 1), degree):
                     for m in monos:
                         elements.append((idx, m))
@@ -387,9 +380,6 @@ class WeightSliceBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def element(self, i):
         idx, m = self.elements[i]

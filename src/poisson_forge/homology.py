@@ -179,7 +179,7 @@ class HomologyEngine:
         if key not in self._delta:
             dst = self.basis(k - 1, w)
             columns = self.cat.poisson.delta.columns(self.basis(k, w), dst)
-            self._delta[key] = ExactMatrix.from_columns(columns, len(dst))
+            self._delta[key] = ExactMatrix(columns, len(dst))
         return self._delta[key]
 
     def delta_rank(self, k, w):

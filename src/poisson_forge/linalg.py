@@ -1,28 +1,27 @@
 """Exact rational linear algebra over sparse data.
 
 Everything here is exact: no floats, no tolerances, no modular arithmetic.
-Rank, membership, solving and kernels all go through one incremental
-echelon of integer rows.  A rational input vector is cleared of its
-denominators on entry; each elimination step is fraction-free,
-vec <- m*vec - t*row, and divides out the content of the row whenever
-m != 1 (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968), so entries stay small without
-any rational arithmetic.  Every reduced vector is a nonzero multiple of
-the one rational elimination along the same pivots gives, so ranks,
-memberships and solved coordinates are exactly those of a rational
-echelon.  `QEchelon.quotient` solves modulo a span eliminated once
-without tracking, such as the boundaries of one slice.  Columns are
-inserted sparsest first, which is what keeps elimination fill-in tame
-on the banded slice matrices.  Re-running with permuted input yields the
-same rank and an equivalent kernel span.  `ExactMatrix` stores the sparse
-columns that slice matrices are written in; `apply` reads only the columns
-its vector uses.
+Ranks, containment tests and solved coordinates all come from one
+incremental echelon of integer rows, `QEchelon`.  A rational input vector
+is cleared of its denominators on entry (`integer_row`); each elimination
+step is fraction-free, vec <- m*vec - t*row, and divides out the content
+of the row whenever m != 1 (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968), so entries
+stay small without any rational arithmetic.  Every reduced vector is a
+nonzero multiple of the one rational elimination along the same pivots
+gives, so ranks, containment and solved coordinates are exactly those of
+a rational echelon.  `QEchelon.quotient` solves modulo a span eliminated
+once without tracking, such as the boundaries of one slice.
+`ExactMatrix` is the column store that slice matrices are written in:
+`apply` reads only the columns its vector uses, and `echelon` inserts the
+columns sparsest first, which is what keeps elimination fill-in tame on
+the banded slice matrices.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import Q, QONE, QZERO, as_q, exact
+from .rationals import Q, as_q
 
 
 def integer_row(vec):
@@ -176,27 +175,14 @@ class QEchelon:
 class ExactMatrix:
     """Sparse exact matrix stored by column, with no stored zeros.
 
-    `columns[c]` is a sparse dict row -> exact scalar (`rationals.exact`).
+    `columns[c]` is a sparse dict row -> nonzero int or Q, stored as given.
     """
 
     __slots__ = ("rows", "columns")
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, columns, rows):
         self.rows = rows
-        self.columns = [{} for _ in range(cols)]
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError("entry out of bounds")
-            v = exact(v)
-            if v:
-                self.columns[c][r] = v
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        """columns: sparse dicts row -> nonzero int or Q, stored as given."""
-        out = cls(rows, 0)
-        out.columns = columns
-        return out
+        self.columns = columns
 
     @property
     def cols(self):
@@ -224,64 +210,3 @@ class ExactMatrix:
         for col in sorted((c for c in self.columns if c), key=len):
             ech.insert(col)
         return ech
-
-    def rank(self):
-        return self.echelon().rank
-
-    def kernel_basis(self):
-        """Exact basis of the right kernel, as sparse dicts col -> rational.
-
-        Column c gives a kernel vector exactly when it lies in the span of
-        the columns before it.  Each column is reduced once, tracked as
-        generator c: a nonzero remainder is stored, and a zero one leaves
-        the relation s*col_c + sum aug[j]*col_j = 0 in its coordinates.
-        """
-        ech = QEchelon(track=True)
-        basis = []
-        for c, col in enumerate(self.columns):
-            den, v = integer_row(col)
-            aug = {c: den}
-            ech._reduce(v, aug)
-            if v:
-                ech._store(v, aug)
-            else:
-                s = aug.pop(c)
-                vec = {c: QONE}
-                for j, x in aug.items():
-                    vec[j] = Q(x, s)
-                basis.append(vec)
-        return basis
-
-
-def membership(v, span):
-    """Coordinates of v in the span of the given vectors, or None.
-
-    Vectors may be dense sequences or sparse dicts of rationals.
-    """
-    ech = QEchelon(track=True)
-    for s in span:
-        ech.insert(_as_sparse(s))
-    coords = ech.solve(_as_sparse(v))
-    if coords is None:
-        return None
-    return [coords.get(i, QZERO) for i in range(len(span))]
-
-
-def quotient_dim(ambient, sub):
-    """dim span(ambient) - dim span(sub); sub must lie inside span(ambient)."""
-    amb = QEchelon()
-    for a in ambient:
-        amb.insert(_as_sparse(a))
-    sech = QEchelon()
-    for s in sub:
-        sv = _as_sparse(s)
-        if not amb.contains(sv):
-            raise ValueError("subspace vector outside the ambient span")
-        sech.insert(sv)
-    return amb.rank - sech.rank
-
-
-def _as_sparse(v):
-    if isinstance(v, dict):
-        return v
-    return {i: x for i, x in enumerate(v) if x}

@@ -45,13 +45,9 @@ class OrderedIdealBasis:
                     return False
         return True
 
-    def leading_monomials(self):
-        return [g.leading_term()[0] for g in self.generators]
 
-
-def lefschetz_ideal_basis(cat=None):
-    cat = cat or lefschetz_catalog()
-    return OrderedIdealBasis(cat.ideal_generators)
+def lefschetz_ideal_basis():
+    return OrderedIdealBasis(lefschetz_catalog().ideal_generators)
 
 
 def normal_form(f, basis, with_certificate=False):

@@ -1,25 +1,21 @@
-"""Expression front end for polynomials, forms and multivectors.
+"""Expression front end for polynomials.
 
 Grammar (ASCII only, whitespace-insensitive):
 
     expr    := ['+'|'-'] term (('+'|'-') term)*
     term    := factor ('*' factor)*
     factor  := atom ['^' INT]
-    atom    := RATIONAL | VAR | '(' expr ')' | group
-    group   := '[' watom ('^' watom)* ']'
-    watom   := 'dx' INT | 'e' INT
+    atom    := RATIONAL | VAR | '(' expr ')'
     RATIONAL:= INT ['/' INT]
     VAR     := 'x' INT
 
-Wedge groups use '^' between dx/e atoms inside brackets; outside brackets
 '^' is an integer power.  Exponents must be non-negative; unicode input
-is rejected.  Printing of canonical objects round-trips through parsing.
+is rejected.  A polynomial's `str` round-trips through parsing.
 """
 
 import re
 import sys
 
-from .exterior import FORM, MULTIVECTOR, GradedElement, wedge
 from .polynomials import Polynomial
 from .rationals import Q
 
@@ -34,8 +30,7 @@ class ParseError(ValueError):
 
 # raised where an integer is longer than the interpreter converts to decimal
 _TOO_LONG = "coefficient with more than %d digits cannot be printed"
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<dx>dx(?=\d))|(?P<var>x(?=\d))"
-                    r"|(?P<vec>e(?=\d))|(?P<op>[-+*/^()\[\]]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x(?=\d))|(?P<op>[-+*/^()]))")
 
 
 def _tokenize(src):
@@ -88,8 +83,6 @@ class _Parser:
             raise ParseError("axis index out of range 1..%d" % self.n, tok_pos)
         return k
 
-    # -- values are Polynomial or GradedElement -----------------------
-
     def expr(self):
         sign = 1
         tok = self.peek()
@@ -104,8 +97,7 @@ class _Parser:
             if tok[0] == "op" and tok[1] in "+-":
                 self.take()
                 rhs = self.term()
-                value = self._add(value, rhs, tok) if tok[1] == "+" \
-                    else self._add(value, -rhs, tok)
+                value = value + rhs if tok[1] == "+" else value - rhs
             else:
                 return value
 
@@ -115,7 +107,7 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "op" and tok[1] == "*":
                 self.take()
-                value = self._mul(value, self.factor(), tok)
+                value = value * self.factor()
             else:
                 return value
 
@@ -127,10 +119,7 @@ class _Parser:
             neg = self.peek()
             if neg[0] == "op" and neg[1] == "-":
                 raise ParseError("negative exponents rejected", neg[2])
-            k = self._int()
-            if not isinstance(value, Polynomial):
-                raise ParseError("powers apply to scalars only", tok[2])
-            value = value ** k
+            value = value ** self._int()
         return value
 
     def atom(self):
@@ -153,67 +142,11 @@ class _Parser:
             value = self.expr()
             self.take("op", ")")
             return value
-        if tok[0] == "op" and tok[1] == "[":
-            return self.group()
         raise ParseError("expected a value", tok[2])
 
-    def group(self):
-        open_tok = self.take("op", "[")
-        value = self.watom()
-        while True:
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] == "^":
-                self.take()
-                rhs = self.watom()
-                if rhs.kind != value.kind:
-                    raise ParseError("cannot wedge forms with multivectors",
-                                     tok[2])
-                value = wedge(value, rhs)
-            elif tok[0] == "op" and tok[1] == "]":
-                self.take()
-                return value
-            else:
-                raise ParseError("expected '^' or ']' in wedge group", tok[2])
-        del open_tok
 
-    def watom(self):
-        tok = self.peek()
-        if tok[0] == "dx":
-            self.take()
-            return GradedElement.basis(self.n, FORM, (self._axis(tok[2]),))
-        if tok[0] == "vec":
-            self.take()
-            return GradedElement.basis(self.n, MULTIVECTOR, (self._axis(tok[2]),))
-        raise ParseError("expected dx<i> or e<i>", tok[2])
-
-    # -- mixed arithmetic ---------------------------------------------
-
-    def _add(self, a, b, tok):
-        if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-            return a + b
-        a, b = self._promote(a), self._promote(b)
-        if a.kind != b.kind or a.degree != b.degree:
-            raise ParseError("cannot add different exterior degrees or kinds",
-                             tok[2])
-        return a + b
-
-    def _mul(self, a, b, tok):
-        if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-            return a * b
-        if isinstance(a, Polynomial):
-            return b * a
-        if isinstance(b, Polynomial):
-            return a * b
-        raise ParseError("use a wedge group for exterior products", tok[2])
-
-    def _promote(self, v):
-        if isinstance(v, Polynomial):
-            return GradedElement.from_polynomial(v)
-        return v
-
-
-def parse_expression(src, n=4):
-    """Parse to a Polynomial or GradedElement whose coefficients print."""
+def parse_polynomial(src, n=4):
+    """Parse to a Polynomial whose coefficients print."""
     p = _Parser(src, n)
     value = p.expr()
     tok = p.peek()
@@ -224,24 +157,3 @@ def parse_expression(src, n=4):
     except ValueError:
         raise ParseError(_TOO_LONG % sys.get_int_max_str_digits(), 0) from None
     return value
-
-
-def parse_polynomial(src, n=4):
-    value = parse_expression(src, n)
-    if isinstance(value, GradedElement):
-        if value.degree == 0:
-            return value.coefficient(())
-        raise ParseError("expected a polynomial, found an exterior element", 0)
-    return value
-
-
-def parse_form(src, n=4):
-    value = parse_expression(src, n)
-    if isinstance(value, Polynomial):
-        return GradedElement.from_polynomial(value)
-    return value
-
-
-def print_polynomial(p):
-    """Canonical printing; parse(print(p)) == p."""
-    return str(p)

@@ -36,17 +36,16 @@ from .rationals import Q
 
 
 class PoissonStructure:
-    """Bivector + Casimirs + volume; immutable after construction.
+    """Bivector + volume; immutable after construction.
 
     `delta` is the SliceOperator of delta_pi; its rows are read on first use.
     """
 
-    __slots__ = ("n", "bivector", "casimirs", "volume", "delta")
+    __slots__ = ("n", "bivector", "volume", "delta")
 
-    def __init__(self, bivector, casimirs, volume):
+    def __init__(self, bivector, volume):
         self.n = bivector.n
         self.bivector = bivector
-        self.casimirs = list(casimirs)
         self.volume = volume
         self.delta = SliceOperator(_koszul_brylinski(bivector))
 
@@ -69,7 +68,7 @@ def jacobi_poisson(fns, n):
             if coeff:
                 comps[(a, b)] = coeff
     pi = GradedElement(n, 2, MULTIVECTOR, comps)
-    return PoissonStructure(pi, fns, mu)
+    return PoissonStructure(pi, mu)
 
 
 # -- Schouten bracket --------------------------------------------------------

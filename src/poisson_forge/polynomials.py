@@ -118,10 +118,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_part(self, d):
         return Polynomial._of(self.n, {m: c for m, c in self.terms.items()
                                        if sum(m) == d})
@@ -174,9 +170,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -263,8 +256,7 @@ class Polynomial:
             s += " - " + b[1:] if b.startswith("-") else " + " + b
         return s
 
-    def __repr__(self):
-        return "Polynomial(%d, %s)" % (self.n, str(self))
+    __repr__ = __str__
 
 
 def _coeff_str(c):

@@ -1,9 +1,7 @@
 """Hilbert-Poincare series as rational functions p(t) / prod_j (1 - t^{k_j}).
 
 The numerator is an integer polynomial in t, the denominator a multiset
-of cyclotomic-style factors (1 - t^k).  Expansion is exact; a degree
-shift by a multiplies by t^{+a}, matching the definition M(-a)_d =
-M_{d-a} of a shifted graded module.
+of cyclotomic-style factors (1 - t^k).  Expansion is exact.
 """
 
 
@@ -63,10 +61,6 @@ class RationalSeries:
             raise ValueError("denominator factors must be positive exponents")
         self.den = den
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
     def expand(self, w_max):
         """Coefficients of t^0 .. t^{w_max}, exactly."""
         coeffs = [0] * (w_max + 1)
@@ -78,12 +72,6 @@ class RationalSeries:
             for i in range(k, w_max + 1):
                 coeffs[i] += coeffs[i - k]
         return coeffs
-
-    def shift(self, a):
-        """Series of the module shifted down by a: multiplies by t^{+a}."""
-        if a < 0:
-            raise ValueError("shift must be non-negative")
-        return RationalSeries({i + a: c for i, c in self.num.items()}, self.den)
 
     def _common(self, other):
         """Numerators over a common denominator (per-factor max multiplicity)."""
@@ -141,10 +129,6 @@ class RationalSeries:
             return NotImplemented
         na, nb, _ = self._common(other)
         return na == nb
-
-    def __hash__(self):
-        s = self.normalized()
-        return hash((frozenset(s.num.items()), s.den))
 
     def __str__(self):
         if not self.num:

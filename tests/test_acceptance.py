@@ -201,13 +201,13 @@ def test_criterion_5_pi_equals_minus_8_T1_T2(cat):
 def test_criterion_6_division_groups(engine, cat):
     ok = True
     for w in range(1, 13):
-        ok = ok and division_group_dim(lefschetz_problem(1, w, cat)) == 0
+        ok = ok and division_group_dim(lefschetz_problem(1, w)) == 0
     for d in range(0, 11):
-        ok = ok and division_group_dim(lefschetz_problem(2, d + 2, cat)) \
+        ok = ok and division_group_dim(lefschetz_problem(2, d + 2)) \
             == 2 * (d + 1)
     for d in range(1, 11):
-        ok = ok and ideal_slice_dim(d, cat)[1] == 2 * (d + 1)
-    prob = lefschetz_problem(2, 4, cat)
+        ok = ok and ideal_slice_dim(d)[1] == 2 * (d + 1)
+    prob = lefschetz_problem(2, 4)
     ok = ok and submodule_contains(prob, cat.beta1 * cat.f1 - cat.beta2 * cat.f2)
     ok = ok and submodule_contains(prob, cat.beta1 * cat.f2 + cat.beta2 * cat.f1)
     assert _line(6, ok, "D^1 = 0 (w <= 12), dim D^2 = 2(d+1) (d <= 10), "
@@ -216,7 +216,7 @@ def test_criterion_6_division_groups(engine, cat):
 
 
 def test_criterion_7_normal_form_oracle(cat):
-    G = lefschetz_ideal_basis(cat)
+    G = lefschetz_ideal_basis()
     rng = random.Random(2024)
     ok = True
     # generator combinations are members by both oracles

@@ -86,6 +86,15 @@ def test_parse_error_exit(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [["nf", "--poly", "[dx1]"],
+                                  ["normalize", "--g", "[e1]"]])
+def test_a_form_is_a_parse_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: unexpected character '[' (at offset 0)\n"
+
+
 @pytest.mark.parametrize("argv", [["normalize", "--g", "2^100000"],
                                   ["nf", "--poly", "3^10000*x1"],
                                   ["nf", "--poly", "1" * 5000 + "*x1"]])

@@ -14,6 +14,7 @@ from poisson_forge.poisson import d_pi, delta_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
+from test_exterior import weight_slice
 from test_linalg import clone, is_zero, matmul
 
 
@@ -420,7 +421,7 @@ class BivectorRoute(HomologyEngine):
                     ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
                 self._conformal[w] = (monos, ech)
             monos, ech = self._conformal[w]
-            coords = ech.solve(basisw.coords(two_form.weight_slice(w)))
+            coords = ech.solve(basisw.coords(weight_slice(two_form, w)))
             if coords is None:
                 raise InvariantViolation("flow pullback is not a multiple of "
                                          "pi at weight %d" % w)

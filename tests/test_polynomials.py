@@ -14,6 +14,11 @@ def x(i, n=4):
     return Polynomial.variable(n, i)
 
 
+def is_homogeneous(p):
+    degs = {sum(m) for m in p.terms}
+    return len(degs) <= 1
+
+
 def test_local_order_prefers_low_degree():
     # the constant monomial dominates anything of positive degree
     assert monomial_cmp((0, 0, 0, 0), (1, 0, 0, 0)) == 1
@@ -22,6 +27,14 @@ def test_local_order_prefers_low_degree():
 def test_local_order_first_index_tiebreak():
     assert monomial_cmp((1, 0, 0, 0), (0, 1, 0, 0)) == 1
     assert monomial_cmp((0, 2, 0, 0), (1, 0, 1, 0)) == -1
+
+
+def test_monomials_of_degree_come_in_the_local_order():
+    # slice bases list monomials in this order without sorting them
+    for n in range(1, 6):
+        for d in range(14):
+            monos = monomials_of_degree(n, d)
+            assert monos == sorted(monos, key=monomial_key), (n, d)
 
 
 def test_local_order_total_and_antisymmetric():
@@ -72,7 +85,7 @@ def test_homogeneous_parts_rebuild():
     assert sorted(parts) == [0, 2, 3]
     total = Polynomial.zero(4)
     for part in parts.values():
-        assert part.is_homogeneous()
+        assert is_homogeneous(part)
         total = total + part
     assert total == p
 

@@ -1,8 +1,6 @@
 import random
 from math import comb
 
-import pytest
-
 from poisson_forge.series import (H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES,
                                   RationalSeries)
 
@@ -19,13 +17,6 @@ def test_expand_examples():
     assert RationalSeries({0: 1}, (1,)).expand(3) == [1, 1, 1, 1]
 
 
-def test_shift():
-    s = RationalSeries({0: 1}, (1,)).shift(2)
-    assert s.expand(4) == [0, 0, 1, 1, 1]
-    with pytest.raises(ValueError):
-        s.shift(-1)
-
-
 def test_arith_pointwise():
     rng = random.Random(2)
     for _ in range(10):
@@ -40,14 +31,6 @@ def test_arith_pointwise():
             assert ec == [pyop(u, v) for u, v in zip(ea, eb)]
     x = RationalSeries({1: 2}, (2,))
     assert x.sub(x).expand(6) == [0] * 7
-
-
-def test_shift_matches_indexing():
-    a = RationalSeries({0: 1, 2: 3}, (1, 2))
-    k = 3
-    ea, es = a.expand(9), a.shift(k).expand(9)
-    for i in range(10):
-        assert es[i] == (ea[i - k] if i >= k else 0)
 
 
 def test_kernel_sum_reproduces_h1():

@@ -20,7 +20,7 @@ from test_poisson import rational_structures
 from test_properties import CHECKS, coefficients
 
 NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
-         "d", "df1 ^ .", "df2 ^ .", ". ^ df1^df2",
+         "d", "df1 ^ .", "df2 ^ .", "df1^df2 ^ .",
          "contract(star_inv(.), df1)", "contract(star_inv(.), df2)",
          "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
 
@@ -35,7 +35,7 @@ def instances(cat, engine):
            "d": (engine._d, 4, range(4), 0),
            "df1 ^ .": (_wedge_by(cat.df1), 4, range(4), 2),
            "df2 ^ .": (_wedge_by(cat.df2), 4, range(4), 2),
-           ". ^ df1^df2": (_wedge_by(cat.df1df2, right=True), 4, range(3), 4)}
+           "df1^df2 ^ .": (_wedge_by(cat.df1df2), 4, range(3), 4)}
     for i, op in enumerate(engine._tangency, start=1):
         out["contract(star_inv(.), df%d)" % i] = (op, 4, [3], -2)
     for name, g in zip(NAMES[-4:], cat.ideal_generators):

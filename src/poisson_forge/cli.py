@@ -1,14 +1,12 @@
 """Command-line front end.
 
 Subcommands: homology, hilbert, kernels, division, nf, verify, normalize.
-The working truncation weight defaults to 12, can be set by the
-POISSON_FORGE_MAX_WEIGHT environment variable, and is overridden by
---max-weight (the flag wins).  Exit codes: 0 all requested verdicts pass,
-1 some verdict failed, 2 usage or parse error.
+The working truncation weight is --max-weight, 12 by default.  Exit codes:
+0 all requested verdicts pass, 1 some verdict failed, 2 usage or parse
+error (one line on stderr and SystemExit(2), as argparse does).
 """
 
 import argparse
-import os
 import sys
 
 from .division import (division_group_dim, ideal_dim_binomial_print,
@@ -31,27 +29,28 @@ WEIGHT_CAPS = {
     "deformation normalizer": 12,
 }
 USAGE_ERROR = 2
+SUITES = ("identities", "theorem1", "kernels", "division", "module-structure",
+          "derham")
 
 
-def _working_weight(args):
-    if args.max_weight is not None:
-        w = args.max_weight
-    else:
-        env = os.environ.get("POISSON_FORGE_MAX_WEIGHT")
-        try:
-            w = int(env) if env else 12
-        except ValueError:
-            print("POISSON_FORGE_MAX_WEIGHT=%r is not an integer weight" % env,
-                  file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+def _usage_error(message):
+    print(message, file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
+def _parse(text):
+    try:
+        return parse_polynomial(text)
+    except ParseError as exc:
+        _usage_error("parse error: %s" % exc)
+
+
+def _working_weight(w):
     cap = WEIGHT_CAPS["working weight"]
     if w < 0:
-        print("max weight %d is negative" % w, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("max weight %d is negative" % w)
     if w > cap:
-        print("max weight %d beyond configured maximum %d" % (w, cap),
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("max weight %d beyond configured maximum %d" % (w, cap))
     return w
 
 
@@ -156,6 +155,34 @@ def _derham_block(doc, eng, w_max):
         "status": "pass" if ok else "fail"}])
 
 
+def _nf_block(doc, poly):
+    # looked up per call so that a test can substitute normal_form
+    from .normalform import (lefschetz_ideal_basis, linear_membership,
+                             normal_form)
+    basis = lefschetz_ideal_basis()
+    nf, quotients = normal_form(poly, basis)
+    rebuilt = nf
+    for q, gen in zip(quotients, basis.generators):
+        rebuilt = rebuilt + q * gen
+    nf_member = nf.is_zero()
+    lin_member = linear_membership(poly, basis)
+    try:
+        # NF(f)'s coefficients can outgrow the printable length of f's
+        printed = str(poly), str(nf)
+    except ValueError as exc:
+        doc.add_verdicts("normal form", [{"name": str(exc), "status": "fail"}])
+        return
+    doc.add_note("input", printed[0])
+    doc.add_note("normal form", printed[1])
+    doc.add_verdicts("normal form", [
+        {"name": "f = sum q_i g_i + NF(f) (quotient certificate)",
+         "status": "pass" if rebuilt == poly else "fail"},
+        {"name": "ideal membership by normal form (%s) = by linear "
+                 "algebra (%s)" % ("member" if nf_member else "non-member",
+                                   "member" if lin_member else "non-member"),
+         "status": "pass" if nf_member == lin_member else "fail"}])
+
+
 def _normalize_block(doc, eng, g, w_max):
     try:
         q, steps = eng.normalize_volume_deformation(g, w_max)
@@ -182,7 +209,7 @@ def build_parser():
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="text")
     common.add_argument("--output", default=None, help="write the report here")
-    common.add_argument("--max-weight", type=int, default=None)
+    common.add_argument("--max-weight", type=int, default=12)
 
     ap = argparse.ArgumentParser(prog="poisson-forge",
                                  description="exact verification engine for "
@@ -211,9 +238,7 @@ def build_parser():
     p.add_argument("--poly", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("--suite", required=True,
-                   choices=["identities", "theorem1", "kernels", "division",
-                            "module-structure", "derham", "all"])
+    p.add_argument("--suite", required=True, choices=SUITES + ("all",))
 
     p = sub.add_parser("normalize", parents=[common],
                        help="volume deformation normalizer")
@@ -223,13 +248,13 @@ def build_parser():
 
 
 def run_command(argv):
-    """Parse argv and build the report; returns (document, exit_code)."""
+    """(document, exit_code) for argv; a usage error raises SystemExit(2)."""
     args = build_parser().parse_args(argv)
     return _execute(args, list(argv))
 
 
 def _execute(args, argv):
-    w_max = _working_weight(args)
+    w_max = _working_weight(args.max_weight)
     echo = []
     skip = False
     for a in argv:
@@ -258,50 +283,17 @@ def _execute(args, argv):
         _kernels_block(doc, eng, w_max)
     elif args.cmd == "division":
         if args.max_degree < 0:
-            print("max degree %d is negative" % args.max_degree,
-                  file=sys.stderr)
-            return None, USAGE_ERROR
-        if args.p != 2 and args.p != 1:
-            doc.add_table("D^%d slices" % args.p, ["weight", "dim"],
-                          [[w, division_group_dim(
-                              lefschetz_problem(args.p, w))]
-                           for w in range(args.p, args.max_degree + args.p + 1)])
+            _usage_error("max degree %d is negative" % args.max_degree)
+        if args.p == 3:
+            doc.add_table("D^3 slices", ["weight", "dim"],
+                          [[w, division_group_dim(lefschetz_problem(3, w))]
+                           for w in range(3, args.max_degree + 4)])
         else:
             _division_blocks(doc, eng, args.max_degree)
     elif args.cmd == "nf":
-        from .normalform import (lefschetz_ideal_basis, membership_crosscheck,
-                                 normal_form)
-        try:
-            poly = parse_polynomial(args.poly)
-        except ParseError as exc:
-            print("parse error: %s" % exc, file=sys.stderr)
-            return None, USAGE_ERROR
-        basis = lefschetz_ideal_basis()
-        nf, quotients = normal_form(poly, basis, with_certificate=True)
-        rebuilt = nf
-        for q, gen in zip(quotients, basis.generators):
-            rebuilt = rebuilt + q * gen
-        nf_member, lin_member, agree = membership_crosscheck(poly, basis)
-        try:
-            # NF(f)'s coefficients can outgrow the printable length of f's
-            printed = str(poly), str(nf)
-        except ValueError as exc:
-            doc.add_verdicts("normal form", [{"name": str(exc), "status": "fail"}])
-        else:
-            doc.add_note("input", printed[0])
-            doc.add_note("normal form", printed[1])
-            doc.add_verdicts("normal form", [
-                {"name": "f = sum q_i g_i + NF(f) (quotient certificate)",
-                 "status": "pass" if rebuilt == poly else "fail"},
-                {"name": "ideal membership by normal form (%s) = by linear "
-                         "algebra (%s)" % ("member" if nf_member else "non-member",
-                                           "member" if lin_member else "non-member"),
-                 "status": "pass" if agree else "fail"}])
+        _nf_block(doc, _parse(args.poly))
     elif args.cmd == "verify":
-        suites = ([args.suite] if args.suite != "all" else
-                  ["identities", "theorem1", "kernels", "division",
-                   "module-structure", "derham"])
-        for s in suites:
+        for s in SUITES if args.suite == "all" else (args.suite,):
             if s == "identities":
                 doc.add_verdicts("identity suite", verify_identity_suite(
                     eng.cat, _capped(doc, w_max, "identity suite")))
@@ -319,12 +311,7 @@ def _execute(args, argv):
             elif s == "derham":
                 _derham_block(doc, eng, _capped(doc, w_max, "induced de Rham"))
     elif args.cmd == "normalize":
-        try:
-            g = parse_polynomial(args.g)
-        except ParseError as exc:
-            print("parse error: %s" % exc, file=sys.stderr)
-            return None, USAGE_ERROR
-        _normalize_block(doc, eng, g,
+        _normalize_block(doc, eng, _parse(args.g),
                          _capped(doc, w_max, "deformation normalizer"))
     return doc, 0 if doc.passed else 1
 
@@ -333,24 +320,17 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else USAGE_ERROR
-    try:
         doc, code = _execute(args, argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
+    try:
+        payload = emit_report(doc, args.format, args.output)
+    except OSError as exc:
+        print("cannot write the report to %s: %s"
+              % (args.output, exc.strerror), file=sys.stderr)
         return USAGE_ERROR
-    if doc is not None:
-        try:
-            payload = emit_report(doc, args.format, args.output)
-        except OSError as exc:
-            print("cannot write the report to %s: %s"
-                  % (args.output, exc.strerror), file=sys.stderr)
-            return USAGE_ERROR
-        if args.output is None:
-            sys.stdout.write(payload)
+    if args.output is None:
+        sys.stdout.write(payload)
     return code
 
 

@@ -292,13 +292,11 @@ def volume_form(n):
     return GradedElement.basis(n, FORM, tuple(range(1, n + 1)))
 
 
-def star(v, mu=None):
+def star(v):
     """The volume isomorphism X -> iota_X(mu) from multivectors to forms."""
     if v.kind != MULTIVECTOR:
         raise ValueError("star acts on multivectors")
-    if mu is None:
-        mu = volume_form(v.n)
-    return contract(v, mu)
+    return contract(v, volume_form(v.n))
 
 
 def _star_signs(n):
@@ -328,13 +326,14 @@ def star_inv(a):
     return GradedElement(a.n, a.n - a.degree, MULTIVECTOR, comps)
 
 
-def divergence(v, mu=None):
-    """star_inv(d(star(v, mu))), one multivector degree lower.
+def divergence(v):
+    """star_inv(d(star(v))), one multivector degree lower.
 
     For a vector field Y this is the function div(Y) with
-    L_Y mu = div(Y) mu; for a bivector it is the modular field.
+    L_Y mu = div(Y) mu for the standard volume mu = dx1^...^dxn; for a
+    bivector it is the modular field.
     """
-    return star_inv(de_rham(star(v, mu)))
+    return star_inv(de_rham(star(v)))
 
 
 def lie_derivative(v, g):

@@ -142,10 +142,10 @@ def a_monomials(degree):
 
 
 class HomologyEngine:
-    """Cached slice computations for one Lefschetz catalog."""
+    """Cached slice computations for the Lefschetz catalog."""
 
-    def __init__(self, cat=None):
-        self.cat = cat or lefschetz_catalog()
+    def __init__(self):
+        self.cat = lefschetz_catalog()
         self._delta = {}
         self._boundaries = {}
         self._classes = {}

@@ -50,11 +50,9 @@ def lefschetz_ideal_basis():
     return OrderedIdealBasis(lefschetz_catalog().ideal_generators)
 
 
-def normal_form(f, basis, with_certificate=False):
-    """Unique reduced remainder of f against a reduced basis.
-
-    With with_certificate=True also returns the quotients q_i with
-    f = sum q_i g_i + NF(f | basis).
+def normal_form(f, basis):
+    """(NF(f | basis), quotients): the unique reduced remainder of f against
+    a reduced basis, and the q_i with f = sum q_i g_i + NF(f | basis).
     """
     if not basis.reduced:
         raise ValueError("normal form needs a verified reduced basis")
@@ -79,10 +77,7 @@ def normal_form(f, basis, with_certificate=False):
                                      Q(c, cg))
         quotients[i] = quotients[i] + factor
         rest = rest - factor * gens[i]
-    r = Polynomial(f.n, reduced_terms)
-    if with_certificate:
-        return r, quotients
-    return r
+    return Polynomial(f.n, reduced_terms), quotients
 
 
 def linear_membership(f, basis):
@@ -95,10 +90,3 @@ def linear_membership(f, basis):
         if not ech.contains(slice_basis.coords(GradedElement.from_polynomial(part))):
             return False
     return True
-
-
-def membership_crosscheck(f, basis):
-    """(nf_member, linalg_member, agree) for Corollary-style equivalence."""
-    nf_member = normal_form(f, basis).is_zero()
-    lin_member = linear_membership(f, basis)
-    return nf_member, lin_member, nf_member == lin_member

@@ -54,10 +54,10 @@ def _tokenize(src):
 
 
 class _Parser:
-    def __init__(self, src, n):
+    def __init__(self, src):
         self.tokens = _tokenize(src)
         self.i = 0
-        self.n = n
+        self.n = 4
 
     def peek(self):
         return self.tokens[self.i]
@@ -145,9 +145,9 @@ class _Parser:
         raise ParseError("expected a value", tok[2])
 
 
-def parse_polynomial(src, n=4):
-    """Parse to a Polynomial whose coefficients print."""
-    p = _Parser(src, n)
+def parse_polynomial(src):
+    """Parse to a Polynomial on R^4 whose coefficients print."""
+    p = _Parser(src)
     value = p.expr()
     tok = p.peek()
     if tok[0] != "end":

@@ -29,24 +29,22 @@ The identity suite returns its verdicts as finished report rows,
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
                        contract, de_rham, divergence, enumerate_basis,
-                       lie_derivative, star, star_inv, volume_form, wedge,
-                       wedge_all)
+                       lie_derivative, star, star_inv, wedge, wedge_all)
 from .polynomials import Polynomial
 from .rationals import Q
 
 
 class PoissonStructure:
-    """Bivector + volume; immutable after construction.
+    """Bivector on R^n with the standard volume; immutable after construction.
 
     `delta` is the SliceOperator of delta_pi; its rows are read on first use.
     """
 
-    __slots__ = ("n", "bivector", "volume", "delta")
+    __slots__ = ("n", "bivector", "delta")
 
-    def __init__(self, bivector, volume):
+    def __init__(self, bivector):
         self.n = bivector.n
         self.bivector = bivector
-        self.volume = volume
         self.delta = SliceOperator(_koszul_brylinski(bivector))
 
 
@@ -58,7 +56,6 @@ def jacobi_poisson(fns, n):
         if f.constant_term() != 0:
             raise ValueError("Casimir candidates must vanish at the origin")
     dfs = wedge_all([de_rham(GradedElement.from_polynomial(f)) for f in fns])
-    mu = volume_form(n)
     top = tuple(range(1, n + 1))
     comps = {}
     for a in range(1, n):
@@ -68,7 +65,7 @@ def jacobi_poisson(fns, n):
             if coeff:
                 comps[(a, b)] = coeff
     pi = GradedElement(n, 2, MULTIVECTOR, comps)
-    return PoissonStructure(pi, mu)
+    return PoissonStructure(pi)
 
 
 # -- Schouten bracket --------------------------------------------------------
@@ -162,8 +159,9 @@ def _koszul_brylinski(pi):
 
 
 def modular_field(structure):
-    """Vector field X with star(X) = d(star(pi)); zero iff unimodular volume."""
-    return divergence(structure.bivector, structure.volume)
+    """Vector field X with star(X) = d(star(pi)); zero iff the standard
+    volume is unimodular."""
+    return divergence(structure.bivector)
 
 
 # -- the identity suite ------------------------------------------------------
@@ -175,7 +173,7 @@ def _eq_check(name, lhs, rhs):
             "detail": "" if same else "left != right"}
 
 
-def verify_identity_suite(cat, max_weight=6):
+def verify_identity_suite(cat, max_weight):
     """Run the catalog identity suite; returns its report rows.
 
     Each row is {"name", "status", "detail"}, status "pass", "fail" or

@@ -52,10 +52,7 @@ class RationalSeries:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        if isinstance(num, dict):
-            self.num = {int(k): int(v) for k, v in num.items() if v}
-        else:
-            self.num = {i: int(c) for i, c in enumerate(num) if c}
+        self.num = {int(k): int(v) for k, v in num.items() if v}
         den = tuple(sorted(int(k) for k in den))
         if any(k <= 0 for k in den):
             raise ValueError("denominator factors must be positive exponents")

@@ -10,6 +10,6 @@ def cat():
 
 
 @pytest.fixture(scope="session")
-def engine(cat):
+def engine():
     # one engine per session so slice matrices and ranks are computed once
-    return HomologyEngine(cat)
+    return HomologyEngine()

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import sys
 
 import pytest
@@ -113,14 +112,35 @@ def test_weight_cap(capsys):
     capsys.readouterr()
 
 
-def test_negative_weight_is_a_usage_error(capsys, monkeypatch):
+def test_negative_weight_is_a_usage_error(capsys):
     assert main(["hilbert", "--group", "H0", "--max-weight", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "max weight -1 is negative\n"
-    monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "-1")
-    assert main(["hilbert", "--group", "H0"]) == 2
+
+
+# every usage error the command layer finds after argparse leaves as
+# argparse's own do: one line on stderr and SystemExit(2), no report
+@pytest.mark.parametrize("argv, err", [
+    (["nf", "--poly", "[dx1]"],
+     "parse error: unexpected character '[' (at offset 0)\n"),
+    (["normalize", "--g", "x1^-1"],
+     "parse error: negative exponents rejected (at offset 3)\n"),
+    (["division", "--max-degree", "-1"], "max degree -1 is negative\n"),
+    (["hilbert", "--group", "H0", "--max-weight", "-1"],
+     "max weight -1 is negative\n"),
+    (["hilbert", "--group", "H0", "--max-weight", "21"],
+     "max weight 21 beyond configured maximum 20\n"),
+], ids=["nf-parse", "normalize-parse", "max-degree", "weight-negative",
+        "weight-over-cap"])
+def test_usage_errors_raise_system_exit(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "max weight -1 is negative\n"
+    assert captured.out == "" and captured.err == err
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
 
 
 def test_homology_caps_the_representative_verdicts(capsys):
@@ -133,31 +153,6 @@ def test_homology_caps_the_representative_verdicts(capsys):
     assert len(blocks["H4 Hilbert function"]["computed"]) == 12
     verdicts = blocks["representative families degree 4"]["verdicts"]
     assert [v["weight"] for v in verdicts] == list(range(11))
-
-
-def test_env_weight(capsys, monkeypatch):
-    monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "3")
-    code = main(["hilbert", "--group", "H0"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "max weight: 3" in out
-    # the flag wins over the environment
-    code = main(["hilbert", "--group", "H0", "--max-weight", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "max weight: 2" in out
-
-
-def test_env_weight_unparsable(capsys, monkeypatch):
-    monkeypatch.setenv("POISSON_FORGE_MAX_WEIGHT", "abc")
-    assert main(["hilbert", "--group", "H0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "POISSON_FORGE_MAX_WEIGHT" in captured.err
-    assert "'abc'" in captured.err
-    # the flag still wins over an unparsable environment value
-    assert main(["hilbert", "--group", "H0", "--max-weight", "2"]) == 0
-    capsys.readouterr()
 
 
 def test_verify_module_structure(capsys):
@@ -260,16 +255,29 @@ def test_nf_verdicts_catch_a_wrong_remainder(capsys, monkeypatch):
                                    "= by linear algebra (member)")
     right = normalform.normal_form
 
-    def wrong(f, basis, with_certificate=False):
-        out = right(f, basis, with_certificate)
-        if with_certificate:
-            return out[0] + Polynomial.constant(4, 1), out[1]
-        return out + Polynomial.constant(4, 1)
+    def wrong(f, basis):
+        nf, quotients = right(f, basis)
+        return nf + Polynomial.constant(4, 1), quotients
 
     monkeypatch.setattr(normalform, "normal_form", wrong)
     assert main(["nf", "--poly", "x1^2+x2^2", "--format", "json"]) == 1
     verdicts = json.loads(capsys.readouterr().out)["blocks"][-1]["verdicts"]
     assert [v["status"] for v in verdicts] == ["fail", "fail"]
+
+
+def test_nf_computes_the_normal_form_once(capsys, monkeypatch):
+    import poisson_forge.normalform as normalform
+    right = normalform.normal_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    assert main(["nf", "--poly", "x1^2+x2^2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_normalize_unprintable_q_is_a_failing_verdict(capsys):

@@ -97,7 +97,7 @@ def test_cycle_check_flags_a_non_cycle(cat):
 
     for rep, w, cycle in ((cat.mu * x(1) * Q(1, 3), 5, False),
                           (cat.mu * cat.f1 * Q(1, 3), 6, True)):
-        assert OneRepresentative(cat).verify_representatives(4, w)["all_cycles"] \
+        assert OneRepresentative().verify_representatives(4, w)["all_cycles"] \
             == cycle
 
 

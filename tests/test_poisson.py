@@ -343,10 +343,9 @@ def test_homotopy_identity(cat):
 def test_modular_field(cat):
     assert modular_field(cat.poisson).is_zero()
     from poisson_forge.poisson import PoissonStructure
-    zero = PoissonStructure(GradedElement.zero(4, 2, MULTIVECTOR), cat.mu)
+    zero = PoissonStructure(GradedElement.zero(4, 2, MULTIVECTOR))
     assert modular_field(zero).is_zero()
-    scaled = PoissonStructure(cat.pi * (Polynomial.constant(4, 1) + x(1)),
-                              cat.mu)
+    scaled = PoissonStructure(cat.pi * (Polynomial.constant(4, 1) + x(1)))
     dx1 = GradedElement.basis(4, FORM, (1,))
     expect = star_inv(wedge(dx1, cat.df1df2))
     assert modular_field(scaled) == expect
@@ -384,7 +383,7 @@ def test_identity_suite_reports_the_first_homotopy_failure(cat):
     # d_pi(1) = 0 while delta_pi(mu) = d(star(pi)) = 2 x1 dx1^dx3^dx4
     bent = copy.copy(cat)
     bent.pi = GradedElement.basis(4, MULTIVECTOR, (1, 2), x(1) * x(1))
-    bent.poisson = PoissonStructure(bent.pi, cat.mu)
+    bent.poisson = PoissonStructure(bent.pi)
     assert not modular_field(bent.poisson).is_zero()
     checks = {c["name"]: c for c in verify_identity_suite(bent, max_weight=2)}
     check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]

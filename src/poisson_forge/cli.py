@@ -7,6 +7,7 @@ error (one line on stderr and SystemExit(2), as argparse does).
 """
 
 import argparse
+import functools
 import sys
 
 from .division import (division_group_dim, ideal_dim_binomial_print,
@@ -91,7 +92,7 @@ def _kernels_block(doc, eng, w_max):
                      % (KERNEL3_PRINTED, KERNEL_SERIES[3]))
 
 
-def _division_blocks(doc, eng, d_max):
+def _division1_block(doc, d_max):
     rows1 = []
     ok1 = True
     for w in range(1, d_max + 3):
@@ -101,6 +102,10 @@ def _division_blocks(doc, eng, d_max):
     doc.add_table("D^1(df1,df2) slices", ["weight", "dim", "expected"], rows1)
     doc.add_verdicts("D^1 vanishing", [{"name": "D^1 = 0 for all tested weights",
                                         "status": "pass" if ok1 else "fail"}])
+
+
+def _division_blocks(doc, eng, d_max):
+    _division1_block(doc, d_max)
     rows2 = []
     verd2 = []
     for d in range(d_max + 1):
@@ -204,7 +209,12 @@ def _normalize_block(doc, eng, g, w_max):
          "status": "pass"}] + step_rows)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so one per process serves every
+    command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="text")
@@ -284,12 +294,14 @@ def _execute(args, argv):
     elif args.cmd == "division":
         if args.max_degree < 0:
             _usage_error("max degree %d is negative" % args.max_degree)
-        if args.p == 3:
+        if args.p == 1:
+            _division1_block(doc, args.max_degree)
+        elif args.p == 2:
+            _division_blocks(doc, eng, args.max_degree)
+        else:
             doc.add_table("D^3 slices", ["weight", "dim"],
                           [[w, division_group_dim(lefschetz_problem(3, w))]
                            for w in range(3, args.max_degree + 4)])
-        else:
-            _division_blocks(doc, eng, args.max_degree)
     elif args.cmd == "nf":
         _nf_block(doc, _parse(args.poly))
     elif args.cmd == "verify":

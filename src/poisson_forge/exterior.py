@@ -380,11 +380,6 @@ class WeightSliceBasis:
     def __len__(self):
         return len(self.elements)
 
-    def element(self, i):
-        idx, m = self.elements[i]
-        return GradedElement.basis(self.n, self.kind, idx,
-                                   Polynomial.monomial(self.n, m))
-
     def coords(self, elem):
         """Sparse coordinates of a slice-homogeneous element; error if it leaves the slice."""
         if elem.kind != self.kind or elem.degree != self.degree or elem.n != self.n:

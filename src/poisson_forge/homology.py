@@ -30,13 +30,18 @@ weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The flow of the homogeneous field
 -X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
 scalar series acting on the conformal factor h, applied through a stencil
-read off the field and certified by flowing back.
+read off the field and certified by flowing back.  Each step runs on
+integers: the solve hands out s*X with integer coefficients and one scale
+s, the certificates check s*X against s*(g_i - q_i), and the series
+carries each term as an integer dict over one denominator, so only the
+outputs q, q_i and X are made rational, once per coefficient.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
 """
 
 from collections import namedtuple
+from math import gcd, lcm
 from operator import add
 
 from .catalog import lefschetz_catalog
@@ -45,7 +50,7 @@ from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
 from .linalg import ExactMatrix, QEchelon, integer_row
 from .poisson import d_pi
 from .polynomials import Polynomial
-from .rationals import Q
+from .rationals import Q, exact
 
 
 class InvariantViolation(Exception):
@@ -354,12 +359,13 @@ class HomologyEngine:
                     dr = de_rham(r)
                     if dr.is_zero():
                         continue
-                    coords = ech.solve(self.basis(k + 1, w).coords(dr))
-                    if coords is None:
+                    solution = ech.solve(self.basis(k + 1, w).coords(dr))
+                    if solution is None:
                         raise InvariantViolation(
                             "d of a cycle did not decompose at (%d, %d)" % (k, w))
-                    if coords:
-                        rows.insert(coords)
+                    # a scaled row has the same span
+                    if solution[1]:
+                        rows.insert(solution[1])
                 ranks[k] = rows.rank
             ranks[4] = 0
             for k in range(5):
@@ -375,7 +381,8 @@ class HomologyEngine:
 
         At each weight i the residual slice g_i is split as q_i + d_pi-exact
         (q_i over the Casimir monomials) and the correction field X is
-        certified exactly.  X is tangent to the fibration, so the time-1 flow
+        certified exactly, on its integral multiple s*X against
+        s*(g_i - q_i).  X is tangent to the fibration, so the time-1 flow
         of Y = -X/g(0) keeps h*pi on the ray: it pulls h*pi back to
         (exp(D) h)*pi with D h = Y(h) - div(Y) h, each term truncated above
         w_max.  Y kills the Casimir parts of h below weight i and D raises
@@ -389,28 +396,30 @@ class HomologyEngine:
         c0 = g.constant_term()
         if c0 <= 0:
             raise ValueError("g must have positive constant term")
-        current = g.truncate(w_max)
+        # through `exact`, so q is int where integral even if no step runs
+        current = Polynomial(g.n, g.truncate(w_max).terms)
         transcript = []
         for i in range(1, w_max + 1):
             gi = current.homogeneous_part(i)
             if gi.is_zero():
                 continue
-            qi, corrector = self._solve_deformation_step(gi, i)
-            if corrector is None:     # already a pure Casimir slice
+            qi, scaled, s = self._solve_deformation_step(gi, i)
+            if scaled is None:     # already a pure Casimir slice
                 continue
-            # exact certificates, never trusted silently
-            residual = gi - qi
-            if d_pi(corrector, cat.poisson) != cat.pi * residual:
+            # exact certificates on s*X, never trusted silently
+            residual = (gi - qi) * s
+            if d_pi(scaled, cat.poisson) != cat.pi * residual:
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
             for df in (cat.df1, cat.df2):
-                if not contract(corrector, df).is_zero():
+                if not contract(scaled, df).is_zero():
                     raise InvariantViolation("correction field is not tangent "
                                              "to the fibration at weight %d" % i)
             # tangency and d_pi(X) = residual * pi force div(X) = -residual
-            if divergence(corrector).coefficient(()) != -residual:
+            if divergence(scaled).coefficient(()) != -residual:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
+            corrector = scaled * Q(1, s)
             transcript.append(DeformationStep(i, qi, corrector))
             # pull current*pi back along the time-1 flow of -corrector/g(0)
             flow_field = corrector * Q(-1, c0)
@@ -428,12 +437,14 @@ class HomologyEngine:
         return q, transcript
 
     def _solve_deformation_step(self, gi, i):
-        """Find q_i (Casimir slice) and X with d_pi(X) = (g_i - q_i) pi,
-        iota_X df1 = iota_X df2 = 0, by one augmented exact solve of a system
-        cached per weight.  For tangent X, star(d_pi X) = -div(X) df1^df2
-        and d(star X) = div(X) mu, so the system is d(tau) = (g_i - q_i) mu
-        with X = -star_inv(tau).  Its Casimir generators mu * f1^a f2^b
-        come first, so X is None exactly when g_i is a Casimir slice."""
+        """(q_i, s*X, s): the Casimir slice q_i and a field X with
+        d_pi(X) = (g_i - q_i) pi, iota_X df1 = iota_X df2 = 0, by one
+        augmented exact solve of a system cached per weight.  For tangent
+        X, star(d_pi X) = -div(X) df1^df2 and d(star X) = div(X) mu, so
+        the system is d(tau) = (g_i - q_i) mu with X = -star_inv(tau).
+        The solve's integer coordinates give s*X with integer coefficients
+        and a positive int s.  The Casimir generators mu * f1^a f2^b come
+        first, so s*X is None exactly when g_i is a Casimir slice."""
         cat = self.cat
         w = i + 4
         top = self.basis(4, w)
@@ -455,18 +466,25 @@ class HomologyEngine:
                 ech.insert(vec)
             self._deformation[i] = (fmonos, basis3, ech)
         fmonos, basis3, ech = self._deformation[i]
-        coords = ech.solve(top.coords(cat.mu * gi))
-        if coords is None:
+        solution = ech.solve(top.coords(cat.mu * gi))
+        if solution is None:
             raise InvariantViolation("deformation step unsolvable at weight %d "
                                      "(contradicts the classification)" % i)
+        s, coords = solution
         qi = Polynomial.zero(4)
-        tau = GradedElement.zero(4, 3, FORM)
-        for gen_index, coeff in coords.items():
+        tau = {}           # s*tau, index tuple -> {monomial: int}
+        for gen_index, c in coords.items():
             if gen_index < len(fmonos):
-                qi = qi + fmonos[gen_index][1] * coeff
+                qi = qi + fmonos[gen_index][1] * c
             else:
-                tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
-        return qi, (-star_inv(tau) if tau else None)
+                idx, m = basis3.elements[gen_index - len(fmonos)]
+                tau.setdefault(idx, {})[m] = c
+        qi = qi * Q(1, s)
+        if not tau:
+            return qi, None, s
+        tau = GradedElement(4, 3, FORM, {idx: Polynomial._of(4, t)
+                                         for idx, t in tau.items()})
+        return qi, -star_inv(tau), s
 
 
 def _exp_flow(field, h, w_max):
@@ -474,26 +492,35 @@ def _exp_flow(field, h, w_max):
 
     For a field tangent to the fibration, L_field df_i = 0 and
     L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
-    D is read once off the field as a stencil: a term a x^s of field_j
-    sends x^m to a m_j x^(m+s-e_j), and a term b x^s of div(field) sends it
-    to -b x^(m+s).  Each entry raises the degree by at least low, the
-    field's lowest weight, so only the part of each term of degree
-    <= w_max - low is expanded, and no image above w_max is formed.
+    D is read once off den*field, den the lcm of the field's denominators,
+    as an integral stencil: a term a x^s of field_j sends x^m to
+    a m_j x^(m+s-e_j), and a term b x^s of div(field) sends it to
+    -b x^(m+s).  Each series term D^m h / m! is an integer dict over one
+    denominator, so every product and sum is on ints, and each output
+    coefficient is made an exact scalar once.  Each entry raises the
+    degree by at least low, the field's lowest weight, so only the part
+    of each term of degree <= w_max - low is expanded, and no image above
+    w_max is formed.
     """
-    result = term = h.truncate(w_max)
+    result = h.truncate(w_max)
     weights = field.weights()
     if not weights:
         return result
+    den = lcm(*(c.denominator for p in field.comps.values()
+                for c in p.terms.values()))
+    field = field * den
     stencil = [(j - 1, s[:j - 1] + (s[j - 1] - 1,) + s[j:], a)
                for (j,), p in field.comps.items() for s, a in p.terms.items()]
     stencil += [(None, s, -b) for s, b in
                 divergence(field).coefficient(()).terms.items()]
     stencil = [(j, t, sum(t), a) for j, t, a in stencil]
     top = w_max - weights[0]
+    # terms[m] = (e, T) with T / e = D^m h / m!
+    terms = [integer_row(result.terms)]
+    e, term = terms[0]
     for m in range(1, w_max + 2):
-        # term = D^m h / m!
         image = {}
-        for mono, c in term.terms.items():
+        for mono, c in term.items():
             deg = sum(mono)
             if deg > top:
                 continue
@@ -508,12 +535,23 @@ def _exp_flow(field, h, w_max):
                     continue
                 key = tuple(map(add, mono, t))
                 image[key] = image.get(key, 0) + v
-        scale = Q(1, m)
-        term = Polynomial(h.n, {key: v * scale for key, v in image.items()})
-        if term.is_zero():
+        term = {key: v for key, v in image.items() if v}
+        if not term:
             break
-        result = result + term
-    return result
+        e *= den * m
+        g = gcd(e, *term.values())
+        if g > 1:
+            e //= g
+            term = {key: v // g for key, v in term.items()}
+        terms.append((e, term))
+    common = lcm(*(e for e, _ in terms))
+    total = {}
+    for e, term in terms:
+        f = common // e
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v * f
+    return Polynomial._of(h.n, {key: exact(Q(v, common))
+                                for key, v in total.items() if v})
 
 
 _ENGINE = None

@@ -10,8 +10,10 @@ integer-preserving Gaussian elimination", Math. Comp. 1968), so entries
 stay small without any rational arithmetic.  Every reduced vector is a
 nonzero multiple of the one rational elimination along the same pivots
 gives, so ranks, containment and solved coordinates are exactly those of
-a rational echelon.  `QEchelon.quotient` solves modulo a span eliminated
-once without tracking, such as the boundaries of one slice.
+a rational echelon.  `solve` hands its coordinates out as ints over one
+positive scale, so no Fraction is built here.  `QEchelon.quotient` solves
+modulo a span eliminated once without tracking, such as the boundaries of
+one slice.
 `ExactMatrix` is the column store that slice matrices are written in:
 `apply` reads only the columns its vector uses, and `echelon` inserts the
 columns sparsest first, which is what keeps elimination fill-in tame on
@@ -21,7 +23,7 @@ the banded slice matrices.
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import Q, as_q
+from .rationals import as_q
 
 
 def integer_row(vec):
@@ -138,10 +140,11 @@ class QEchelon:
         return True
 
     def solve(self, vec):
-        """Coordinates of vec over the inserted generators, or None.
+        """(s, coords) with s*vec = sum coords[i] * generator_i, or None.
 
-        Requires track=True.  The returned dict maps generator index ->
-        rational coefficient with vec = sum coeff * generator.
+        Requires track=True.  s is a positive int, coords maps generator
+        index -> nonzero int, and s and the coords share no factor, so
+        coords[i] / s are the rational coordinates of vec.
         """
         if not self.track:
             raise ValueError("echelon was built without coordinate tracking")
@@ -154,7 +157,8 @@ class QEchelon:
         if v:
             return None
         s = aug.pop(self.count)
-        return {j: Q(-c, s) for j, c in aug.items()}
+        g = gcd(s, *aug.values())
+        return s // g, {j: -c // g for j, c in aug.items()}
 
     def quotient(self):
         """Tracked echelon that solves modulo this span.

@@ -23,6 +23,7 @@ from poisson_forge.poisson import d_pi, delta_pi, schouten, verify_identity_suit
 from poisson_forge.polynomials import Polynomial, monomials_of_degree
 from poisson_forge.series import (H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES,
                                   RationalSeries)
+from test_exterior import basis_element
 
 
 def _line(num, ok, text):
@@ -93,7 +94,7 @@ def test_criterion_5_structural_identities(engine, cat):
         for w in range(k, 11):
             basis = enumerate_basis(k, w, FORM)
             for i in range(len(basis)):
-                a = basis.element(i)
+                a = basis_element(basis, i)
                 da = delta_pi(a, P)
                 if k >= 2 and not delta_pi(da, P).is_zero():
                     ok = False
@@ -108,7 +109,7 @@ def test_criterion_5_structural_identities(engine, cat):
         for w in range(-k, 9):
             basis = enumerate_basis(k, w, MULTIVECTOR)
             for i in range(len(basis)):
-                v = basis.element(i)
+                v = basis_element(basis, i)
                 if star(d_pi(v, P)) != delta_pi(star(v), P):
                     ok = False
     assert _line(5, ok, "delta^2 = 0 and d delta + delta d = 0 (w <= 10), "
@@ -132,9 +133,9 @@ def test_criterion_5_section2_identity_list(cat):
                     A = enumerate_basis(k, wa, FORM)
                     B = enumerate_basis(l, wb, FORM)
                     for i in range(len(A)):
-                        alpha = A.element(i)
+                        alpha = basis_element(A, i)
                         for j in range(len(B)):
-                            beta = B.element(j)
+                            beta = basis_element(B, j)
                             if contract(alpha, star_inv(beta)) != \
                                     star_inv(wedge(beta, alpha)) * sign:
                                 cvw = False

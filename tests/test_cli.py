@@ -206,6 +206,20 @@ def test_division_command(capsys):
     assert "D^2" in out
 
 
+def test_division_p1_reports_d1_alone(capsys):
+    titles = {}
+    for p in ("1", "2"):
+        assert main(["division", "--p", p, "--max-degree", "2",
+                     "--format", "json"]) == 0
+        titles[p] = [b["block"] for b in
+                     json.loads(capsys.readouterr().out)["blocks"]]
+    assert titles["1"] == ["D^1(df1,df2) slices", "D^1 vanishing"]
+    assert titles["2"] == titles["1"] + [
+        "D^2(df1,df2) by coefficient degree", "D^2 classification",
+        "second-group relation classes", "Jacobian ideal slices",
+        "Jacobian quotient dimensions"]
+
+
 def test_kernels_flag_note(capsys):
     code = main(["kernels", "--max-weight", "6"])
     out = capsys.readouterr().out

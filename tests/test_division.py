@@ -9,6 +9,7 @@ from poisson_forge.exterior import (FORM, GradedElement, enumerate_basis,
                                     wedge, wedge_all)
 from poisson_forge.linalg import ExactMatrix, QEchelon
 from poisson_forge.polynomials import Polynomial
+from test_exterior import basis_element
 from test_linalg import kernel_basis
 from test_polynomials import is_homogeneous
 
@@ -33,7 +34,8 @@ def division_group_dim_via_kernel_basis(prob):
         kernel = [{i: 1} for i in range(len(src))]
     else:
         dst = enumerate_basis(p + alpha.degree, w + aw[0], FORM, n)
-        cols = [dst.coords(wedge(src.element(i), alpha)) for i in range(len(src))]
+        cols = [dst.coords(wedge(basis_element(src, i), alpha))
+                for i in range(len(src))]
         mat = ExactMatrix(cols, len(dst))
         kernel = kernel_basis(mat)
     sub = []
@@ -41,7 +43,7 @@ def division_group_dim_via_kernel_basis(prob):
         u = a.weights()[0]
         lower = enumerate_basis(p - 1, w - u, FORM, n)
         for i in range(len(lower)):
-            img = wedge(a, lower.element(i))
+            img = wedge(a, basis_element(lower, i))
             if img:
                 sub.append(src.coords(img))
     return quotient_dim(kernel, sub)

@@ -14,8 +14,8 @@ from poisson_forge.poisson import d_pi, delta_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
-from test_exterior import weight_slice
-from test_linalg import clone, is_zero, matmul
+from test_exterior import basis_element, weight_slice
+from test_linalg import clone, is_zero, matmul, rational_solve
 
 
 def x(i):
@@ -122,13 +122,13 @@ def test_class_coordinates_over_representatives(engine, cat):
             assert independent
             basis = engine.basis(k, w)
             above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
-            boundaries = [delta_pi(above.element(i) * x(1), cat.poisson)
+            boundaries = [delta_pi(basis_element(above, i) * x(1), cat.poisson)
                           for i in range(len(above))]
             for b in boundaries:
-                assert ech.solve(basis.coords(b)) == {}
+                assert ech.solve(basis.coords(b)) == (1, {})
             for j, r in enumerate(reps):
                 form = r + boundaries[j % len(boundaries)] if boundaries else r
-                assert ech.solve(basis.coords(form)) == {j: 1}
+                assert ech.solve(basis.coords(form)) == (1, {j: 1})
 
 
 def test_f_monomial_order(cat):
@@ -284,8 +284,8 @@ def test_deformation_step_folds_the_casimir_check(engine, cat):
         i = gi.degree()
         assert i <= 5
         assert casimir_reference(gi, i) == casimir
-        qi, corrector = engine._solve_deformation_step(gi, i)
-        assert (corrector is None) == casimir
+        qi, scaled, _ = engine._solve_deformation_step(gi, i)
+        assert (scaled is None) == casimir
         if casimir:
             assert qi == gi
 
@@ -360,9 +360,10 @@ def normalize_uncertified(engine, g, w_max, pullback):
         gi = current.homogeneous_part(i)
         if gi.is_zero():
             continue
-        qi, corrector = engine._solve_deformation_step(gi, i)
-        if corrector is None:
+        qi, scaled, s = engine._solve_deformation_step(gi, i)
+        if scaled is None:
             continue
+        corrector = scaled * Q(1, s)
         transcript.append((i, qi, corrector))
         current = pullback(corrector, current)
     return current, transcript
@@ -421,7 +422,8 @@ class BivectorRoute(HomologyEngine):
                     ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
                 self._conformal[w] = (monos, ech)
             monos, ech = self._conformal[w]
-            coords = ech.solve(basisw.coords(weight_slice(two_form, w)))
+            target = basisw.coords(weight_slice(two_form, w))
+            coords = rational_solve(ech, target)
             if coords is None:
                 raise InvariantViolation("flow pullback is not a multiple of "
                                          "pi at weight %d" % w)
@@ -504,6 +506,63 @@ def test_flow_pullback_certificate_catches_a_wrong_series(engine, monkeypatch,
     assert message in capsys.readouterr().out
 
 
+def corrupt_corrector(monkeypatch, change):
+    """Makes every engine's step solve return change(s*X) in place of s*X."""
+    solve = HomologyEngine._solve_deformation_step
+
+    def corrupted(self, gi, i):
+        qi, scaled, s = solve(self, gi, i)
+        return qi, None if scaled is None else change(scaled), s
+
+    monkeypatch.setattr(HomologyEngine, "_solve_deformation_step", corrupted)
+
+
+def assert_normalize_fails(message, capsys):
+    g = parse_polynomial("1+x1")
+    with pytest.raises(InvariantViolation, match=message):
+        HomologyEngine().normalize_volume_deformation(g, 4)
+    assert main(["normalize", "--g", "1+x1", "--max-weight", "4"]) == 1
+    assert message in capsys.readouterr().out
+
+
+def test_d_pi_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
+    corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
+    assert_normalize_fails("correction field certificate failed at weight 1",
+                           capsys)
+
+
+def test_tangency_certificate_catches_a_wrong_corrector(cat, monkeypatch,
+                                                        capsys):
+    # E1 = Euler/2 is d_pi-closed, so only the tangency check sees it
+    assert d_pi(cat.E1, cat.poisson).is_zero()
+    corrupt_corrector(monkeypatch, lambda scaled: scaled + cat.E1 * 2)
+    assert_normalize_fails("correction field is not tangent to the fibration "
+                           "at weight 1", capsys)
+
+
+def test_divergence_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
+    # a d_pi that halves its argument lets the doubled field through the
+    # first certificate; tangency holds, so the divergence check must fail
+    corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
+    monkeypatch.setattr(homology, "d_pi",
+                        lambda v, structure: d_pi(v * Q(1, 2), structure))
+    assert_normalize_fails("correction field divergence certificate failed "
+                           "at weight 1", capsys)
+
+
+@pytest.mark.parametrize("g, corrected", [
+    ("1+x1", True), ("3/2+1/3*x1-x2^2+x1*x4", True),
+    ("1+x1+x2*x3-2*x1^2", True), ("1/2+1/2", False)])
+def test_normalizer_outputs_keep_integral_coefficients_as_int(engine, g,
+                                                              corrected):
+    q, steps = engine.normalize_volume_deformation(parse_polynomial(g), 5)
+    polys = [q] + [s.casimir_part for s in steps] + [
+        p for s in steps for p in s.corrector.comps.values()]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert bool(steps) == corrected and coeffs
+    assert all(type(c) is int for c in coeffs if c.denominator == 1)
+
+
 coefficients = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -546,8 +605,8 @@ def test_generic_series_catches_a_stencil_without_divergence(engine,
                                                               monkeypatch):
     # exp(-D) exp(D) = 1 for any linear D, so the round trip passes a
     # stencil that drops the divergence entries; the reference route does not
-    _, corrector = engine._solve_deformation_step(x(1), 1)
-    field = corrector * Q(-1)
+    _, scaled, s = engine._solve_deformation_step(x(1), 1)
+    field = scaled * Q(-1, s)
     h = Polynomial.constant(4, 1) + x(1)
     monkeypatch.setattr(homology, "divergence",
                         lambda v: GradedElement.zero(4, 0, MULTIVECTOR))
@@ -561,7 +620,8 @@ class TwoFormStepRoute(HomologyEngine):
 
     It solves delta_pi(tau) = (g_i - q_i) df1^df2 in the 2-form slice,
     with the delta_3 columns extended by the tangency conditions, and
-    X = star_inv(tau).
+    X = star_inv(tau).  It hands the rational X to the normalizer with
+    scale 1, which the certificates accept as they accept any scale.
     """
 
     def _solve_deformation_step(self, gi, i):
@@ -585,7 +645,7 @@ class TwoFormStepRoute(HomologyEngine):
                 ech.insert(vec)
             self._deformation[i] = (fmonos, basis3, ech)
         fmonos, basis3, ech = self._deformation[i]
-        coords = ech.solve(basis2.coords(cat.df1df2 * gi))
+        coords = rational_solve(ech, basis2.coords(cat.df1df2 * gi))
         assert coords is not None
         qi = Polynomial.zero(4)
         tau = GradedElement.zero(4, 3, FORM)
@@ -593,8 +653,9 @@ class TwoFormStepRoute(HomologyEngine):
             if gen_index < len(fmonos):
                 qi = qi + fmonos[gen_index][1] * coeff
             else:
-                tau = tau + basis3.element(gen_index - len(fmonos)) * coeff
-        return qi, (star_inv(tau) if tau else None)
+                tau = tau + basis_element(basis3,
+                                          gen_index - len(fmonos)) * coeff
+        return qi, (star_inv(tau) if tau else None), 1
 
 
 @pytest.mark.parametrize("g", ["1+x1", "2+x1*x3-x2^2", "1+x1+x2*x4+x3^3"])

@@ -236,8 +236,11 @@ def test_integer_echelon_matches_fraction_reference(track):
                 if want is None:
                     assert got is None
                 else:
-                    assert list(got.items()) == list(want.items())
-                    assert all(isinstance(x, Q) for x in got.values())
+                    s, coords = got
+                    assert s > 0 and gcd(s, *coords.values()) == 1
+                    assert all(type(c) is int and c for c in coords.values())
+                    assert ([(j, Q(c, s)) for j, c in coords.items()]
+                            == list(want.items()))
 
 
 def test_integer_echelon_rejects_floats():
@@ -271,7 +274,7 @@ def test_quotient_solves_modulo_the_base(track):
             assert quo.rank == ref.rank
         assert quo.count == len(gens)
         for v in probes:
-            coords = quo.solve(v)
+            coords = rational_solve(quo, v)
             assert (coords is None) == (not ref.contains(v))
             if coords is None:
                 continue
@@ -390,12 +393,21 @@ def test_rank_invariant_under_permutation():
     assert all(e2.contains(v) for v in k1)
 
 
+def rational_solve(ech, vec):
+    """The rational coordinates of `QEchelon.solve`, or None."""
+    solution = ech.solve(vec)
+    if solution is None:
+        return None
+    s, coords = solution
+    return {j: Q(c, s) for j, c in coords.items()}
+
+
 def solve_in_span(v, span):
     """Coordinates of v over the span's vectors, or None."""
     ech = QEchelon(track=True)
     for g in span:
         ech.insert(g)
-    return ech.solve(v)
+    return rational_solve(ech, v)
 
 
 def test_membership_examples():

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from poisson_forge.division import _times, _wedge_by
 from poisson_forge.exterior import FORM, GradedElement, enumerate_basis
 from poisson_forge.polynomials import Polynomial
+from test_exterior import basis_element
 from test_poisson import rational_structures
 from test_properties import CHECKS, coefficients
 
@@ -50,7 +51,7 @@ def test_columns_are_coordinates_of_the_map(instances, name):
     for k in degrees:
         for w in range(k, 9):
             src = enumerate_basis(k, w, FORM, n)
-            images = [op.fn(src.element(i)) for i in range(len(src))]
+            images = [op.fn(basis_element(src, i)) for i in range(len(src))]
             if not images:
                 continue
             dst = enumerate_basis(images[0].degree, w + shift, FORM, n)

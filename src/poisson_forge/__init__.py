@@ -8,8 +8,8 @@ from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
 from .homology import (HomologyEngine, InvariantViolation,
                        RepresentativeFamily, default_engine)
 from .linalg import ExactMatrix
-from .poisson import (PoissonStructure, d_pi, delta_pi, jacobi_poisson,
-                      modular_field, schouten, verify_identity_suite)
+from .poisson import (PoissonStructure, d_pi, jacobi_poisson, modular_field,
+                      schouten, verify_identity_suite)
 from .polynomials import Polynomial, monomial_cmp
 from .series import RationalSeries
 
@@ -20,7 +20,7 @@ __all__ = [
     "InvariantViolation", "LefschetzCatalog",
     "PoissonStructure", "Polynomial", "RepresentativeFamily",
     "RationalSeries", "SliceOperator", "WeightSliceBasis", "contract", "d_pi",
-    "de_rham", "default_engine", "delta_pi", "enumerate_basis",
+    "de_rham", "default_engine", "enumerate_basis",
     "jacobi_poisson", "lefschetz_catalog", "lie_derivative", "modular_field",
     "monomial_cmp", "schouten", "star",
     "star_inv", "verify_identity_suite", "wedge",

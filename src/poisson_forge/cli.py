@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands: homology, hilbert, kernels, division, nf, verify, normalize.
-The working truncation weight is --max-weight, 12 by default.  Exit codes:
+All take --format and --output.  The five that truncate at a working
+weight take --max-weight, 12 by default: homology, hilbert, kernels,
+verify and normalize.  division is sized by --max-degree and nf by its
+input alone, so neither takes one, and their reports carry no weight
+(max_weight null in JSON, no "max weight" line in text).  Exit codes:
 0 all requested verdicts pass, 1 some verdict failed, 2 usage or parse
 error (one line on stderr and SystemExit(2), as argparse does).
 """
@@ -10,6 +14,7 @@ import argparse
 import functools
 import sys
 
+from .catalog import lefschetz_catalog
 from .division import (division_group_dim, ideal_dim_binomial_print,
                        ideal_slice_dim, lefschetz_problem,
                        submodule_contains, verify_division_basis)
@@ -46,7 +51,11 @@ def _parse(text):
         _usage_error("parse error: %s" % exc)
 
 
-def _working_weight(w):
+def _working_weight(args):
+    """The checked --max-weight, or None for a command that takes none."""
+    w = getattr(args, "max_weight", None)
+    if w is None:
+        return None
     cap = WEIGHT_CAPS["working weight"]
     if w < 0:
         _usage_error("max weight %d is negative" % w)
@@ -104,7 +113,7 @@ def _division1_block(doc, d_max):
                                         "status": "pass" if ok1 else "fail"}])
 
 
-def _division_blocks(doc, eng, d_max):
+def _division_blocks(doc, d_max):
     _division1_block(doc, d_max)
     rows2 = []
     verd2 = []
@@ -120,7 +129,7 @@ def _division_blocks(doc, eng, d_max):
     doc.add_table("D^2(df1,df2) by coefficient degree", ["coeff_degree", "dim",
                                                          "expected"], rows2)
     doc.add_verdicts("D^2 classification", verd2)
-    cat = eng.cat
+    cat = lefschetz_catalog()
     v1 = cat.beta1 * cat.f1 - cat.beta2 * cat.f2
     v2 = cat.beta1 * cat.f2 + cat.beta2 * cat.f1
     doc.add_verdicts("second-group relation classes", [
@@ -219,23 +228,24 @@ def build_parser():
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="text")
     common.add_argument("--output", default=None, help="write the report here")
-    common.add_argument("--max-weight", type=int, default=12)
+    weighted = argparse.ArgumentParser(add_help=False, parents=[common])
+    weighted.add_argument("--max-weight", type=int, default=12)
 
     ap = argparse.ArgumentParser(prog="poisson-forge",
                                  description="exact verification engine for "
                                              "the Lefschetz Poisson homology")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("homology", parents=[common],
+    p = sub.add_parser("homology", parents=[weighted],
                        help="slice dimensions of one degree")
     p.add_argument("--degree", type=int, required=True, choices=range(0, 5))
 
-    p = sub.add_parser("hilbert", parents=[common],
+    p = sub.add_parser("hilbert", parents=[weighted],
                        help="Hilbert function of one homology group")
     p.add_argument("--group", required=True,
                    choices=["H%d" % k for k in range(5)])
 
-    sub.add_parser("kernels", parents=[common],
+    sub.add_parser("kernels", parents=[weighted],
                    help="kernel Hilbert functions of delta")
 
     p = sub.add_parser("division", parents=[common],
@@ -247,10 +257,11 @@ def build_parser():
                        help="normal form against the Jacobian basis")
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[weighted],
+                       help="run verification suites")
     p.add_argument("--suite", required=True, choices=SUITES + ("all",))
 
-    p = sub.add_parser("normalize", parents=[common],
+    p = sub.add_parser("normalize", parents=[weighted],
                        help="volume deformation normalizer")
     p.add_argument("--g", required=True)
 
@@ -264,7 +275,7 @@ def run_command(argv):
 
 
 def _execute(args, argv):
-    w_max = _working_weight(args.max_weight)
+    w_max = _working_weight(args)
     echo = []
     skip = False
     for a in argv:
@@ -297,7 +308,7 @@ def _execute(args, argv):
         if args.p == 1:
             _division1_block(doc, args.max_degree)
         elif args.p == 2:
-            _division_blocks(doc, eng, args.max_degree)
+            _division_blocks(doc, args.max_degree)
         else:
             doc.add_table("D^3 slices", ["weight", "dim"],
                           [[w, division_group_dim(lefschetz_problem(3, w))]
@@ -316,7 +327,7 @@ def _execute(args, argv):
             elif s == "kernels":
                 _kernels_block(doc, eng, w_max)
             elif s == "division":
-                _division_blocks(doc, eng, max(w_max - 2, 0))
+                _division_blocks(doc, max(w_max - 2, 0))
             elif s == "module-structure":
                 doc.add_verdicts("module structure relations",
                                  eng.module_structure_check(w_max))

@@ -48,13 +48,13 @@ class DivisionProblem:
 @lru_cache(maxsize=None)
 def _wedge_by(a):
     """SliceOperator of b -> a ^ b."""
-    return SliceOperator(lambda b: wedge(a, b))
+    return SliceOperator(lambda b: wedge(a, b), a.n)
 
 
 @lru_cache(maxsize=None)
 def _times(g):
     """SliceOperator of multiplication by the polynomial g."""
-    return SliceOperator(lambda b: b * g)
+    return SliceOperator(lambda b: b * g, g.n)
 
 
 def _submodule_echelon(prob, src):

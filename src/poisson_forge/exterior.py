@@ -410,7 +410,7 @@ def enumerate_basis(degree, weight, kind=FORM, n=4):
 
 
 class SliceOperator:
-    """A fixed linear map fn on forms, expanded through a stencil.
+    """A fixed linear map fn on the forms of R^n, expanded through a stencil.
 
     fn has polynomial coefficients and differential order at most one, so
     d brings down at most one exponent and
@@ -420,17 +420,20 @@ class SliceOperator:
     over a short row of (J, t, c0, c) that depends on I and fn but not on m,
     with every shift t >= -1.  A shift t_i = -1 comes only from d/dx_i
     acting on x^m, so its coefficient is a multiple of m_i and no negative
-    exponent is ever produced.  `rows` maps each index tuple I to its row.
+    exponent is ever produced.  `rows` maps each index tuple I to its row,
+    read on R^n; `apply` refuses a multivector and a form on another R^n,
+    whose terms the rows do not describe.
     """
 
-    __slots__ = ("fn", "rows", "_zeros")
+    __slots__ = ("fn", "n", "rows", "_zeros")
 
-    def __init__(self, fn):
+    def __init__(self, fn, n):
         self.fn = fn
+        self.n = n
         self.rows = {}
         self._zeros = {}          # degree k -> fn of the zero k-form
 
-    def row(self, idx, n):
+    def row(self, idx):
         """The (J, t, c0, c) of fn(x^m dx_idx) on R^n; cached.
 
         c is sparse, a tuple of (axis position, coefficient) pairs.  The row
@@ -442,6 +445,7 @@ class SliceOperator:
         row = self.rows.get(idx)
         if row is not None:
             return row
+        n = self.n
         ones = (1,) * n
         values = []
         for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
@@ -463,7 +467,7 @@ class SliceOperator:
     def _terms(self, idx, m):
         """fn(x^m dx_idx) as a list of (J, exponent, nonzero coefficient)."""
         out = []
-        for J, t, c0, c in self.row(idx, len(m)):
+        for J, t, c0, c in self.row(idx):
             v = c0
             for i, ci in c:
                 v += ci * m[i]
@@ -483,7 +487,13 @@ class SliceOperator:
                                         dst.weight)) from None
 
     def apply(self, a):
-        """fn(a) for any form a; fn of the zero form fixes the result's degree."""
+        """fn(a) for any form a on R^n; fn of the zero form fixes the
+        result's degree."""
+        if a.kind != FORM:
+            raise ValueError("a slice operator acts on forms")
+        if a.n != self.n:
+            raise ValueError("dimension mismatch: a form on R^%d, an operator "
+                             "on R^%d" % (a.n, self.n))
         comps = {}
         for idx, p in a.comps.items():
             for m, c in p.terms.items():

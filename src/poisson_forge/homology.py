@@ -30,11 +30,12 @@ weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The flow of the homogeneous field
 -X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
 scalar series acting on the conformal factor h, applied through a stencil
-read off the field and certified by flowing back.  Each step runs on
-integers: the solve hands out s*X with integer coefficients and one scale
-s, the certificates check s*X against s*(g_i - q_i), and the series
-carries each term as an integer dict over one denominator, so only the
-outputs q, q_i and X are made rational, once per coefficient.
+read once per step off s*X and its certified divergence, and certified by
+flowing back on the same stencil.  Each step runs on integers: the solve
+hands out s*X with integer coefficients and one scale s, the certificates
+check s*X against s*(g_i - q_i), and the series carries each term as an
+integer dict over one denominator, so only the outputs q, q_i and X are
+made rational, once per coefficient.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -159,9 +160,9 @@ class HomologyEngine:
         self._parameters = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         # the normalizer's step maps d and tau -> iota_X df_i, X = star_inv(tau)
-        self._d = SliceOperator(de_rham)
+        self._d = SliceOperator(de_rham, 4)
         self._tangency = [SliceOperator(lambda tau, df=df:
-                                        contract(star_inv(tau), df))
+                                        contract(star_inv(tau), df), 4)
                           for df in (self.cat.df1, self.cat.df2)]
 
     # -- matrices and dimensions ------------------------------------
@@ -419,13 +420,15 @@ class HomologyEngine:
             if divergence(scaled).coefficient(()) != -residual:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
-            corrector = scaled * Q(1, s)
-            transcript.append(DeformationStep(i, qi, corrector))
-            # pull current*pi back along the time-1 flow of -corrector/g(0)
-            flow_field = corrector * Q(-1, c0)
-            pulled = _exp_flow(flow_field, current, w_max)
+            transcript.append(DeformationStep(i, qi, scaled * Q(1, s)))
+            # pull current*pi back along the time-1 flow of Y = -X/g(0):
+            # D = Y(.) - div(Y). = -(s*X(.) + residual.)/(s*g(0)), read off
+            # s*X and the certified div(s*X) = -residual
+            stencil = _flow_stencil(scaled, residual)
+            scale = Q(-1, s * c0)
+            pulled = _exp_flow(stencil, scale, current, w_max)
             # the flow back must return current, higher-order terms included
-            if _exp_flow(-flow_field, pulled, w_max) != current:
+            if _exp_flow(stencil, -scale, pulled, w_max) != current:
                 raise InvariantViolation("flow pullback certificate failed "
                                          "at weight %d" % i)
             current = pulled
@@ -487,34 +490,43 @@ class HomologyEngine:
         return qi, -star_inv(tau), s
 
 
-def _exp_flow(field, h, w_max):
-    """exp(D) h with D h = field(h) - div(field) h, truncated at degree w_max.
+def _flow_stencil(field, rate):
+    """The stencil of S h = field(h) + rate h, for a vector field and a
+    polynomial rate with int coefficients.
 
-    For a field tangent to the fibration, L_field df_i = 0 and
-    L_field mu = div(field) mu, so exp(L_field)(h pi) = (exp(D) h) pi.
-    D is read once off den*field, den the lcm of the field's denominators,
-    as an integral stencil: a term a x^s of field_j sends x^m to
-    a m_j x^(m+s-e_j), and a term b x^s of div(field) sends it to
-    -b x^(m+s).  Each series term D^m h / m! is an integer dict over one
-    denominator, so every product and sum is on ints, and each output
-    coefficient is made an exact scalar once.  Each entry raises the
-    degree by at least low, the field's lowest weight, so only the part
-    of each term of degree <= w_max - low is expanded, and no image above
+    Each entry (j, t, rise, a) sends x^m to a m_j x^(m+t) (a term a x^s of
+    field_j, t = s - e_j) or, with j None, to a x^(m+t) (a term a x^t of
+    rate); rise is the degree it adds.
+    """
+    stencil = [(j - 1, s[:j - 1] + (s[j - 1] - 1,) + s[j:], a)
+               for (j,), p in field.comps.items() for s, a in p.terms.items()]
+    stencil += [(None, t, b) for t, b in rate.terms.items()]
+    return [(j, t, sum(t), a) for j, t, a in stencil]
+
+
+def _exp_flow(stencil, scale, h, w_max):
+    """exp(D) h with D = scale * S, S the integral stencil, truncated at
+    degree w_max.
+
+    For a field Y tangent to the fibration, L_Y df_i = 0 and
+    L_Y mu = div(Y) mu, so exp(L_Y)(h pi) = (exp(D) h) pi with
+    D h = Y(h) - div(Y) h.  The normalizer passes one stencil per step and
+    the opposite scale for the flow back.  Each series term D^m h / m! is
+    an integer dict over one denominator, so every product and sum is on
+    ints, and each output coefficient is made an exact scalar once.  Each
+    entry raises the degree by at least its lowest rise, so only the part
+    of each term of degree <= w_max - rise is expanded, and no image above
     w_max is formed.
     """
     result = h.truncate(w_max)
-    weights = field.weights()
-    if not weights:
+    if not stencil:
         return result
-    den = lcm(*(c.denominator for p in field.comps.values()
-                for c in p.terms.values()))
-    field = field * den
-    stencil = [(j - 1, s[:j - 1] + (s[j - 1] - 1,) + s[j:], a)
-               for (j,), p in field.comps.items() for s, a in p.terms.items()]
-    stencil += [(None, s, -b) for s, b in
-                divergence(field).coefficient(()).terms.items()]
-    stencil = [(j, t, sum(t), a) for j, t, a in stencil]
-    top = w_max - weights[0]
+    # scale * S = S' / den with S' integral and as small as it can be
+    content = gcd(*(a for *_, a in stencil))
+    scale = Q(scale * content)
+    num, den = scale.numerator, scale.denominator
+    stencil = [(j, t, rise, a // content * num) for j, t, rise, a in stencil]
+    top = w_max - min(rise for _, _, rise, _ in stencil)
     # terms[m] = (e, T) with T / e = D^m h / m!
     terms = [integer_row(result.terms)]
     e, term = terms[0]

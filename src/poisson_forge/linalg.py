@@ -23,7 +23,7 @@ the banded slice matrices.
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import as_q
+from .rationals import exact
 
 
 def integer_row(vec):
@@ -32,7 +32,7 @@ def integer_row(vec):
     den = 1
     for j, c in vec.items():
         if not hasattr(c, "denominator"):
-            c = as_q(c)                # floats raise TypeError here
+            c = exact(c)               # floats raise TypeError here
         if c:
             row[j] = c
             if c.denominator != 1:

@@ -16,8 +16,9 @@ satisfies star o d_pi = delta_pi o star for the unimodular case.
 It is evaluated through a stencil: d brings down exactly one exponent,
 so each structure carries delta_pi as a SliceOperator of exterior.py
 (`delta`), whose rows of (J, t, c0, c) are read off the definition above
-once per index tuple I on first use.  delta_pi of a form and the slice
-matrices of homology.py both expand terms through it.
+once per index tuple I on first use.  delta_pi of a form,
+`structure.delta.apply(a)`, and the slice matrices of homology.py both
+expand terms through it.
 
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions; it restricts to the Lie bracket on
@@ -45,7 +46,7 @@ class PoissonStructure:
     def __init__(self, bivector):
         self.n = bivector.n
         self.bivector = bivector
-        self.delta = SliceOperator(_koszul_brylinski(bivector))
+        self.delta = SliceOperator(_koszul_brylinski(bivector), self.n)
 
 
 def jacobi_poisson(fns, n):
@@ -135,15 +136,6 @@ def d_pi(v, structure):
     if isinstance(v, Polynomial):
         v = GradedElement.from_polynomial(v, MULTIVECTOR)
     return schouten(v, structure.bivector)
-
-
-def delta_pi(a, structure):
-    """Koszul-Brylinski differential on forms, lowering degree by one."""
-    if a.kind != FORM:
-        raise ValueError("delta_pi acts on forms")
-    if a.n != structure.n:
-        raise ValueError("dimension mismatch")
-    return structure.delta.apply(a)
 
 
 def _koszul_brylinski(pi):
@@ -275,7 +267,7 @@ def verify_identity_suite(cat, max_weight):
 
     # homotopy identity star o d_pi = delta_pi o star on the multivector slice
     # (k, w), read on its form slice (4-k, w+4); both vanish for k = 4
-    conjugate = SliceOperator(lambda a: star(d_pi(star_inv(a), P)))
+    conjugate = SliceOperator(lambda a: star(d_pi(star_inv(a), P)), P.n)
 
     def first_eq4_failure():
         for k in range(4):

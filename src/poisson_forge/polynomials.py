@@ -156,7 +156,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = s if type(s) is int else exact(s)
             else:
                 terms.pop(m, None)
         return Polynomial._of(self.n, terms)
@@ -188,6 +188,9 @@ class Polynomial:
                     terms[m] = s
                 else:
                     del terms[m]
+        for m, c in terms.items():
+            if type(c) is not int:
+                terms[m] = exact(c)
         return Polynomial._of(self.n, terms)
 
     __rmul__ = __mul__
@@ -210,7 +213,9 @@ class Polynomial:
             raise ValueError("variable index out of range")
         j = i - 1
         # distinct monomials have distinct derivatives: nothing to collect
-        return Polynomial._of(self.n, {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j]
+        return Polynomial._of(self.n, {m[:j] + (m[j] - 1,) + m[j + 1:]:
+                                       c * m[j] if type(c) is int
+                                       else exact(c * m[j])
                                        for m, c in self.terms.items() if m[j]})
 
     def truncate(self, d):

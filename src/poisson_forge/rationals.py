@@ -14,16 +14,12 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
-def as_q(x):
-    """Coerce an int / Fraction / numeric string to Q."""
-    if isinstance(x, float):
-        raise TypeError("floating point coefficients are not allowed")
-    return Q(x)
-
-
 def exact(x):
     """x as an exact scalar: an int when integral, else a Q; floats raise."""
     if type(x) is int:
         return x
-    q = as_q(x)
-    return q.numerator if q.denominator == 1 else q
+    if type(x) is not Q:
+        if isinstance(x, float):
+            raise TypeError("floating point coefficients are not allowed")
+        x = Q(x)
+    return x.numerator if x.denominator == 1 else x

@@ -1,6 +1,7 @@
 """Deterministic report documents for the verification suites.
 
-A ReportDocument carries the command echo, the working weight, verdict
+A ReportDocument carries the command echo, the working weight (None for
+a command that takes none: null in JSON, no line in text), verdict
 blocks and dimension tables, and renders byte-deterministically to JSON,
 CSV or text.  The JSON schema tag is "poisson-forge/1".
 """
@@ -91,8 +92,10 @@ class ReportDocument:
 
     def to_text(self):
         lines = ["poisson-forge report (%s)" % SCHEMA,
-                 "command: %s" % self.command,
-                 "max weight: %d" % self.max_weight, ""]
+                 "command: %s" % self.command]
+        if self.max_weight is not None:
+            lines.append("max weight: %d" % self.max_weight)
+        lines.append("")
         for b in self.blocks:
             lines.append("== %s" % b["block"])
             if b["kind"] == "verdicts":

@@ -199,8 +199,7 @@ def test_normalize_caps_at_weight_12(capsys):
 
 
 def test_division_command(capsys):
-    code = main(["division", "--p", "2", "--max-degree", "4",
-                 "--max-weight", "6"])
+    code = main(["division", "--p", "2", "--max-degree", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "D^2" in out
@@ -218,6 +217,31 @@ def test_division_p1_reports_d1_alone(capsys):
         "D^2(df1,df2) by coefficient degree", "D^2 classification",
         "second-group relation classes", "Jacobian ideal slices",
         "Jacobian quotient dimensions"]
+
+
+@pytest.mark.parametrize("argv", [["nf", "--poly", "x1", "--max-weight", "4"],
+                                  ["division", "--max-weight", "4"]])
+def test_nf_and_division_take_no_max_weight(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-weight 4" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["nf", "--poly", "x1"],
+                                  ["division", "--p", "1", "--max-degree", "1"]])
+def test_nf_and_division_reports_carry_no_weight(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[1] == "command: poisson-forge " + " ".join(argv)
+    assert "max weight" not in text
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema", "command", "max_weight", "passed", "blocks"]
+    assert doc["max_weight"] is None
+    # a weighted command still prints its weight
+    assert main(["hilbert", "--group", "H0", "--max-weight", "2"]) == 0
+    assert "\nmax weight: 2\n" in capsys.readouterr().out
 
 
 def test_kernels_flag_note(capsys):
@@ -250,7 +274,7 @@ def test_emit_report_bad_format():
     (["normalize", "--g", "1+x1", "--max-weight", "5"], 0,
      "bb3c21f1976bdb5f473729b7cffd7a498ee814533d1622fe8b8011d364054be6"),
     (["nf", "--poly", "1/3*x1*x4+x1^3-5/2*x2*x3^2"], 0,
-     "ed25eede67cc176af5c671cc10603c5e496f9a2b99c09eeea1947bae995d327b"),
+     "dc7e7d0860bf0e28c26e3601f3bc5e7fce94bad7afd2c109bbb1fa9bca47d69e"),
     (["normalize", "--g", "3/2+1/3*x1-x2^2+x1*x4", "--max-weight", "5"], 0,
      "6dadbc1937cfd5e7f5554f33f617061ce32384408f2465ec1f43c85f981864f2"),
 ])

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,10 @@ from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, de_rham,
                                     divergence, enumerate_basis, lie_derivative,
                                     star, star_inv, wedge)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
-                                    _exp_flow, f_monomials)
+                                    _exp_flow, _flow_stencil, f_monomials)
 from poisson_forge.linalg import QEchelon
 from poisson_forge.parsing import parse_polynomial
-from poisson_forge.poisson import d_pi, delta_pi, schouten
+from poisson_forge.poisson import d_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
@@ -104,7 +106,7 @@ def test_cycle_check_flags_a_non_cycle(cat):
 def test_boundary_adjoined_is_dependent(engine, cat):
     # delta of x1*mu is a boundary, so adjoining it to the degree-3
     # representatives must be detected as dependent
-    boundary = delta_pi(cat.mu * x(1), cat.poisson)
+    boundary = cat.poisson.delta.apply(cat.mu * x(1))
     w = boundary.weights()[0]
     basis = engine.basis(3, w)
     ech = clone(engine.boundary_echelon(3, w))
@@ -122,7 +124,7 @@ def test_class_coordinates_over_representatives(engine, cat):
             assert independent
             basis = engine.basis(k, w)
             above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
-            boundaries = [delta_pi(basis_element(above, i) * x(1), cat.poisson)
+            boundaries = [cat.poisson.delta.apply(basis_element(above, i) * x(1))
                           for i in range(len(above))]
             for b in boundaries:
                 assert ech.solve(basis.coords(b)) == (1, {})
@@ -147,7 +149,7 @@ def test_family_templates_yield_cycles(engine, cat):
                 for p in engine.parameters(fam.parameter_space,
                                            w - fam.weight_offset):
                     inst = fam.instantiate(p)
-                    assert delta_pi(inst, cat.poisson).is_zero(), fam.label
+                    assert cat.poisson.delta.apply(inst).is_zero(), fam.label
                     if inst:
                         assert inst.weights() == [w]
 
@@ -227,7 +229,7 @@ def test_cohomology_transfer(cat):
     one = GradedElement.from_polynomial(Polynomial.constant(4, 1), MULTIVECTOR)
     for h, v in ((wedge(cat.zeta1, cat.beta1), cat.E1), (cat.mu, one),
                  (cat.beta1, cat.W1), (cat.beta2, cat.W2)):
-        assert delta_pi(h, P).is_zero()
+        assert P.delta.apply(h).is_zero()
         assert star_inv(h) == v
         assert d_pi(v, P).is_zero()
     # and a non-cycle to a multivector that is not closed
@@ -485,14 +487,35 @@ def test_homogeneous_flow_matches_inverse_flow_route(engine, cat, inverse_route,
     assert steps and steps_ref
 
 
+def apply_stencil(stencil, scale, h, w_max):
+    """scale * S h for a stencil of _flow_stencil, truncated at w_max."""
+    out = {}
+    for m, c in h.terms.items():
+        for j, t, _, a in stencil:
+            f = 1 if j is None else m[j]
+            if f:
+                key = tuple(e + d for e, d in zip(m, t))
+                out[key] = out.get(key, 0) + c * a * f * scale
+    return Polynomial(h.n, out).truncate(w_max)
+
+
+def stencil_flow(field, h, w_max):
+    """_exp_flow of D h = field(h) - div(field) h, on the stencil of
+    den*field, den the lcm of the field's denominators."""
+    den = lcm(*(c.denominator for p in field.comps.values()
+                for c in p.terms.values()))
+    field = field * den
+    stencil = _flow_stencil(field, -divergence(field).coefficient(()))
+    return _exp_flow(stencil, Q(1, den), h, w_max)
+
+
 def test_flow_pullback_certificate_catches_a_wrong_series(engine, monkeypatch,
                                                           capsys):
     # _exp_flow without its 1/m! factors, in both directions of the round trip
-    def exp_flow_without_factorials(field, h, w_max):
-        div = divergence(field).coefficient(())
+    def exp_flow_without_factorials(stencil, scale, h, w_max):
         result = term = h.truncate(w_max)
         for _ in range(w_max + 1):
-            term = (lie_derivative(field, term) - div * term).truncate(w_max)
+            term = apply_stencil(stencil, scale, term, w_max)
             if term.is_zero():
                 break
             result = result + term
@@ -598,21 +621,28 @@ def flow_inputs(draw):
 @given(flow_inputs())
 def test_stencil_flow_matches_generic_series(args):
     field, h, w_max = args
-    assert _exp_flow(field, h, w_max) == generic_exp_flow(field, h, w_max)
+    assert stencil_flow(field, h, w_max) == generic_exp_flow(field, h, w_max)
 
 
-def test_generic_series_catches_a_stencil_without_divergence(engine,
-                                                              monkeypatch):
+def test_generic_series_catches_a_stencil_without_divergence(engine):
     # exp(-D) exp(D) = 1 for any linear D, so the round trip passes a
     # stencil that drops the divergence entries; the reference route does not
     _, scaled, s = engine._solve_deformation_step(x(1), 1)
-    field = scaled * Q(-1, s)
     h = Polynomial.constant(4, 1) + x(1)
-    monkeypatch.setattr(homology, "divergence",
-                        lambda v: GradedElement.zero(4, 0, MULTIVECTOR))
-    pulled = _exp_flow(field, h, 6)
-    assert _exp_flow(-field, pulled, 6) == h
-    assert pulled != generic_exp_flow(field, h, 6)
+    stencil = _flow_stencil(scaled, Polynomial.zero(4))
+    assert stencil and all(j is not None for j, *_ in stencil)
+    pulled = _exp_flow(stencil, Q(-1, s), h, 6)
+    assert _exp_flow(stencil, Q(1, s), pulled, 6) == h
+    assert pulled != generic_exp_flow(scaled * Q(-1, s), h, 6)
+
+
+def test_stencil_apply_matches_the_field(engine):
+    # the test helper apply_stencil is D itself: field(h) - div(field) h
+    _, scaled, _ = engine._solve_deformation_step(x(1) * x(2) + x(3) ** 2, 2)
+    rate = -divergence(scaled).coefficient(())
+    h = Polynomial.constant(4, 2) + x(1) * x(4) - x(2) ** 3
+    assert apply_stencil(_flow_stencil(scaled, rate), 1, h, 10) == \
+        lie_derivative(scaled, h) + rate * h
 
 
 class TwoFormStepRoute(HomologyEngine):
@@ -620,8 +650,9 @@ class TwoFormStepRoute(HomologyEngine):
 
     It solves delta_pi(tau) = (g_i - q_i) df1^df2 in the 2-form slice,
     with the delta_3 columns extended by the tangency conditions, and
-    X = star_inv(tau).  It hands the rational X to the normalizer with
-    scale 1, which the certificates accept as they accept any scale.
+    X = star_inv(tau).  It hands s*X to the normalizer with s the lcm of
+    X's denominators, which the certificates accept as they accept any
+    scale.
     """
 
     def _solve_deformation_step(self, gi, i):
@@ -655,7 +686,12 @@ class TwoFormStepRoute(HomologyEngine):
             else:
                 tau = tau + basis_element(basis3,
                                           gen_index - len(fmonos)) * coeff
-        return qi, (star_inv(tau) if tau else None), 1
+        if not tau:
+            return qi, None, 1
+        field = star_inv(tau)
+        s = lcm(*(c.denominator for p in field.comps.values()
+                  for c in p.terms.values()))
+        return qi, field * s, s
 
 
 @pytest.mark.parametrize("g", ["1+x1", "2+x1*x3-x2^2", "1+x1+x2*x4+x3^3"])

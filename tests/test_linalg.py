@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from poisson_forge.linalg import ExactMatrix, QEchelon, integer_row
-from poisson_forge.rationals import Q, QONE, QZERO, as_q, exact
+from poisson_forge.rationals import Q, QONE, QZERO, exact
 
 
 class FractionEchelon:
@@ -52,7 +52,7 @@ class FractionEchelon:
 
     def insert(self, vec):
         """Insert generator; its coordinate index is the insertion count."""
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        v = {j: Q(c) for j, c in dict(vec).items() if c}
         aug = {self.count: Q(1)} if self.track else None
         self.count += 1
         v, aug = self._reduce(v, aug)
@@ -71,7 +71,7 @@ class FractionEchelon:
         """
         if not self.track:
             raise ValueError("echelon was built without coordinate tracking")
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        v = {j: Q(c) for j, c in dict(vec).items() if c}
         v, aug = self._reduce(v, {})
         if v:
             return None
@@ -86,7 +86,7 @@ class FractionEchelon:
         return out
 
     def contains(self, vec):
-        v = {j: as_q(c) for j, c in dict(vec).items() if c}
+        v = {j: Q(c) for j, c in dict(vec).items() if c}
         v, _ = self._reduce(v, None)
         return not v
 

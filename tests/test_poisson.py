@@ -6,7 +6,7 @@ import pytest
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     contract, de_rham, enumerate_basis, star,
                                     star_inv, wedge)
-from poisson_forge.poisson import (d_pi, delta_pi, jacobi_poisson,
+from poisson_forge.poisson import (d_pi, jacobi_poisson,
                                    modular_field, schouten,
                                    verify_identity_suite)
 from poisson_forge.polynomials import Polynomial
@@ -143,7 +143,7 @@ def test_d_pi_examples(cat):
     assert d_pi(cat.f1, cat.poisson).is_zero()
     assert d_pi(modular_field(cat.poisson), cat.poisson).is_zero()
     # homotopy cross-check: d_pi(E1) = star_inv(delta_pi(eps1))
-    assert d_pi(cat.E1, cat.poisson) == star_inv(delta_pi(cat.eps1, cat.poisson))
+    assert d_pi(cat.E1, cat.poisson) == star_inv(cat.poisson.delta.apply(cat.eps1))
     assert d_pi(cat.E1, cat.poisson).is_zero()
 
 
@@ -157,9 +157,9 @@ def test_d_pi_squared_zero(cat):
 def test_delta_examples(cat):
     gmu = cat.mu * x(1)
     dx1 = GradedElement.basis(4, FORM, (1,))
-    assert delta_pi(gmu, cat.poisson) == wedge(dx1, cat.df1df2)
-    assert delta_pi(cat.zeta1, cat.poisson).is_zero()
-    assert delta_pi(cat.mu, cat.poisson).is_zero()
+    assert cat.poisson.delta.apply(gmu) == wedge(dx1, cat.df1df2)
+    assert cat.poisson.delta.apply(cat.zeta1).is_zero()
+    assert cat.poisson.delta.apply(cat.mu).is_zero()
 
 
 def test_delta_squared_and_anticommutation(cat):
@@ -168,15 +168,15 @@ def test_delta_squared_and_anticommutation(cat):
             basis = enumerate_basis(k, w, FORM)
             for i in range(len(basis)):
                 a = basis_element(basis, i)
-                da = delta_pi(a, cat.poisson)
+                da = cat.poisson.delta.apply(a)
                 if k >= 2:
-                    assert delta_pi(da, cat.poisson).is_zero()
+                    assert cat.poisson.delta.apply(da).is_zero()
                 # d delta + delta d = 0 (at top degree da must be d-closed)
                 if k == 4:
                     assert de_rham(da).is_zero()
                 else:
                     assert (de_rham(da) +
-                            delta_pi(de_rham(a), cat.poisson)).is_zero()
+                            cat.poisson.delta.apply(de_rham(a))).is_zero()
 
 
 # -- the delta_pi stencil against its definition ------------------------
@@ -223,7 +223,7 @@ def test_delta_stencil_matches_definition_on_basis(cat):
             basis = enumerate_basis(k, w, FORM)
             for i in range(len(basis)):
                 a = basis_element(basis, i)
-                assert delta_pi(a, cat.poisson) == \
+                assert cat.poisson.delta.apply(a) == \
                     delta_reference(a, cat.poisson), (k, w, i)
 
 
@@ -236,7 +236,7 @@ def test_delta_stencil_matches_definition_on_rational_structures(cat):
                 basis = enumerate_basis(k, w, FORM, n)
                 for i in range(len(basis)):
                     a = basis_element(basis, i)
-                    assert delta_pi(a, P) == delta_reference(a, P), (n, k, w, i)
+                    assert P.delta.apply(a) == delta_reference(a, P), (n, k, w, i)
         entries = [e for row in P.delta.rows.values() for _, _, c0, c in row
                    for e in (c0,) + tuple(ci for _, ci in c)]
         assert any(isinstance(e, type(Q(1))) for e in entries)
@@ -245,13 +245,13 @@ def test_delta_stencil_matches_definition_on_rational_structures(cat):
     for P in [cat.poisson] + structures:
         for _ in range(40):
             a = rand_rational_form(rng, P.n, rng.randrange(P.n + 1))
-            assert delta_pi(a, P) == delta_reference(a, P)
+            assert P.delta.apply(a) == delta_reference(a, P)
 
 
 def test_lefschetz_stencil_is_integral(cat):
     for k in range(5):
         for idx in combinations(range(1, 5), k):
-            for _, t, c0, c in cat.poisson.delta.row(idx, 4):
+            for _, t, c0, c in cat.poisson.delta.row(idx):
                 assert min(t) >= -1 and list(t).count(-1) <= 1
                 assert all(type(e) is int
                            for e in (c0,) + tuple(v for _, v in c))
@@ -272,11 +272,11 @@ def test_delta_matrix_columns_match_definition(engine, cat):
 def test_delta_pi_rejects_non_forms(cat):
     for k in range(5):
         v = GradedElement.basis(4, MULTIVECTOR, tuple(range(1, k + 1)), x(1))
-        with pytest.raises(ValueError):
-            delta_pi(v, cat.poisson)
+        with pytest.raises(ValueError, match="acts on forms"):
+            cat.poisson.delta.apply(v)
     on_r3 = rational_structures()[1]
-    with pytest.raises(ValueError):
-        delta_pi(GradedElement.basis(4, FORM, (1, 2), x(1)), on_r3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        on_r3.delta.apply(GradedElement.basis(4, FORM, (1, 2), x(1)))
 
 
 def test_delta_commutes_with_weight_slice(cat):
@@ -286,9 +286,9 @@ def test_delta_commutes_with_weight_slice(cat):
         basis = enumerate_basis(k, k + rng.randrange(3), FORM)
         a = basis_element(basis, rng.randrange(len(basis))) * \
             (Polynomial.constant(4, 1) + x(1))
-        da = delta_pi(a, cat.poisson)
+        da = cat.poisson.delta.apply(a)
         for w in set(a.weights()) | set(da.weights()):
-            assert delta_pi(weight_slice(a, w), cat.poisson) == \
+            assert cat.poisson.delta.apply(weight_slice(a, w)) == \
                 weight_slice(da, w)
 
 
@@ -311,7 +311,7 @@ def test_degree_formula_oracle(cat):
             basis = enumerate_basis(k, w, FORM)
             for i in range(len(basis)):
                 a = basis_element(basis, i)
-                got = delta_pi(a, P)
+                got = P.delta.apply(a)
                 if k == 1:
                     want = iota_pi_paper(de_rham(a))
                 elif k == 2:
@@ -335,7 +335,7 @@ def test_homotopy_identity(cat):
             for i in range(len(basis)):
                 v = basis_element(basis, i)
                 assert star(d_pi(v, cat.poisson)) == \
-                    delta_pi(star(v), cat.poisson)
+                    cat.poisson.delta.apply(star(v))
 
 
 # -- modular field ------------------------------------------------------

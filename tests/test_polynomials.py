@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import poisson_forge
+from poisson_forge.exterior import de_rham, wedge
 from poisson_forge.polynomials import (Polynomial, monomial_cmp, monomial_key,
                                        monomials_of_degree)
 from poisson_forge.rationals import Q
@@ -112,6 +113,22 @@ def test_exact_coefficients():
     assert p == Polynomial.constant(4, 1)
     with pytest.raises(TypeError):
         Polynomial.constant(4, 0.5)
+
+
+def test_integral_results_are_ints(cat):
+    # sums, products and derivatives of rational polynomials keep the
+    # "int when integral" rule of rationals.exact, not Fraction(n, 1)
+    half = Q(1, 2)
+    polys = [x(1) * half + x(1) * half, (x(1) * half) * (x(1) * 2),
+             (x(1) ** 2 * half).diff(1), (x(1) * half + x(2)) ** 2 * 4,
+             (x(1) * Q(2, 3) - x(2) * Q(1, 6)) * (x(1) * 3 + x(3) * 6)]
+    assert [str(p) for p in polys[:3]] == ["x1", "x1^2", "x1"]
+    forms = [de_rham(cat.zeta1 * cat.f1), de_rham(cat.zeta2 * cat.f1),
+             cat.beta1, wedge(cat.zeta1, cat.beta2)]
+    polys += [p for a in forms for p in a.comps.values()]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert any(type(c) is not int for c in coeffs)
+    assert all(type(c) is int for c in coeffs if c.denominator == 1)
 
 
 def test_no_true_division_in_the_package():

@@ -75,11 +75,14 @@ def _capped(doc, w_max, label):
 
 def _homology_block(doc, eng, k, w_max):
     w_reps = _capped(doc, w_max, "representative verification")
+    # homology_dimension reads the image before the kernel, so the kernel's
+    # echelon, one degree down, skips the image's pivots
+    dims = eng.hilbert_function(k, w_max)
     doc.add_table("homology degree %d" % k,
                   ["weight", "dim_ker", "dim_im", "dim_H"],
-                  [[w, eng.kernel_dim(k, w), eng.delta_rank(k + 1, w),
-                    eng.homology_dimension(k, w)] for w in range(w_max + 1)])
-    doc.add_series("H%d Hilbert function" % k, eng.hilbert_function(k, w_max),
+                  [[w, eng.kernel_dim(k, w), eng.delta_rank(k + 1, w), dims[w]]
+                   for w in range(w_max + 1)])
+    doc.add_series("H%d Hilbert function" % k, dims,
                    H_SERIES[k].expand(w_max), str(H_SERIES[k]))
     doc.add_verdicts("representative families degree %d" % k,
                      [eng.verify_representatives(k, w)
@@ -87,6 +90,7 @@ def _homology_block(doc, eng, k, w_max):
 
 
 def _kernels_block(doc, eng, w_max):
+    eng.boundary_echelons(w_max)
     for k in range(1, 5):
         doc.add_series("ker delta_%d Hilbert function" % k,
                        eng.kernel_hilbert(k, w_max),
@@ -291,51 +295,58 @@ def _execute(args, argv):
     doc = ReportDocument(" ".join(["poisson-forge"] + echo), w_max)
     eng = default_engine()
 
-    if args.cmd == "homology":
-        _homology_block(doc, eng, args.degree, w_max)
-    elif args.cmd == "hilbert":
-        k = int(args.group[1])
-        doc.add_table("H%d dimensions" % k, ["group", "weight", "dim"],
-                      [[args.group, w, eng.homology_dimension(k, w)]
-                       for w in range(w_max + 1)])
-        doc.add_series("H%d Hilbert function" % k, eng.hilbert_function(k, w_max),
-                       H_SERIES[k].expand(w_max), str(H_SERIES[k]))
-    elif args.cmd == "kernels":
-        _kernels_block(doc, eng, w_max)
-    elif args.cmd == "division":
-        if args.max_degree < 0:
-            _usage_error("max degree %d is negative" % args.max_degree)
-        if args.p == 1:
-            _division1_block(doc, args.max_degree)
-        elif args.p == 2:
-            _division_blocks(doc, args.max_degree)
-        else:
-            doc.add_table("D^3 slices", ["weight", "dim"],
-                          [[w, division_group_dim(lefschetz_problem(3, w))]
-                           for w in range(3, args.max_degree + 4)])
-    elif args.cmd == "nf":
-        _nf_block(doc, _parse(args.poly))
-    elif args.cmd == "verify":
-        for s in SUITES if args.suite == "all" else (args.suite,):
-            if s == "identities":
-                doc.add_verdicts("identity suite", verify_identity_suite(
-                    eng.cat, _capped(doc, w_max, "identity suite")))
-            elif s == "theorem1":
-                w = _capped(doc, w_max, "representative verification")
-                for k in range(5):
-                    _homology_block(doc, eng, k, w)
-            elif s == "kernels":
-                _kernels_block(doc, eng, w_max)
-            elif s == "division":
-                _division_blocks(doc, max(w_max - 2, 0))
-            elif s == "module-structure":
-                doc.add_verdicts("module structure relations",
-                                 eng.module_structure_check(w_max))
-            elif s == "derham":
-                _derham_block(doc, eng, _capped(doc, w_max, "induced de Rham"))
-    elif args.cmd == "normalize":
-        _normalize_block(doc, eng, _parse(args.g),
-                         _capped(doc, w_max, "deformation normalizer"))
+    try:
+        if args.cmd == "homology":
+            _homology_block(doc, eng, args.degree, w_max)
+        elif args.cmd == "hilbert":
+            k = int(args.group[1])
+            dims = eng.hilbert_function(k, w_max)
+            doc.add_table("H%d dimensions" % k, ["group", "weight", "dim"],
+                          [[args.group, w, d] for w, d in enumerate(dims)])
+            doc.add_series("H%d Hilbert function" % k, dims,
+                           H_SERIES[k].expand(w_max), str(H_SERIES[k]))
+        elif args.cmd == "kernels":
+            _kernels_block(doc, eng, w_max)
+        elif args.cmd == "division":
+            if args.max_degree < 0:
+                _usage_error("max degree %d is negative" % args.max_degree)
+            if args.p == 1:
+                _division1_block(doc, args.max_degree)
+            elif args.p == 2:
+                _division_blocks(doc, args.max_degree)
+            else:
+                doc.add_table("D^3 slices", ["weight", "dim"],
+                              [[w, division_group_dim(lefschetz_problem(3, w))]
+                               for w in range(3, args.max_degree + 4)])
+        elif args.cmd == "nf":
+            _nf_block(doc, _parse(args.poly))
+        elif args.cmd == "verify":
+            for s in SUITES if args.suite == "all" else (args.suite,):
+                if s == "identities":
+                    doc.add_verdicts("identity suite", verify_identity_suite(
+                        eng.cat, _capped(doc, w_max, "identity suite")))
+                elif s == "theorem1":
+                    w = _capped(doc, w_max, "representative verification")
+                    eng.boundary_echelons(w)
+                    for k in range(5):
+                        _homology_block(doc, eng, k, w)
+                elif s == "kernels":
+                    _kernels_block(doc, eng, w_max)
+                elif s == "division":
+                    _division_blocks(doc, max(w_max - 2, 0))
+                elif s == "module-structure":
+                    doc.add_verdicts("module structure relations",
+                                     eng.module_structure_check(w_max))
+                elif s == "derham":
+                    _derham_block(doc, eng,
+                                  _capped(doc, w_max, "induced de Rham"))
+        elif args.cmd == "normalize":
+            _normalize_block(doc, eng, _parse(args.g),
+                             _capped(doc, w_max, "deformation normalizer"))
+    except InvariantViolation as exc:
+        # a failed certificate is a failing verdict, not a traceback
+        doc.add_verdicts("certificates", [{"name": str(exc),
+                                           "status": "fail"}])
     return doc, 0 if doc.passed else 1
 
 

@@ -9,7 +9,8 @@ All inputs here are weight-homogeneous, so the groups split into weight
 slices.  The dimension of a slice is a rank difference: the kernel
 dimension of wedging with a_1 ^ ... ^ a_k, less the rank of the submodule,
 both eliminated on the slice's basis.  Their columns (wedging, multiplication
-by a polynomial) come from SliceOperators.  The Lefschetz case
+by a polynomial) come from SliceOperators.  The submodule lies in the
+kernel, so the wedge columns at its pivots are left out.  The Lefschetz case
 (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit generators
 c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured failure of
 the isolated-singularity depth bound.
@@ -20,7 +21,7 @@ from math import comb
 
 from .catalog import lefschetz_catalog
 from .exterior import FORM, SliceOperator, enumerate_basis, wedge, wedge_all
-from .linalg import QEchelon
+from .linalg import InvariantViolation, QEchelon
 from .polynomials import Polynomial
 
 
@@ -69,18 +70,32 @@ def _submodule_echelon(prob, src):
 
 
 def _wedge_kernel_echelon(prob):
-    """(kernel_dim, submodule echelon) of the slice."""
+    """(kernel_dim, submodule echelon) of the slice.
+
+    The submodule echelon comes first.  Its rows lie in the kernel of
+    b -> alpha ^ b, because a_i ^ alpha = 0 for every dividing form (checked
+    exactly here).  So the wedge column at a row's pivot, its smallest
+    index, is a combination of the columns after it, and by downward
+    induction over the pivots the other columns have the same span: the
+    pivot columns are neither assembled nor eliminated.
+    """
     alpha = wedge_all(prob.forms)
     src = enumerate_basis(prob.p, prob.w, FORM, alpha.n)
+    sub = _submodule_echelon(prob, src)
+    for i, a in enumerate(prob.forms, 1):
+        if wedge(a, alpha):
+            raise InvariantViolation(
+                "a_%d ^ alpha != 0 at the (%d, %d) division slice: the "
+                "submodule is not inside the kernel" % (i, prob.p, prob.w))
     # the weight of alpha; when alpha is zero every column is empty
     u = sum(a.weights()[0] for a in prob.forms)
     dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
     # a ^ b = +-b ^ a, so the rank is that of b -> b ^ alpha
     ech = QEchelon()
-    for col in _wedge_by(alpha).columns(src, dst):
+    for col in _wedge_by(alpha).columns(src, dst, skip=sub.rows):
         if col:
             ech.insert(col)
-    return len(src) - ech.rank, _submodule_echelon(prob, src)
+    return len(src) - ech.rank, sub
 
 
 def division_group_dim(prob):

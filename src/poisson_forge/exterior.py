@@ -475,12 +475,18 @@ class SliceOperator:
                 out.append((J, tuple(map(add, m, t)), v))
         return out
 
-    def columns(self, src, dst):
-        """Sparse columns of fn from the slice basis src into the slice basis dst."""
+    def columns(self, src, dst, skip=()):
+        """Sparse columns of fn from the slice basis src into the slice basis
+        dst, in src order.
+
+        The columns at the src positions in `skip` are neither computed nor
+        returned: a caller that has proved them dependent leaves them out.
+        """
         pos = dst.positions
         try:
             return [{pos[(J, mt)]: v for J, mt, v in self._terms(idx, m)}
-                    for idx, m in src.elements]
+                    for j, (idx, m) in enumerate(src.elements)
+                    if j not in skip]
         except KeyError:
             raise ValueError("the image of the (%d,%d) slice leaves the (%d,%d) "
                              "slice" % (src.degree, src.weight, dst.degree,

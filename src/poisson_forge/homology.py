@@ -8,9 +8,16 @@ the form complex splits into finite slices of fixed scaling weight w:
 Each slice map is an exact sparse matrix in the deterministic monomial
 bases of exterior.py, read off the structure's delta_pi SliceOperator;
 homology dimensions are rank differences, and homology classes are handled
-through one cached echelonized boundary basis per slice.  Its quotient view
-with the representatives inserted (`class_echelon`, also cached) gives the
-coordinates of a class over the representatives alone; it serves both the
+through one cached echelonized boundary basis per slice.  Since
+delta_{k+1} delta_{k+2} = 0, every boundary of the (k+1, w) slice is a
+kernel vector of delta_{k+1}, so the (k, w) echelon leaves out the columns
+at the pivots of the (k+1, w) echelon when that one is already built; the
+identity is checked exactly on each slice where it is used.  Commands that
+read every degree build each weight top degree first, and a homology
+dimension reads its image before its kernel.  The boundary echelon's
+quotient view with the representatives inserted (`class_echelon`, also
+cached) gives the coordinates of a class over the representatives alone;
+it serves both the
 independence check and the induced de Rham complex, so no boundary is ever
 eliminated with tracking.  `class_echelon` also keeps each representative's
 coordinates, computed once per slice, and the cycle check applies the
@@ -48,14 +55,10 @@ from operator import add
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
                        divergence, enumerate_basis, star_inv, wedge)
-from .linalg import ExactMatrix, QEchelon, integer_row
+from .linalg import ExactMatrix, InvariantViolation, QEchelon, integer_row
 from .poisson import d_pi
 from .polynomials import Polynomial
 from .rationals import Q, exact
-
-
-class InvariantViolation(Exception):
-    """A certified step of a computation failed; never silently ignored."""
 
 
 # one certified normalizer step: corrector is the vector field X with
@@ -201,7 +204,9 @@ class HomologyEngine:
     def homology_dimension(self, k, w):
         if not 0 <= k <= 4:
             raise ValueError("degree out of range")
-        kd, im = self.kernel_dim(k, w), self.delta_rank(k + 1, w)
+        # the image first, so the kernel's echelon skips its pivots
+        im = self.delta_rank(k + 1, w)
+        kd = self.kernel_dim(k, w)
         if kd < im:
             raise InvariantViolation("negative homology dimension at (%d, %d): "
                                      "dim ker %d, dim im %d" % (k, w, kd, im))
@@ -216,12 +221,46 @@ class HomologyEngine:
     # -- boundaries ---------------------------------------------------
 
     def boundary_echelon(self, k, w):
-        """Echelonized image of delta inside the (k, w) slice; cached."""
+        """Echelonized image of delta inside the (k, w) slice; cached.
+
+        When the (k+1, w) echelon is already cached, its rows are cycles
+        once delta_{k+1} delta_{k+2} = 0 is certified on the weight-w
+        slices.  Then the column of delta_{k+1} at a row's pivot, the row's
+        smallest index, is a combination of the columns after it, so those
+        columns are left out of the elimination and the span is the same
+        (`ExactMatrix.echelon`).  The echelon above is never built for
+        that alone: `boundary_echelons` builds them top degree first for
+        the commands that read every degree.
+        """
         key = (k, w)
         if key not in self._boundaries:
-            self._boundaries[key] = (self.delta_matrix(k + 1, w).echelon()
-                                     if k < 4 else QEchelon())
+            if k == 4:
+                ech = QEchelon()
+            else:
+                above = self._boundaries.get((k + 1, w))
+                skip = {} if above is None else above.rows
+                if skip:
+                    self._check_complex(k + 1, w)
+                ech = self.delta_matrix(k + 1, w).echelon(skip)
+            self._boundaries[key] = ech
         return self._boundaries[key]
+
+    def boundary_echelons(self, w_max, lowest=0):
+        """Build the boundary echelons of degrees 3 down to `lowest` at each
+        weight through w_max, top degree first, so that each skips the
+        pivots of the one above."""
+        for w in range(w_max + 1):
+            for k in range(3, lowest - 1, -1):
+                self.boundary_echelon(k, w)
+
+    def _check_complex(self, k, w):
+        """Raise unless delta_k delta_{k+1} = 0 on the weight-w slices,
+        column by column, exactly."""
+        lower = self.delta_matrix(k, w)
+        if any(lower.apply(col) for col in self.delta_matrix(k + 1, w).columns):
+            raise InvariantViolation(
+                "delta_%d delta_%d != 0 at weight %d: the boundaries of the "
+                "(%d, %d) slice are not all cycles" % (k, k + 1, w, k, w))
 
     def class_echelon(self, k, w):
         """(reps, coords, independent, ech) of the (k, w) homology classes; cached.
@@ -332,10 +371,16 @@ class HomologyEngine:
                 if not form or form.weights()[0] <= w_max]
 
     def module_structure_check(self, w_max):
-        """One report row per relation: is it a boundary, as expected?"""
+        """One report row per relation: is it a boundary, as expected?
+
+        The memberships are decided top degree first, so that a boundary
+        echelon skips the pivots of the one above at the same weight."""
+        rels = self.module_structure_relations(w_max)
+        found = {i: self.is_boundary(rels[i][2])
+                 for i in sorted(range(len(rels)), key=lambda i: -rels[i][1])}
         rows = []
-        for name, k, form, expect in self.module_structure_relations(w_max):
-            is_boundary = self.is_boundary(form)
+        for i, (name, k, form, expect) in enumerate(rels):
+            is_boundary = found[i]
             rows.append({"name": name, "degree": k, "weight": form.weights()[0],
                          "is_boundary": is_boundary, "expect_boundary": expect,
                          "ok": is_boundary == expect,
@@ -347,6 +392,7 @@ class HomologyEngine:
     def induced_de_rham(self, w_max):
         """Dimension table of the de Rham cohomology of (H_., d) per (k, w)."""
         table = {}
+        self.boundary_echelons(w_max, lowest=1)
         for w in range(w_max + 1):
             reps = {0: self.representative_basis(0, w)}
             ranks = {}

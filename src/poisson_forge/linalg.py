@@ -17,7 +17,12 @@ one slice.
 `ExactMatrix` is the column store that slice matrices are written in:
 `apply` reads only the columns its vector uses, and `echelon` inserts the
 columns sparsest first, which is what keeps elimination fill-in tame on
-the banded slice matrices.
+the banded slice matrices.  `echelon` also leaves out the columns a caller
+has already proved dependent: if a kernel vector of the matrix has its
+smallest index at p, column p lies in the span of the columns after it,
+so dropping the smallest indices of kernel vectors whose smallest indices
+are distinct keeps the span (by downward induction over those indices).
+Every exact certificate of the package raises `InvariantViolation` on failure.
 """
 
 from heapq import heapify, heappop, heappush
@@ -40,6 +45,10 @@ def integer_row(vec):
     for j, c in row.items():
         row[j] = int(c.numerator) * (den // c.denominator)
     return den, row
+
+
+class InvariantViolation(Exception):
+    """A certified step of a computation failed; never silently ignored."""
 
 
 def _divide(vec, g):
@@ -208,9 +217,16 @@ class ExactMatrix:
                     out[r] = out.get(r, 0) + v * x
         return {r: s for r, s in out.items() if s}
 
-    def echelon(self):
-        """Echelon of the column span, columns inserted sparsest first."""
+    def echelon(self, skip=()):
+        """Echelon of the column span, columns inserted sparsest first.
+
+        The columns indexed by `skip` are left out.  The span is the same
+        when `skip` holds the distinct smallest indices (the pivots) of
+        kernel vectors, such as the rows of an echelon of kernel vectors;
+        the caller certifies that they are kernel vectors.
+        """
         ech = QEchelon()
-        for col in sorted((c for c in self.columns if c), key=len):
+        for col in sorted((c for j, c in enumerate(self.columns)
+                           if c and j not in skip), key=len):
             ech.insert(col)
         return ech

@@ -1,13 +1,16 @@
 import pytest
 
+from poisson_forge import division
+from poisson_forge.cli import main
 from poisson_forge.division import (DivisionProblem, _times,
+                                    _wedge_kernel_echelon,
                                     division_group_basis, division_group_dim,
                                     ideal_dim_binomial_print, ideal_slice_dim,
                                     ideal_slice_echelon, lefschetz_problem,
                                     submodule_contains, verify_division_basis)
 from poisson_forge.exterior import (FORM, GradedElement, enumerate_basis,
                                     wedge, wedge_all)
-from poisson_forge.linalg import ExactMatrix, QEchelon
+from poisson_forge.linalg import ExactMatrix, InvariantViolation, QEchelon
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
 from test_linalg import kernel_basis
@@ -107,6 +110,49 @@ def test_two_path_agreement():
         prob = lefschetz_problem(p, w)
         assert division_group_dim(prob) == \
             division_group_dim_via_kernel_basis(prob)
+
+
+def full_insert_reference(prob):
+    """(kernel_dim, submodule rank) of a Lefschetz slice (two dividing
+    1-forms of weight 2) with every wedge and submodule column built by
+    `wedge` and inserted; nothing is skipped."""
+    alpha = wedge_all(prob.forms)
+    src = enumerate_basis(prob.p, prob.w, FORM, 4)
+    dst = enumerate_basis(prob.p + 2, prob.w + 4, FORM, 4)
+    ech = QEchelon()
+    for i in range(len(src) if prob.p + 2 <= 4 else 0):
+        ech.insert(dst.coords(wedge(alpha, basis_element(src, i))))
+    sub = QEchelon()
+    for a in prob.forms:
+        lower = enumerate_basis(prob.p - 1, prob.w - 2, FORM, 4)
+        for i in range(len(lower)):
+            sub.insert(src.coords(wedge(a, basis_element(lower, i))))
+    return len(src) - ech.rank, sub.rank
+
+
+def test_skipped_wedge_columns_keep_the_ranks():
+    # the wedge columns at the submodule's pivots are never built
+    for p in (1, 2, 3):
+        for w in range(p, 10):
+            prob = lefschetz_problem(p, w)
+            kernel_dim, sub = _wedge_kernel_echelon(prob)
+            assert (kernel_dim, sub.rank) == full_insert_reference(prob), (p, w)
+
+
+def test_kernel_certificate_catches_a_form_that_alpha_does_not_absorb(
+        monkeypatch, capsys):
+    # alpha + x1^2 dx1^dx2 keeps the weight of df1^df2, but df1 ^ alpha != 0,
+    # so the submodule no longer lies in the kernel of the wedge map
+    extra = GradedElement.basis(4, FORM, (1, 2), x(1) * x(1))
+    monkeypatch.setattr(division, "wedge_all",
+                        lambda forms: wedge_all(forms) + extra)
+    message = r"a_1 \^ alpha != 0 at the \(2, 5\) division slice"
+    with pytest.raises(InvariantViolation, match=message):
+        division_group_dim(lefschetz_problem(2, 5))
+    assert main(["division", "--p", "3", "--max-degree", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "a_1 ^ alpha != 0 at the (3, 3) division slice" in out
+    assert "FAIL" in out
 
 
 def test_basis_instantiation(cat):

@@ -46,6 +46,61 @@ def test_composition_zero(engine):
                                   engine.delta_matrix(k, w)))
 
 
+def full_insert_echelon(matrix):
+    """Reference: every nonzero column inserted sparsest first, none skipped."""
+    ech = QEchelon()
+    for col in sorted((c for c in matrix.columns if c), key=len):
+        ech.insert(col)
+    return ech
+
+
+@pytest.mark.parametrize("top_down", [True, False])
+def test_boundary_echelon_spans_the_image(top_down):
+    # top down, each echelon skips the pivots of the one above; built in
+    # ascending degree on a fresh engine, none has an echelon above it
+    eng = HomologyEngine()
+    if top_down:
+        eng.boundary_echelons(8)
+    inserted = 0
+    for w in range(9):
+        for k in range(4):
+            ech = eng.boundary_echelon(k, w)
+            matrix = eng.delta_matrix(k + 1, w)
+            assert ech.rank == full_insert_echelon(matrix).rank, (k, w)
+            assert all(ech.contains(col) for col in matrix.columns), (k, w)
+            inserted += ech.count
+    nonzero = sum(1 for w in range(9) for k in range(1, 5)
+                  for col in eng.delta_matrix(k, w).columns if col)
+    assert (inserted < nonzero) if top_down else (inserted == nonzero)
+
+
+def test_single_degree_commands_build_no_echelon_above():
+    eng = HomologyEngine()
+    assert eng.hilbert_function(0, 12) == H_SERIES[0].expand(12)
+    assert eng._boundaries and all(k == 0 for k, _ in eng._boundaries)
+
+
+def test_complex_certificate_catches_a_broken_delta(monkeypatch, capsys):
+    # a column of delta_4 at weight 6 that delta_3 does not kill: the
+    # (3, 6) boundaries are no longer cycles, and skipping their pivots in
+    # the (2, 6) echelon would be unfounded
+    def broken_engine():
+        eng = HomologyEngine()
+        lower = eng.delta_matrix(3, 6)
+        j = next(j for j, col in enumerate(lower.columns) if col)
+        eng.delta_matrix(4, 6).columns[0] = {j: 1}
+        return eng
+
+    message = (r"delta_3 delta_4 != 0 at weight 6: the boundaries of the "
+               r"\(3, 6\) slice are not all cycles")
+    with pytest.raises(InvariantViolation, match=message):
+        broken_engine().boundary_echelons(6)
+    monkeypatch.setattr(homology, "_ENGINE", broken_engine())
+    assert main(["verify", "--suite", "theorem1", "--max-weight", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "delta_3 delta_4 != 0 at weight 6" in out and "FAIL" in out
+
+
 # -- dimensions ---------------------------------------------------------
 
 

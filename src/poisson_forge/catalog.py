@@ -16,6 +16,7 @@ explicit coefficients below are fixed by those identities.
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, de_rham, star,
                        star_inv, volume_form, wedge)
+from .poisson import jacobi_poisson
 from .polynomials import Polynomial
 from .rationals import Q
 
@@ -81,7 +82,6 @@ class LefschetzCatalog:
             x1 * x4 - x2 * x3,
         ]
 
-        from .poisson import jacobi_poisson
         self.poisson = jacobi_poisson([self.f1, self.f2], 4)
         self.pi = self.poisson.bivector
 

@@ -21,7 +21,7 @@ from math import comb
 
 from .catalog import lefschetz_catalog
 from .exterior import FORM, SliceOperator, enumerate_basis, wedge, wedge_all
-from .linalg import InvariantViolation, QEchelon
+from .linalg import InvariantViolation, echelon
 from .polynomials import Polynomial
 
 
@@ -60,13 +60,10 @@ def _times(g):
 
 def _submodule_echelon(prob, src):
     """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
-    ech = QEchelon()
-    for a in prob.forms:
-        lower = enumerate_basis(prob.p - 1, prob.w - a.weights()[0], FORM, a.n)
-        for col in _wedge_by(a).columns(lower, src):
-            if col:
-                ech.insert(col)
-    return ech
+    return echelon(col for a in prob.forms
+                   for col in _wedge_by(a).columns(
+                       enumerate_basis(prob.p - 1, prob.w - a.weights()[0],
+                                       FORM, a.n), src))
 
 
 def _wedge_kernel_echelon(prob):
@@ -91,10 +88,7 @@ def _wedge_kernel_echelon(prob):
     u = sum(a.weights()[0] for a in prob.forms)
     dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
     # a ^ b = +-b ^ a, so the rank is that of b -> b ^ alpha
-    ech = QEchelon()
-    for col in _wedge_by(alpha).columns(src, dst, skip=sub.rows):
-        if col:
-            ech.insert(col)
+    ech = echelon(_wedge_by(alpha).columns(src, dst, skip=sub.rows))
     return len(src) - ech.rank, sub
 
 
@@ -167,12 +161,9 @@ def submodule_contains(prob, form):
 def ideal_slice_echelon(generators, d, n=4):
     """Echelonized degree-d slice of the ideal generated by homogeneous polys."""
     basis = enumerate_basis(0, d, FORM, n)
-    ech = QEchelon()
-    for g in generators:
-        for col in _times(g).columns(enumerate_basis(0, d - g.degree(), FORM, n),
-                                     basis):
-            ech.insert(col)
-    return ech
+    return echelon(col for g in generators
+                   for col in _times(g).columns(
+                       enumerate_basis(0, d - g.degree(), FORM, n), basis))
 
 
 def ideal_slice_dim(d):

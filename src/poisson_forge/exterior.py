@@ -9,17 +9,21 @@ Grading: the scaling weight of a term is (coefficient degree + k) for
 forms and (coefficient degree - k) for multivectors, i.e. the eigenvalue
 of pullback under scalar multiplication.
 
-Contraction pairs the two kinds through the determinant pairing
-<e_J, dx_I> = det(delta_{j,i}); equivalently iota_{u_1^...^u_k} applies
-the single-factor insertions first factor innermost.  With this
+Every sign of the algebra is one rule, `_merge_sign`: the sign of the
+shuffle that merges two disjoint sorted index tuples into one.  It gives
+dx_I ^ dx_J, d's dx_i ^ dx_I, and the contraction, which pairs the two
+kinds through the determinant pairing <e_J, dx_I> = det(delta_{j,i}):
+iota_{e_J}(dx_I) = s dx_R with R = I minus J and dx_I = s dx_J ^ dx_R
+(the single-factor insertions applied first factor innermost).  With this
 convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
-bivector to df_1 ^ df_2.
+bivector to df_1 ^ df_2, and star_inv reads its sign off the same rule.
 
 A SliceOperator wraps one fixed linear map on forms (delta_pi, a ^ ., a
 product with a polynomial) and expands it term by term through a stencil,
 both on forms and as sparse columns between the slice bases below.
 """
 
+from functools import cache
 from itertools import combinations
 from operator import add
 
@@ -31,8 +35,11 @@ FORM = "form"
 MULTIVECTOR = "multivector"
 
 
+@cache
 def _merge_sign(a, b):
-    """Sorted union of disjoint index tuples and the sign of the merge; None if overlap."""
+    """Sorted union of disjoint index tuples and the sign of the merge; None if overlap.
+
+    Cached: R^4 has 16 index tuples, so at most 256 pairs."""
     if set(a) & set(b):
         return None, 0
     sign = 1
@@ -107,12 +114,7 @@ class GradedElement:
         self._check(other)
         comps = dict(self.comps)
         for idx, p in other.comps.items():
-            s = comps.get(idx)
-            s = p if s is None else s + p
-            if s:
-                comps[idx] = s
-            else:
-                comps.pop(idx, None)
+            _accumulate(comps, idx, p)
         return self._like(comps)
 
     def __sub__(self, other):
@@ -181,28 +183,33 @@ class GradedElement:
 # -- products and differentials -----------------------------------------
 
 
+def _accumulate(comps, idx, p):
+    """Add the polynomial p into comps[idx]; a zero sum is dropped when the
+    element is built."""
+    s = comps.get(idx)
+    comps[idx] = p if s is None else s + p
+
+
+def _pair_product(a, b, rule, degree, kind):
+    """The sum of sign * pa * pb at idx over the term pairs of a and b,
+    where (idx, sign) = rule(ia, ib), or (None, 0) for a vanishing pair."""
+    comps = {}
+    for ia, pa in a.comps.items():
+        for ib, pb in b.comps.items():
+            idx, sign = rule(ia, ib)
+            if idx is not None:
+                term = pa * pb
+                _accumulate(comps, idx, term if sign > 0 else -term)
+    return GradedElement(a.n, degree, kind, comps)
+
+
 def wedge(a, b):
     """Exterior product; same kind required, degree overflow gives zero."""
     a._check(b, same_degree=False)
     k = a.degree + b.degree
     if k > a.n:
         return GradedElement.zero(a.n, a.n, a.kind)
-    comps = {}
-    for ia, pa in a.comps.items():
-        for ib, pb in b.comps.items():
-            idx, sign = _merge_sign(ia, ib)
-            if idx is None:
-                continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            s = comps.get(idx)
-            s = term if s is None else s + term
-            if s:
-                comps[idx] = s
-            else:
-                comps.pop(idx, None)
-    return GradedElement(a.n, k, a.kind, comps)
+    return _pair_product(a, b, _merge_sign, k, a.kind)
 
 
 def wedge_all(elems):
@@ -213,7 +220,8 @@ def wedge_all(elems):
 
 
 def de_rham(a):
-    """The de Rham differential on forms."""
+    """The de Rham differential on forms: d(p dx_I) = sum_i d_i p dx_i ^ dx_I,
+    the sign of dx_i ^ dx_I that of the merge of (i,) into I."""
     if a.kind != FORM:
         raise ValueError("de_rham acts on forms")
     if a.degree == a.n:
@@ -221,39 +229,32 @@ def de_rham(a):
     comps = {}
     for idx, p in a.comps.items():
         for i in range(1, a.n + 1):
-            if i in idx:
+            new, sign = _merge_sign((i,), idx)
+            if new is None:
                 continue
             dp = p.diff(i)
-            if not dp:
-                continue
-            # insert dx_i in front: sign from moving past smaller indices
-            pos = sum(1 for j in idx if j < i)
-            new = tuple(sorted(idx + (i,)))
-            if pos & 1:
-                dp = -dp
-            s = comps.get(new)
-            s = dp if s is None else s + dp
-            if s:
-                comps[new] = s
-            else:
-                comps.pop(new, None)
+            if dp:
+                _accumulate(comps, new, dp if sign > 0 else -dp)
     return GradedElement(a.n, a.degree + 1, FORM, comps)
 
 
-def _insert_single(i, target_idx):
-    """Contract a single axis-i factor into a sorted index tuple: (sign, rest) or None."""
-    if i not in target_idx:
-        return None
-    pos = target_idx.index(i)
-    rest = target_idx[:pos] + target_idx[pos + 1:]
-    return (-1 if pos & 1 else 1), rest
+@cache
+def _contract_sign(J, I):
+    """iota_{e_J}(dx_I) = sign * dx_R with R = I minus J, as (R, sign);
+    (None, 0) unless J lies in I.  dx_I = sign * dx_J ^ dx_R."""
+    if not set(J) <= set(I):
+        return None, 0
+    rest = tuple(i for i in I if i not in J)
+    return rest, _merge_sign(J, rest)[1]
 
 
 def contract(u, v):
     """Interior product iota_u(v) of complementary kinds, deg(u) <= deg(v).
 
-    The result has the kind of v.  Factors of u are inserted first factor
-    innermost, which realizes the determinant pairing on equal degrees.
+    The result has the kind of v.  On basis elements iota_{e_J}(dx_I) is
+    s * dx_R with R = I minus J and dx_I = s * dx_J ^ dx_R: the factors of
+    u are inserted first factor innermost, which realizes the determinant
+    pairing on equal degrees.
     """
     if not isinstance(u, GradedElement) or not isinstance(v, GradedElement):
         raise TypeError("expected GradedElements")
@@ -261,31 +262,7 @@ def contract(u, v):
         raise ValueError("contraction needs complementary kinds")
     if u.degree > v.degree:
         raise ValueError("contraction degree overflow")
-    comps = {}
-    for iu, pu in u.comps.items():
-        for iv, pv in v.comps.items():
-            sign = 1
-            rest = iv
-            ok = True
-            for i in iu:
-                hit = _insert_single(i, rest)
-                if hit is None:
-                    ok = False
-                    break
-                s, rest = hit
-                sign *= s
-            if not ok:
-                continue
-            term = pu * pv
-            if sign < 0:
-                term = -term
-            acc = comps.get(rest)
-            acc = term if acc is None else acc + term
-            if acc:
-                comps[rest] = acc
-            else:
-                comps.pop(rest, None)
-    return GradedElement(v.n, v.degree - u.degree, v.kind, comps)
+    return _pair_product(u, v, _contract_sign, v.degree - u.degree, v.kind)
 
 
 def volume_form(n):
@@ -299,30 +276,15 @@ def star(v):
     return contract(v, volume_form(v.n))
 
 
-def _star_signs(n):
-    signs = {}
-    for k in range(n + 1):
-        for idx in combinations(range(1, n + 1), k):
-            image = star(GradedElement.basis(n, MULTIVECTOR, idx))
-            (im_idx, p), = image.comps.items()
-            signs[im_idx] = (idx, p.constant_term())
-    return signs
-
-
-_STAR_INV_CACHE = {}
-
-
 def star_inv(a):
-    """Inverse of star: forms back to multivectors."""
+    """Inverse of star: dx_I goes to s * e_J, J the complement of I and
+    dx_J ^ dx_I = s * mu."""
     if a.kind != FORM:
         raise ValueError("star_inv acts on forms")
-    if a.n not in _STAR_INV_CACHE:
-        _STAR_INV_CACHE[a.n] = _star_signs(a.n)
-    table = _STAR_INV_CACHE[a.n]
     comps = {}
     for idx, p in a.comps.items():
-        target, sign = table[idx]
-        comps[target] = p * sign
+        target = tuple(i for i in range(1, a.n + 1) if i not in idx)
+        comps[target] = p if _merge_sign(target, idx)[1] > 0 else -p
     return GradedElement(a.n, a.n - a.degree, MULTIVECTOR, comps)
 
 

@@ -13,11 +13,11 @@ gives, so ranks, containment and solved coordinates are exactly those of
 a rational echelon.  `solve` hands its coordinates out as ints over one
 positive scale, so no Fraction is built here.  `QEchelon.quotient` solves
 modulo a span eliminated once without tracking, such as the boundaries of
-one slice.
+one slice.  The function `echelon` eliminates columns in the order given.
 `ExactMatrix` is the column store that slice matrices are written in:
-`apply` reads only the columns its vector uses, and `echelon` inserts the
-columns sparsest first, which is what keeps elimination fill-in tame on
-the banded slice matrices.  `echelon` also leaves out the columns a caller
+`apply` reads only the columns its vector uses, and its `echelon` inserts
+the columns sparsest first, which is what keeps elimination fill-in tame
+on the banded slice matrices.  It also leaves out the columns a caller
 has already proved dependent: if a kernel vector of the matrix has its
 smallest index at p, column p lies in the span of the columns after it,
 so dropping the smallest indices of kernel vectors whose smallest indices
@@ -185,6 +185,16 @@ class QEchelon:
         return not v
 
 
+def echelon(columns):
+    """Untracked echelon of the span of columns, the nonzero ones inserted
+    in the order given."""
+    ech = QEchelon()
+    for col in columns:
+        if col:
+            ech.insert(col)
+    return ech
+
+
 class ExactMatrix:
     """Sparse exact matrix stored by column, with no stored zeros.
 
@@ -225,8 +235,5 @@ class ExactMatrix:
         kernel vectors, such as the rows of an echelon of kernel vectors;
         the caller certifies that they are kernel vectors.
         """
-        ech = QEchelon()
-        for col in sorted((c for j, c in enumerate(self.columns)
-                           if c and j not in skip), key=len):
-            ech.insert(col)
-        return ech
+        return echelon(sorted((c for j, c in enumerate(self.columns)
+                               if j not in skip), key=len))

@@ -118,7 +118,7 @@ def test_criterion_5_structural_identities(engine, cat):
 
 
 def test_criterion_5_section2_identity_list(cat):
-    checks = verify_identity_suite(cat, max_weight=6)
+    checks = verify_identity_suite(cat)
     failures = [c["name"] for c in checks
                 if c["status"] == "fail" and c["name"] != "pi = -8 T1^T2"]
     # contraction-vs-wedge, tested exhaustively at combined weight <= 6
@@ -191,7 +191,7 @@ def test_criterion_5_pi_equals_minus_8_T1_T2(cat):
     # the printed constant is refuted exactly, and the suite flags it
     ok = ok and cat.pi != t1t2 * (-8)
     checks = {ch["name"]: ch["status"]
-              for ch in verify_identity_suite(cat, max_weight=0)}
+              for ch in verify_identity_suite(cat)}
     ok = ok and checks.get("pi = -8 T1^T2") == "fail"
     ok = ok and checks.get("pi = -16 T1^T2 (computed)") == "info"
     assert _line(5, ok, "printed pi = -8 T1^T2 refuted; pi = %s T1^T2 "

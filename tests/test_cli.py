@@ -178,6 +178,19 @@ def test_verify_identities_reports_the_known_failure(capsys):
     assert "-16" in out
 
 
+def test_identity_suite_has_no_weight_cap(capsys):
+    # the suite reads no weight: the default weight 12 is not cut and gives
+    # the verdicts of weight 3
+    reports = []
+    for extra in ([], ["--max-weight", "3"]):
+        assert main(["verify", "--suite", "identities", "--format", "json"]
+                    + extra) == 1
+        reports.append({b["block"]: b for b in
+                        json.loads(capsys.readouterr().out)["blocks"]})
+    assert "weight cap" not in reports[0]
+    assert reports[0]["identity suite"] == reports[1]["identity suite"]
+
+
 def test_normalize_command(capsys):
     code = main(["normalize", "--g", "1+x1*x3", "--max-weight", "6"])
     out = capsys.readouterr().out

@@ -356,7 +356,7 @@ def test_modular_field(cat):
 
 
 def test_identity_suite_passes(cat):
-    checks = verify_identity_suite(cat, max_weight=4)
+    checks = verify_identity_suite(cat)
     failures = [c["name"] for c in checks if c["status"] == "fail"]
     # the single -8 proportionality printed in the source text cannot hold
     # together with the star and contraction normalization of T_i; the
@@ -371,32 +371,35 @@ def test_identity_suite_detects_sabotage(cat):
     import copy
     broken = copy.copy(cat)
     broken.zeta1 = -cat.zeta1
-    checks = verify_identity_suite(broken, max_weight=2)
+    checks = verify_identity_suite(broken)
     bad = {c["name"] for c in checks if c["status"] == "fail"}
     assert "star(E1) = zeta1^d(zeta1)" in bad
 
 
-def test_identity_suite_reports_the_first_homotopy_failure(cat):
+def _homotopy_check(cat, coefficient):
+    """The homotopy verdict of the suite with pi = coefficient e1^e2."""
     import copy
     from poisson_forge.poisson import PoissonStructure
+    bent = copy.copy(cat)
+    bent.pi = GradedElement.basis(4, MULTIVECTOR, (1, 2), coefficient)
+    bent.poisson = PoissonStructure(bent.pi)
+    assert not modular_field(bent.poisson).is_zero()
+    checks = {c["name"]: c for c in verify_identity_suite(bent)}
+    check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]
+    return check["status"], check["detail"]
+
+
+def test_identity_suite_reports_the_first_homotopy_failure(cat):
     # pi = x1^2 e1^e2 is Poisson and of weight 0 with modular field
     # 2 x1 e2, so the homotopy identity fails on the constant function:
     # d_pi(1) = 0 while delta_pi(mu) = d(star(pi)) = 2 x1 dx1^dx3^dx4
-    bent = copy.copy(cat)
-    bent.pi = GradedElement.basis(4, MULTIVECTOR, (1, 2), x(1) * x(1))
-    bent.poisson = PoissonStructure(bent.pi)
-    assert not modular_field(bent.poisson).is_zero()
-    checks = {c["name"]: c for c in verify_identity_suite(bent, max_weight=2)}
-    check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]
-    assert (check["status"], check["detail"]) == \
-        ("fail", "first failure at degree 0 weight 0")
+    assert _homotopy_check(cat, x(1) ** 2) == \
+        ("fail", "first failure at degree 0, row of dx1^dx2^dx3^dx4")
 
 
-def test_identities_weight_homogeneous(cat):
-    # the identities live in single weights, so a low working weight passes
-    checks = verify_identity_suite(cat, max_weight=4)
-    names_low = {c["name"]: c["status"] for c in checks}
-    checks8 = verify_identity_suite(cat, max_weight=6)
-    for c in checks8:
-        if c["name"] in names_low:
-            assert names_low[c["name"]] == c["status"]
+def test_identity_suite_reports_a_bivector_of_nonzero_weight(cat):
+    # pi = x1^3 e1^e2 is Poisson and of weight 1, so delta_pi moves each
+    # slice up one weight; its modular field 3 x1^2 e2 breaks the identity
+    # on the constant function as above, and the suite reports it
+    assert _homotopy_check(cat, x(1) ** 3) == \
+        ("fail", "first failure at degree 0, row of dx1^dx2^dx3^dx4")

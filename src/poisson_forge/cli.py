@@ -205,8 +205,8 @@ def _normalize_block(doc, eng, g, w_max):
         q, steps = eng.normalize_volume_deformation(g, w_max)
         # q's coefficients can outgrow the printable length of g's
         printed_q = str(q)
-        step_rows = [{"name": "weight %d residual certified in im d_pi "
-                              "(Casimir part %s)"
+        step_rows = [{"name": "weight %d of 1/g: residual certified in "
+                              "im d_pi (Casimir part %s)"
                               % (s.weight, s.casimir_part),
                       "status": "pass"} for s in steps]
     except (InvariantViolation, ValueError) as exc:

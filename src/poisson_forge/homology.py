@@ -30,27 +30,33 @@ off the template.  Besides dimensions this module instantiates and
 verifies these families, certifies the module-structure relations over the
 Casimir ring as boundary memberships, computes the de Rham complex induced
 on homology, and runs the volume-deformation normalizer that rewrites g*pi
-as q*pi with q a Casimir function, through a chosen weight.  Its step is
-the scalar equation d(tau) = (g_i - q_i) mu on tangent fields X =
--star_inv(tau), since [X, pi] = -div(X) pi; the system is built once per
-weight from operator columns (d and the tangency maps) and is the
-normalizer's only linear system.  The flow of the homogeneous field
--X/g(0) that pulls h*pi back stays on the ray of pi, so the pullback is a
-scalar series acting on the conformal factor h, applied through a stencil
-read once per step off s*X and its certified divergence, and certified by
-flowing back on the same stencil.  Each step runs on integers: the solve
-hands out s*X with integer coefficients and one scale s, the certificates
-check s*X against s*(g_i - q_i), and the series carries each term as an
-integer dict over one denominator, so only the outputs q, q_i and X are
-made rational, once per coefficient.
+as q*pi with q a Casimir function, through a chosen weight.
+
+The normalizer rests on the relative form of Moser's argument: if two
+volume forms nu = r mu and nu' = c mu differ by nu' - nu = d(iota_Z mu)
+with Z tangent to the fibres (iota_Z df1 = iota_Z df2 = 0) and of positive
+weight, a formal diffeomorphism fixing f1 and f2 pulls nu' back to nu.
+Proof: on the path nu_t = nu + t(nu' - nu) = (r + t(c - r)) mu, with
+r(0) = c(0) != 0, the tangent field Y_t = -Z/(r + t(c - r)) has
+L_{Y_t} nu_t = d(iota_{Y_t} nu_t) = -(nu' - nu).  So its flow phi_t has
+d/dt phi_t^* nu_t = 0, whence phi_1^* nu' = nu, and phi_t fixes f1 and f2.
+The Jacobi-Poisson structure of mu/g is g*pi, so with r = 1/g and c its
+Casimir part (the part of 1/g in the top homology), phi_1 pulls q*pi back
+to g*pi for q = 1/c.
+
+The normalizer's step splits one weight-i slice r_i of 1/g: it is the
+scalar equation d(tau) = (r_i - c_i) mu on tangent fields
+X = -star_inv(tau), since [X, pi] = -div(X) pi.  The system is built once
+per weight from operator columns (d and the tangency maps) and is the
+normalizer's only linear system.  The solve hands out s*X with integer
+coefficients and one scale s, and the certificates check s*X against
+s*(r_i - c_i).
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
 """
 
 from collections import namedtuple
-from math import gcd, lcm
-from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
@@ -58,11 +64,12 @@ from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
 from .linalg import ExactMatrix, InvariantViolation, QEchelon, integer_row
 from .poisson import d_pi
 from .polynomials import Polynomial
-from .rationals import Q, exact
+from .rationals import Q
 
 
-# one certified normalizer step: corrector is the vector field X with
-# d_pi(X) = (g_i - q_i) pi, casimir_part the slice q_i as a polynomial in f1, f2
+# one certified normalizer step on the weight-i slice r_i of 1/g: corrector is
+# the tangent field X with d_pi(X) = (r_i - c_i) pi, casimir_part the slice c_i
+# of 1/q as a polynomial in f1, f2
 DeformationStep = namedtuple("DeformationStep", "weight casimir_part corrector")
 
 
@@ -424,37 +431,34 @@ class HomologyEngine:
     # -- volume deformation normalizer ------------------------------------
 
     def normalize_volume_deformation(self, g, w_max):
-        """Rewrite g*pi as q*pi modulo a formal diffeomorphism, weight by weight.
+        """Rewrite g*pi as q*pi modulo a formal diffeomorphism, through w_max.
 
-        At each weight i the residual slice g_i is split as q_i + d_pi-exact
-        (q_i over the Casimir monomials) and the correction field X is
-        certified exactly, on its integral multiple s*X against
-        s*(g_i - q_i).  X is tangent to the fibration, so the time-1 flow
-        of Y = -X/g(0) keeps h*pi on the ray: it pulls h*pi back to
-        (exp(D) h)*pi with D h = Y(h) - div(Y) h, each term truncated above
-        w_max.  Y kills the Casimir parts of h below weight i and D raises
-        degrees by exactly i, so the weight-i part becomes h_i + div(X) =
-        q_i.  The round trip exp(-D) exp(D) h = h certifies the series.
-        Returns (q, transcript).
+        g*pi is the Jacobi-Poisson structure of the volume form mu/g.  Each
+        weight-i slice r_i of r = 1/g is split as c_i + d_pi-exact (c_i over
+        the Casimir monomials), and the correction field X is certified
+        exactly, on its integral multiple s*X against s*(r_i - c_i).  Then
+        mu/g - mu/q = -d(iota_X mu) for the tangent field X = sum of the
+        steps' fields, with 1/q = sum c_i, and the Moser argument of the
+        module docstring carries g*pi to q*pi.  Returns (q, transcript).
         """
         cat = self.cat
         if not isinstance(g, Polynomial):
             raise TypeError("g must be a Polynomial")
-        c0 = g.constant_term()
-        if c0 <= 0:
+        if g.constant_term() <= 0:
             raise ValueError("g must have positive constant term")
-        # through `exact`, so q is int where integral even if no step runs
-        current = Polynomial(g.n, g.truncate(w_max).terms)
+        r = g.inverse(w_max)
+        c = r.homogeneous_part(0)
         transcript = []
         for i in range(1, w_max + 1):
-            gi = current.homogeneous_part(i)
-            if gi.is_zero():
+            ri = r.homogeneous_part(i)
+            if ri.is_zero():
                 continue
-            qi, scaled, s = self._solve_deformation_step(gi, i)
+            ci, scaled, s = self._solve_deformation_step(ri, i)
+            c = c + ci
             if scaled is None:     # already a pure Casimir slice
                 continue
             # exact certificates on s*X, never trusted silently
-            residual = (gi - qi) * s
+            residual = (ri - ci) * s
             if d_pi(scaled, cat.poisson) != cat.pi * residual:
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
@@ -466,34 +470,24 @@ class HomologyEngine:
             if divergence(scaled).coefficient(()) != -residual:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
-            transcript.append(DeformationStep(i, qi, scaled * Q(1, s)))
-            # pull current*pi back along the time-1 flow of Y = -X/g(0):
-            # D = Y(.) - div(Y). = -(s*X(.) + residual.)/(s*g(0)), read off
-            # s*X and the certified div(s*X) = -residual
-            stencil = _flow_stencil(scaled, residual)
-            scale = Q(-1, s * c0)
-            pulled = _exp_flow(stencil, scale, current, w_max)
-            # the flow back must return current, higher-order terms included
-            if _exp_flow(stencil, -scale, pulled, w_max) != current:
-                raise InvariantViolation("flow pullback certificate failed "
-                                         "at weight %d" % i)
-            current = pulled
-        q = current
+            transcript.append(DeformationStep(i, ci, scaled * Q(1, s)))
+        q = c.inverse(w_max)
         for d, part in q.homogeneous_parts().items():
             if d and self._solve_deformation_step(part, d)[1] is not None:
                 raise InvariantViolation("normalized factor is not a Casimir "
                                          "series at degree %d" % d)
         return q, transcript
 
-    def _solve_deformation_step(self, gi, i):
-        """(q_i, s*X, s): the Casimir slice q_i and a field X with
-        d_pi(X) = (g_i - q_i) pi, iota_X df1 = iota_X df2 = 0, by one
-        augmented exact solve of a system cached per weight.  For tangent
-        X, star(d_pi X) = -div(X) df1^df2 and d(star X) = div(X) mu, so
-        the system is d(tau) = (g_i - q_i) mu with X = -star_inv(tau).
-        The solve's integer coordinates give s*X with integer coefficients
-        and a positive int s.  The Casimir generators mu * f1^a f2^b come
-        first, so s*X is None exactly when g_i is a Casimir slice."""
+    def _solve_deformation_step(self, ri, i):
+        """(c_i, s*X, s) for a weight-i slice r_i: its Casimir part c_i and
+        a field X with d_pi(X) = (r_i - c_i) pi, iota_X df1 = iota_X df2 =
+        0, by one augmented exact solve of a system cached per weight.  For
+        tangent X, star(d_pi X) = -div(X) df1^df2 and d(star X) = div(X)
+        mu, so the system is d(tau) = (r_i - c_i) mu with X =
+        -star_inv(tau).  The solve's integer coordinates give s*X with
+        integer coefficients and a positive int s.  The Casimir generators
+        mu * f1^a f2^b come first, so s*X is None exactly when r_i is a
+        Casimir slice."""
         cat = self.cat
         w = i + 4
         top = self.basis(4, w)
@@ -515,101 +509,25 @@ class HomologyEngine:
                 ech.insert(vec)
             self._deformation[i] = (fmonos, basis3, ech)
         fmonos, basis3, ech = self._deformation[i]
-        solution = ech.solve(top.coords(cat.mu * gi))
+        solution = ech.solve(top.coords(cat.mu * ri))
         if solution is None:
             raise InvariantViolation("deformation step unsolvable at weight %d "
                                      "(contradicts the classification)" % i)
         s, coords = solution
-        qi = Polynomial.zero(4)
+        ci = Polynomial.zero(4)
         tau = {}           # s*tau, index tuple -> {monomial: int}
         for gen_index, c in coords.items():
             if gen_index < len(fmonos):
-                qi = qi + fmonos[gen_index][1] * c
+                ci = ci + fmonos[gen_index][1] * c
             else:
                 idx, m = basis3.elements[gen_index - len(fmonos)]
                 tau.setdefault(idx, {})[m] = c
-        qi = qi * Q(1, s)
+        ci = ci * Q(1, s)
         if not tau:
-            return qi, None, s
+            return ci, None, s
         tau = GradedElement(4, 3, FORM, {idx: Polynomial._of(4, t)
                                          for idx, t in tau.items()})
-        return qi, -star_inv(tau), s
-
-
-def _flow_stencil(field, rate):
-    """The stencil of S h = field(h) + rate h, for a vector field and a
-    polynomial rate with int coefficients.
-
-    Each entry (j, t, rise, a) sends x^m to a m_j x^(m+t) (a term a x^s of
-    field_j, t = s - e_j) or, with j None, to a x^(m+t) (a term a x^t of
-    rate); rise is the degree it adds.
-    """
-    stencil = [(j - 1, s[:j - 1] + (s[j - 1] - 1,) + s[j:], a)
-               for (j,), p in field.comps.items() for s, a in p.terms.items()]
-    stencil += [(None, t, b) for t, b in rate.terms.items()]
-    return [(j, t, sum(t), a) for j, t, a in stencil]
-
-
-def _exp_flow(stencil, scale, h, w_max):
-    """exp(D) h with D = scale * S, S the integral stencil, truncated at
-    degree w_max.
-
-    For a field Y tangent to the fibration, L_Y df_i = 0 and
-    L_Y mu = div(Y) mu, so exp(L_Y)(h pi) = (exp(D) h) pi with
-    D h = Y(h) - div(Y) h.  The normalizer passes one stencil per step and
-    the opposite scale for the flow back.  Each series term D^m h / m! is
-    an integer dict over one denominator, so every product and sum is on
-    ints, and each output coefficient is made an exact scalar once.  Each
-    entry raises the degree by at least its lowest rise, so only the part
-    of each term of degree <= w_max - rise is expanded, and no image above
-    w_max is formed.
-    """
-    result = h.truncate(w_max)
-    if not stencil:
-        return result
-    # scale * S = S' / den with S' integral and as small as it can be
-    content = gcd(*(a for *_, a in stencil))
-    scale = Q(scale * content)
-    num, den = scale.numerator, scale.denominator
-    stencil = [(j, t, rise, a // content * num) for j, t, rise, a in stencil]
-    top = w_max - min(rise for _, _, rise, _ in stencil)
-    # terms[m] = (e, T) with T / e = D^m h / m!
-    terms = [integer_row(result.terms)]
-    e, term = terms[0]
-    for m in range(1, w_max + 2):
-        image = {}
-        for mono, c in term.items():
-            deg = sum(mono)
-            if deg > top:
-                continue
-            for j, t, rise, a in stencil:
-                if deg + rise > w_max:
-                    continue
-                if j is None:
-                    v = c * a
-                elif mono[j]:
-                    v = c * a * mono[j]
-                else:
-                    continue
-                key = tuple(map(add, mono, t))
-                image[key] = image.get(key, 0) + v
-        term = {key: v for key, v in image.items() if v}
-        if not term:
-            break
-        e *= den * m
-        g = gcd(e, *term.values())
-        if g > 1:
-            e //= g
-            term = {key: v // g for key, v in term.items()}
-        terms.append((e, term))
-    common = lcm(*(e for e, _ in terms))
-    total = {}
-    for e, term in terms:
-        f = common // e
-        for key, v in term.items():
-            total[key] = total.get(key, 0) + v * f
-    return Polynomial._of(h.n, {key: exact(Q(v, common))
-                                for key, v in total.items() if v})
+        return ci, -star_inv(tau), s
 
 
 _ENGINE = None

@@ -15,9 +15,7 @@ import sys
 from functools import cmp_to_key
 from operator import add
 
-from .rationals import exact
-
-Monomial = tuple
+from .rationals import Q, exact
 
 
 def monomial_cmp(a, b):
@@ -218,10 +216,24 @@ class Polynomial:
                                        else exact(c * m[j])
                                        for m, c in self.terms.items() if m[j]})
 
-    def truncate(self, d):
-        """Drop every term of total degree > d."""
-        return Polynomial._of(self.n, {m: c for m, c in self.terms.items()
-                                       if sum(m) <= d})
+    def inverse(self, d):
+        """1/self as a power series through total degree d.
+
+        Read off self * (1/self) = 1 degree by degree: with c the constant
+        term, the slices are r_0 = 1/c and r_k = -(1/c) sum_{j=1..k}
+        self_j r_{k-j}, so the terms of self above degree d play no part.
+        """
+        inv = Q(1, self.constant_term())
+        parts = self.homogeneous_parts()
+        slices = [Polynomial.constant(self.n, inv)]
+        for k in range(1, d + 1):
+            acc = Polynomial.zero(self.n)
+            for j, part in parts.items():
+                if 0 < j <= k:
+                    acc = acc + part * slices[k - j]
+            slices.append(acc * -inv)
+        return Polynomial._of(self.n, {m: c for p in slices
+                                       for m, c in p.terms.items()})
 
     # -- comparison / hashing / printing ------------------------------
 

@@ -10,9 +10,6 @@ into a float.  Floats are refused everywhere.
 
 from fractions import Fraction as Q
 
-QZERO = Q(0)
-QONE = Q(1)
-
 
 def exact(x):
     """x as an exact scalar: an int when integral, else a Q; floats raise."""

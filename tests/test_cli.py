@@ -280,21 +280,38 @@ def test_emit_report_bad_format():
 # sha256 of JSON reports whose verdict rows must not move: the whole
 # verify suite (exit 1 for the printed -8), one normalizer run, an nf whose
 # quotients have non-integral coefficients (c/cg in normal_form) and a
-# normalizer run with rational g (whose q has non-integral coefficients)
+# normalizer run with rational g (whose q has non-integral coefficients).
+# The normalizer pins were re-taken when the step rows came to name the
+# slices of 1/g; q itself is pinned on its own below
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
     (["normalize", "--g", "1+x1", "--max-weight", "5"], 0,
-     "bb3c21f1976bdb5f473729b7cffd7a498ee814533d1622fe8b8011d364054be6"),
+     "d5acd3f9130f700d93622ae13fa5e35dadf176bcbf99edf2d0ce781afec9a0d3"),
     (["nf", "--poly", "1/3*x1*x4+x1^3-5/2*x2*x3^2"], 0,
      "dc7e7d0860bf0e28c26e3601f3bc5e7fce94bad7afd2c109bbb1fa9bca47d69e"),
     (["normalize", "--g", "3/2+1/3*x1-x2^2+x1*x4", "--max-weight", "5"], 0,
-     "6dadbc1937cfd5e7f5554f33f617061ce32384408f2465ec1f43c85f981864f2"),
+     "ff82085b1ddf2ec08dcdb529617cfe2d0d0fab52adeadb2b96637531f6ab7144"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the "normalized factor q" note alone, so that q is pinned apart
+# from the step rows
+@pytest.mark.parametrize("g, digest", [
+    ("1+x1", "8224fe57c0e584b874300de4de58167f02097e4f721692612afec40875525402"),
+    ("3/2+1/3*x1-x2^2+x1*x4",
+     "f8bfe207a8b6e0a091c200f6a60701d026cc1c2a538f73075cdd1f869e92d4a0"),
+])
+def test_normalized_factor_note_is_pinned(capsys, g, digest):
+    assert main(["normalize", "--g", g, "--max-weight", "5",
+                 "--format", "json"]) == 0
+    note, = [b["text"] for b in json.loads(capsys.readouterr().out)["blocks"]
+             if b["block"] == "normalized factor q"]
+    assert hashlib.sha256(note.encode()).hexdigest() == digest
 
 
 def test_nf_verdicts_catch_a_wrong_remainder(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from poisson_forge.linalg import ExactMatrix, QEchelon, integer_row
-from poisson_forge.rationals import Q, QONE, QZERO, exact
+from poisson_forge.rationals import Q, exact
 
 
 class FractionEchelon:
@@ -36,14 +36,14 @@ class FractionEchelon:
             main, raug = self.rows[p]
             t = t / main[p]
             for j, v in main.items():
-                nv = vec.get(j, QZERO) - t * v
+                nv = vec.get(j, Q(0)) - t * v
                 if nv:
                     vec[j] = nv
                 else:
                     vec.pop(j, None)
             if aug is not None:
                 for j, v in raug.items():
-                    nv = aug.get(j, QZERO) - t * v
+                    nv = aug.get(j, Q(0)) - t * v
                     if nv:
                         aug[j] = nv
                     else:
@@ -149,7 +149,7 @@ def kernel_basis(m):
             ech._store(v, aug)
         else:
             s = aug.pop(c)
-            vec = {c: QONE}
+            vec = {c: Q(1)}
             for j, x in aug.items():
                 vec[j] = Q(x, s)
             basis.append(vec)

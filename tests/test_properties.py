@@ -156,8 +156,8 @@ def _stored(p):
 @CHECKS
 @given(st.dictionaries(monomials, scalars, max_size=5),
        st.dictionaries(monomials, scalars, max_size=5), scalars,
-       st.integers(0, 3), st.integers(1, 4), st.integers(0, 6))
-def test_int_first_arithmetic_matches_fraction_reference(ta, tb, s, k, i, d):
+       st.integers(0, 3), st.integers(1, 4))
+def test_int_first_arithmetic_matches_fraction_reference(ta, tb, s, k, i):
     a, b = Polynomial(4, ta), Polynomial(4, tb)
     ra = {m: Fraction(c) for m, c in ta.items() if c}
     rb = {m: Fraction(c) for m, c in tb.items() if c}
@@ -174,7 +174,6 @@ def test_int_first_arithmetic_matches_fraction_reference(ta, tb, s, k, i, d):
         power = _ref_mul(power, ra)
     assert _stored(a ** k) == power
     assert _stored(a.diff(i)) == _ref_diff(ra, i)
-    assert _stored(a.truncate(d)) == {m: c for m, c in ra.items() if sum(m) <= d}
     parts = {}
     for m, c in ra.items():
         parts.setdefault(sum(m), {})[m] = c

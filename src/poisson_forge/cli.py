@@ -271,10 +271,23 @@ def build_parser():
     return ap
 
 
+def _parse_args(argv):
+    """The parsed argv.  A polynomial after --poly or --g may start with a
+    minus sign, which argparse would read as an option: it is passed on as
+    --poly=EXPR or --g=EXPR."""
+    joined = []
+    for a in argv:
+        if (joined and joined[-1] in ("--poly", "--g") and a.startswith("-")
+                and not a.startswith("--")):
+            joined[-1] += "=" + a
+        else:
+            joined.append(a)
+    return build_parser().parse_args(joined)
+
+
 def run_command(argv):
     """(document, exit_code) for argv; a usage error raises SystemExit(2)."""
-    args = build_parser().parse_args(argv)
-    return _execute(args, list(argv))
+    return _execute(_parse_args(argv), list(argv))
 
 
 def _execute(args, argv):
@@ -352,7 +365,7 @@ def _execute(args, argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         doc, code = _execute(args, argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR

@@ -49,13 +49,13 @@ class DivisionProblem:
 @lru_cache(maxsize=None)
 def _wedge_by(a):
     """SliceOperator of b -> a ^ b."""
-    return SliceOperator(lambda b: wedge(a, b), a.n)
+    return SliceOperator.pointwise(lambda b: wedge(a, b), a.n, a.degree)
 
 
 @lru_cache(maxsize=None)
 def _times(g):
     """SliceOperator of multiplication by the polynomial g."""
-    return SliceOperator(lambda b: b * g, g.n)
+    return SliceOperator.pointwise(lambda b: b * g, g.n, 0)
 
 
 def _submodule_echelon(prob, src):

@@ -18,9 +18,10 @@ iota_{e_J}(dx_I) = s dx_R with R = I minus J and dx_I = s dx_J ^ dx_R
 convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
 bivector to df_1 ^ df_2, and star_inv reads its sign off the same rule.
 
-A SliceOperator wraps one fixed linear map on forms (delta_pi, a ^ ., a
-product with a polynomial) and expands it term by term through a stencil,
-both on forms and as sparse columns between the slice bases below.
+A SliceOperator is one fixed linear map of differential order at most one
+(delta_pi, d_pi, d, a ^ ., a product with a polynomial) as a stencil, its
+rows read off the map's coefficients; it expands the map term by term,
+both on elements and as sparse columns between the slice bases below.
 """
 
 from functools import cache
@@ -371,8 +372,36 @@ def enumerate_basis(degree, weight, kind=FORM, n=4):
 # -- fixed linear maps on slices ---------------------------------------------
 
 
+def _stencil_row(entries):
+    """The stencil row summed from (J, t, i, v) entries, where v adds to the
+    constant c0 of (J, t) when i is None and to the coefficient of m_i (axis
+    position i) otherwise.
+
+    Entries are sorted by (J, t), vanishing ones are dropped and integral
+    coefficients are stored as ints, so every reader gives the same tuple
+    for the same map.
+    """
+    acc = {}
+    for J, t, i, v in entries:
+        c = acc.setdefault((J, t), {})
+        c[i] = c.get(i, 0) + v
+    row = []
+    for J, t in sorted(acc):
+        c = acc[(J, t)]
+        c0 = c.pop(None, 0)
+        lin = tuple((i, exact(v)) for i, v in sorted(c.items()) if v)
+        if c0 or lin:
+            row.append((J, t, exact(c0), lin))
+    return tuple(row)
+
+
+def _lowered(s, i):
+    """The exponent s minus the unit exponent of axis i (1-based)."""
+    return s[:i - 1] + (s[i - 1] - 1,) + s[i:]
+
+
 class SliceOperator:
-    """A fixed linear map fn on the forms of R^n, expanded through a stencil.
+    """A fixed linear map fn on the forms (or multivectors) of R^n, as a stencil.
 
     fn has polynomial coefficients and differential order at most one, so
     d brings down at most one exponent and
@@ -382,60 +411,77 @@ class SliceOperator:
     over a short row of (J, t, c0, c) that depends on I and fn but not on m,
     with every shift t >= -1.  A shift t_i = -1 comes only from d/dx_i
     acting on x^m, so its coefficient is a multiple of m_i and no negative
-    exponent is ever produced.  `rows` maps each index tuple I to its row,
-    read on R^n; `apply` refuses a multivector and a form on another R^n,
-    whose terms the rows do not describe.
+    exponent is ever produced.  c is sparse, a tuple of (axis position,
+    coefficient) pairs, and coefficients with denominator 1 are ints.
+
+    `read(I)` gives the row of I; `rows` caches it from the first use on.
+    The rows of delta_pi, d_pi (poisson.py) and d (`de_rham_operator`) are
+    read off the coefficients of the map in closed form, those of a map
+    linear over the polynomials with one evaluation (`pointwise`).
+    `sampled` reads them off any fn at five points; the identity suite
+    compares a map with its rows that way, and the tests compare every
+    operator with it.  fn of a degree-k element has degree k + shift,
+    clamped to 0..n as the zero elements of the algebra are.  `apply`
+    refuses the other kind and an element on another R^n, whose terms the
+    rows do not describe.
     """
 
-    __slots__ = ("fn", "n", "rows", "_zeros")
+    __slots__ = ("read", "n", "shift", "kind", "rows")
 
-    def __init__(self, fn, n):
-        self.fn = fn
+    def __init__(self, read, n, shift, kind=FORM):
+        self.read = read
         self.n = n
+        self.shift = shift
+        self.kind = kind
         self.rows = {}
-        self._zeros = {}          # degree k -> fn of the zero k-form
+
+    @classmethod
+    def sampled(cls, fn, n, shift, kind=FORM):
+        """The operator of fn, its rows read off fn at m = (1,...,1) and at
+        the n unit steps m + e_i.
+
+        The coefficient of x^(m+t) dx_J there is c0 + c.m, and since every
+        t >= -1 no term is lost at these points.
+        """
+        ones = (1,) * n
+
+        def read(idx):
+            values = []
+            for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
+                image = fn(GradedElement.basis(n, kind, idx,
+                                               Polynomial.monomial(n, m)))
+                values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): v
+                               for J, p in image.comps.items()
+                               for mt, v in p.terms.items()})
+            base = values[0]
+            entries = [(J, t, None, v) for (J, t), v in base.items()]
+            # c_i is the value at m + e_i less the value at m, c0 = base - sum c
+            for i, image in enumerate(values[1:]):
+                for J, t in set(image) | set(base):
+                    ci = image.get((J, t), 0) - base.get((J, t), 0)
+                    entries += [(J, t, i, ci), (J, t, None, -ci)]
+            return _stencil_row(entries)
+
+        return cls(read, n, shift, kind)
+
+    @classmethod
+    def pointwise(cls, fn, n, shift):
+        """The operator of an fn on forms linear over the polynomials, such
+        as a ^ . or a product: fn(x^m dx_I) = x^m fn(dx_I), so a row is
+        read off one evaluation, with t the exponents of fn(dx_I) and no c."""
+        def read(idx):
+            image = fn(GradedElement.basis(n, FORM, idx))
+            return _stencil_row((J, s, None, v) for J, p in image.comps.items()
+                                for s, v in p.terms.items())
+
+        return cls(read, n, shift)
 
     def row(self, idx):
-        """The (J, t, c0, c) of fn(x^m dx_idx) on R^n; cached.
-
-        c is sparse, a tuple of (axis position, coefficient) pairs.  The row
-        is read off fn at m = (1,...,1) and at its n unit steps m + e_i: the
-        coefficient of x^(m+t) dx_J there is c0 + c.m, and since every
-        t >= -1 no term is lost at these points.  Coefficients with
-        denominator 1 are stored as ints.
-        """
+        """The row (J, t, c0, c) of fn(x^m dx_idx); cached."""
         row = self.rows.get(idx)
-        if row is not None:
-            return row
-        n = self.n
-        ones = (1,) * n
-        values = []
-        for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
-            image = self.fn(GradedElement.basis(n, FORM, idx,
-                                                Polynomial.monomial(n, m)))
-            values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): coeff
-                           for J, p in image.comps.items()
-                           for mt, coeff in p.terms.items()})
-        row = []
-        for key in sorted(set().union(*values)):
-            base = values[0].get(key, 0)
-            c = [image.get(key, 0) - base for image in values[1:]]
-            c0 = base - sum(c)
-            row.append((key[0], key[1], exact(c0),
-                        tuple((i, exact(ci)) for i, ci in enumerate(c) if ci)))
-        row = self.rows[idx] = tuple(row)
+        if row is None:
+            row = self.rows[idx] = self.read(idx)
         return row
-
-    def _terms(self, idx, m):
-        """fn(x^m dx_idx) as a list of (J, exponent, nonzero coefficient)."""
-        out = []
-        for J, t, c0, c in self.row(idx):
-            v = c0
-            for i, ci in c:
-                v += ci * m[i]
-            if v:
-                out.append((J, tuple(map(add, m, t)), v))
-        return out
 
     def columns(self, src, dst, skip=()):
         """Sparse columns of fn from the slice basis src into the slice basis
@@ -445,32 +491,59 @@ class SliceOperator:
         returned: a caller that has proved them dependent leaves them out.
         """
         pos = dst.positions
+        out = []
         try:
-            return [{pos[(J, mt)]: v for J, mt, v in self._terms(idx, m)}
-                    for j, (idx, m) in enumerate(src.elements)
-                    if j not in skip]
+            for j, (idx, m) in enumerate(src.elements):
+                if j in skip:
+                    continue
+                col = {}
+                for J, t, c0, c in self.row(idx):
+                    v = c0
+                    for i, ci in c:
+                        v += ci * m[i]
+                    if v:
+                        col[pos[(J, tuple(map(add, m, t)))]] = v
+                out.append(col)
         except KeyError:
             raise ValueError("the image of the (%d,%d) slice leaves the (%d,%d) "
                              "slice" % (src.degree, src.weight, dst.degree,
                                         dst.weight)) from None
+        return out
 
     def apply(self, a):
-        """fn(a) for any form a on R^n; fn of the zero form fixes the
-        result's degree."""
-        if a.kind != FORM:
-            raise ValueError("a slice operator acts on forms")
+        """fn(a) for any element a of the operator's kind on R^n."""
+        if a.kind != self.kind:
+            raise ValueError("the operator acts on %ss, not %ss"
+                             % (self.kind, a.kind))
         if a.n != self.n:
-            raise ValueError("dimension mismatch: a form on R^%d, an operator "
-                             "on R^%d" % (a.n, self.n))
+            raise ValueError("dimension mismatch: an element on R^%d, an "
+                             "operator on R^%d" % (a.n, self.n))
         comps = {}
         for idx, p in a.comps.items():
-            for m, c in p.terms.items():
-                for J, mt, v in self._terms(idx, m):
-                    terms = comps.setdefault(J, {})
-                    terms[mt] = terms.get(mt, 0) + c * v
-        zero = self._zeros.get(a.degree)
-        if zero is None:
-            zero = self.fn(GradedElement.zero(a.n, a.degree, FORM))
-            self._zeros[a.degree] = zero
-        return GradedElement(a.n, zero.degree, zero.kind,
+            row = self.row(idx)
+            for m, coeff in p.terms.items():
+                for J, t, c0, c in row:
+                    v = c0
+                    for i, ci in c:
+                        v += ci * m[i]
+                    if v:
+                        terms = comps.setdefault(J, {})
+                        mt = tuple(map(add, m, t))
+                        terms[mt] = terms.get(mt, 0) + coeff * v
+        degree = min(max(a.degree + self.shift, 0), self.n)
+        return GradedElement(a.n, degree, self.kind,
                              {J: Polynomial(a.n, t) for J, t in comps.items()})
+
+
+def de_rham_operator(n):
+    """The SliceOperator of d on the forms of R^n, its rows in closed form:
+    d(x^m dx_I) = sum over i not in I of m_i x^(m - e_i) dx_i ^ dx_I."""
+    def read(idx):
+        entries = []
+        for i in range(1, n + 1):
+            J, sign = _merge_sign((i,), idx)
+            if J is not None:
+                entries.append((J, _lowered((0,) * n, i), i - 1, sign))
+        return _stencil_row(entries)
+
+    return SliceOperator(read, n, 1)

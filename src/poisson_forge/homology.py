@@ -50,7 +50,9 @@ X = -star_inv(tau), since [X, pi] = -div(X) pi.  The system is built once
 per weight from operator columns (d and the tangency maps) and is the
 normalizer's only linear system.  The solve hands out s*X with integer
 coefficients and one scale s, and the certificates check s*X against
-s*(r_i - c_i).
+s*(r_i - c_i).  The first, d_pi(s*X) = s*(r_i - c_i) pi, expands s*X
+through the structure's d_pi stencil, whose rows are read off pi's terms
+(poisson.py), so it shares no stencil with the step system.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -60,9 +62,9 @@ from collections import namedtuple
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
-                       divergence, enumerate_basis, star_inv, wedge)
+                       de_rham_operator, divergence, enumerate_basis,
+                       star_inv, wedge)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon, integer_row
-from .poisson import d_pi
 from .polynomials import Polynomial
 from .rationals import Q
 
@@ -170,9 +172,10 @@ class HomologyEngine:
         self._parameters = {}
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         # the normalizer's step maps d and tau -> iota_X df_i, X = star_inv(tau)
-        self._d = SliceOperator(de_rham, 4)
-        self._tangency = [SliceOperator(lambda tau, df=df:
-                                        contract(star_inv(tau), df), 4)
+        self._d = de_rham_operator(4)
+        self._tangency = [SliceOperator.pointwise(
+                              lambda tau, df=df: contract(star_inv(tau), df),
+                              4, -3)
                           for df in (self.cat.df1, self.cat.df2)]
 
     # -- matrices and dimensions ------------------------------------
@@ -459,7 +462,7 @@ class HomologyEngine:
                 continue
             # exact certificates on s*X, never trusted silently
             residual = (ri - ci) * s
-            if d_pi(scaled, cat.poisson) != cat.pi * residual:
+            if cat.poisson.d_pi.apply(scaled) != cat.pi * residual:
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
             for df in (cat.df1, cat.df2):

@@ -32,7 +32,21 @@ from .rationals import exact
 
 
 def integer_row(vec):
-    """(D, D*vec) for a sparse rational vector, D the lcm of its denominators."""
+    """(D, D*vec) for a sparse rational vector, D the lcm of its denominators.
+
+    The row is a new dict with no zeros: the caller's vector is never
+    handed back, since elimination changes its row in place.  An all-int
+    vector, which every slice column of the Lefschetz case is, is copied
+    in one pass.
+    """
+    row = {}
+    for j, c in vec.items():
+        if type(c) is not int:
+            break
+        if c:
+            row[j] = c
+    else:
+        return 1, row
     row = {}
     den = 1
     for j, c in vec.items():

@@ -13,12 +13,16 @@ with the determinant-pairing contraction of exterior.py; the sign is the
 one that gives delta_pi(g mu) = dg ^ df_1 ^ df_2 on top forms, and it
 satisfies star o d_pi = delta_pi o star for the unimodular case.
 
-It is evaluated through a stencil: d brings down exactly one exponent,
-so each structure carries delta_pi as a SliceOperator of exterior.py
-(`delta`), whose rows of (J, t, c0, c) are read off the definition above
-once per index tuple I on first use.  delta_pi of a form,
-`structure.delta.apply(a)`, and the slice matrices of homology.py both
-expand terms through it.
+Both differentials of a structure are SliceOperators of exterior.py
+whose rows of (J, t, c0, c) are read off pi's terms in closed form, once
+per index tuple I on first use: `delta` is delta_pi on forms and `d_pi`
+the Lichnerowicz differential X -> [X, pi] on multivectors.  delta_pi of
+a form, `structure.delta.apply(a)`, and the slice matrices of homology.py
+expand terms through the first; the normalizer's certificate
+d_pi(s*X) = s*(r_i - c_i) pi expands s*X through the second.  The
+function `d_pi` evaluates the same differential by the Schouten bracket,
+so the identity suite's homotopy check, which reads star o d_pi o
+star_inv off it at five points, is a route independent of both stencils.
 
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions, signed by the merge sign of exterior.py;
@@ -30,11 +34,13 @@ The identity suite returns its verdicts as finished report rows,
 takes no weight.
 """
 
+from functools import partial
 from itertools import combinations
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, SliceOperator,
-                       _merge_sign, contract, de_rham, divergence,
-                       lie_derivative, star, star_inv, wedge, wedge_all)
+                       _contract_sign, _lowered, _merge_sign, _stencil_row,
+                       contract, de_rham, divergence, lie_derivative, star,
+                       star_inv, wedge, wedge_all)
 from .polynomials import Polynomial
 from .rationals import Q
 
@@ -42,15 +48,19 @@ from .rationals import Q
 class PoissonStructure:
     """Bivector on R^n with the standard volume; immutable after construction.
 
-    `delta` is the SliceOperator of delta_pi; its rows are read on first use.
+    `delta` (delta_pi on forms) and `d_pi` ([., pi] on multivectors) are
+    SliceOperators whose rows are read off pi's terms on first use.
     """
 
-    __slots__ = ("n", "bivector", "delta")
+    __slots__ = ("n", "bivector", "delta", "d_pi")
 
     def __init__(self, bivector):
         self.n = bivector.n
         self.bivector = bivector
-        self.delta = SliceOperator(_koszul_brylinski(bivector), self.n)
+        self.delta = SliceOperator(partial(_koszul_brylinski_row, bivector),
+                                   self.n, -1)
+        self.d_pi = SliceOperator(partial(_lichnerowicz_row, bivector),
+                                  self.n, 1, MULTIVECTOR)
 
 
 def jacobi_poisson(fns, n):
@@ -134,16 +144,70 @@ def d_pi(v, structure):
     return schouten(v, structure.bivector)
 
 
-def _koszul_brylinski(pi):
-    """d o iota_pi - iota_pi o d on forms."""
-    def fn(a):
-        out = GradedElement.zero(a.n, max(a.degree - 1, 0), FORM)
-        if a.degree >= 2:
-            out = out + de_rham(contract(pi, a))
-        if 1 <= a.degree < a.n:
-            out = out - contract(pi, de_rham(a))
-        return out
-    return fn
+def _koszul_brylinski_row(pi, idx):
+    """The stencil row of delta_pi = d o iota_pi - iota_pi o d at x^m dx_idx.
+
+    With pi = sum p_ab e_a^e_b and p_ab = sum c x^s: iota_{e_ab} dx_I =
+    sign dx_R, and d(c x^(s+m) dx_R) brings down s_i + m_i at dx_i ^ dx_R;
+    d(x^m dx_I) brings down m_i at dx_i ^ dx_I = sign dx_K, and
+    iota_{e_ab} dx_K = sign dx_R.  Each term has t = s - e_i.
+    """
+    entries = []
+    for ab, p in pi.comps.items():
+        R, sign = _contract_sign(ab, idx)
+        if R is not None:
+            for i in range(1, pi.n + 1):
+                J, sign_i = _merge_sign((i,), R)
+                if J is None:
+                    continue
+                for s, c in p.terms.items():
+                    v = sign * sign_i * c
+                    t = _lowered(s, i)
+                    entries.append((J, t, i - 1, v))
+                    if s[i - 1]:
+                        entries.append((J, t, None, s[i - 1] * v))
+        for i in range(1, pi.n + 1):
+            K, sign = _merge_sign((i,), idx)
+            if K is None:
+                continue
+            R, sign_ab = _contract_sign(ab, K)
+            if R is not None:
+                for s, c in p.terms.items():
+                    entries.append((R, _lowered(s, i), i - 1,
+                                    -sign * sign_ab * c))
+    return _stencil_row(entries)
+
+
+def _lichnerowicz_row(pi, idx):
+    """The stencil row of X -> [X, pi] at x^m e_idx, by the formula of
+    schouten() with a = x^m e_I of degree k and b = pi.
+
+    The first sum takes i in I, e_I = sign e_R ^ e_i, and gives
+    sign (x^m e_R) ^ d_i pi, so the constant s_i c at e_R ^ e_ab.  The
+    second takes i in ab, e_ab = sign e_r ^ e_i, and gives
+    (-1)^k sign c x^s e_r ^ d_i(x^m) e_I, so m_i at e_r ^ e_I.  Each term
+    has t = s - e_i.
+    """
+    entries = []
+    parity = -1 if len(idx) & 1 else 1
+    for ab, p in pi.comps.items():
+        for i in idx:
+            rest = tuple(j for j in idx if j != i)
+            J, sign = _merge_sign(rest, ab)
+            if J is None:
+                continue
+            sign *= _merge_sign(rest, (i,))[1]
+            entries.extend((J, _lowered(s, i), None, sign * s[i - 1] * c)
+                           for s, c in p.terms.items() if s[i - 1])
+        for i in ab:
+            rest = tuple(j for j in ab if j != i)
+            J, sign = _merge_sign(rest, idx)
+            if J is None:
+                continue
+            sign *= parity * _merge_sign(rest, (i,))[1]
+            entries.extend((J, _lowered(s, i), i - 1, sign * c)
+                           for s, c in p.terms.items())
+    return _stencil_row(entries)
 
 
 def modular_field(structure):
@@ -171,7 +235,9 @@ def verify_identity_suite(cat):
     relations of pi and W_i, the Lie-derivative table, and the homotopy
     identity star o d_pi = delta_pi o star.  Both sides of the homotopy
     identity are SliceOperators, so it is checked on their stencil rows,
-    one per form index tuple, which covers every weight at once.
+    one per form index tuple, which covers every weight at once: the left
+    side's rows are read at five points off the Schouten bracket, the
+    right side's in closed form off pi's terms.
     Failures are reported, never raised.
     """
     checks = []
@@ -265,7 +331,8 @@ def verify_identity_suite(cat):
 
     # the homotopy identity on multivectors of degree k, read on forms of
     # degree 4-k (both sides vanish for k = 4); columns only expand rows
-    conjugate = SliceOperator(lambda a: star(d_pi(star_inv(a), P)), P.n)
+    conjugate = SliceOperator.sampled(lambda a: star(d_pi(star_inv(a), P)),
+                                      P.n, -1)
     eq4_bad = next(("first failure at degree %d, row of dx%s"
                     % (k, "^dx".join(map(str, idx)))
                     for k in range(4)

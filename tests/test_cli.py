@@ -85,6 +85,23 @@ def test_parse_error_exit(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("option, expr", [("--poly", "-x1"),
+                                          ("--g", "-x1+1"),
+                                          ("--g", "-1/2*x2+3")])
+def test_a_polynomial_may_start_with_a_minus_sign(capsys, option, expr):
+    # argparse reads "-x1" as an option; both spellings give one report,
+    # each with its command line echoed as typed
+    cmd = "nf" if option == "--poly" else "normalize"
+    reports = []
+    for argv in ([cmd, option, expr], [cmd, option + "=" + expr]):
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == " ".join(["poisson-forge"] + argv
+                                          + ["--format", "json"])
+        reports.append(dict(doc, command=None))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("argv", [["nf", "--poly", "[dx1]"],
                                   ["normalize", "--g", "[e1]"]])
 def test_a_form_is_a_parse_error(capsys, argv):

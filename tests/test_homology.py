@@ -1,4 +1,5 @@
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -625,12 +626,14 @@ def test_tangency_certificate_catches_a_wrong_corrector(cat, monkeypatch,
                            "at weight 1", capsys)
 
 
-def test_divergence_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
-    # a d_pi that halves its argument lets the doubled field through the
-    # first certificate; tangency holds, so the divergence check must fail
+def test_divergence_certificate_catches_a_wrong_corrector(cat, monkeypatch,
+                                                          capsys):
+    # a d_pi stencil that halves its argument lets the doubled field through
+    # the first certificate; tangency holds, so the divergence check must fail
     corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
-    monkeypatch.setattr(homology, "d_pi",
-                        lambda v, structure: d_pi(v * Q(1, 2), structure))
+    stencil = cat.poisson.d_pi
+    monkeypatch.setattr(cat.poisson, "d_pi", SimpleNamespace(
+        apply=lambda v: stencil.apply(v * Q(1, 2))))
     assert_normalize_fails("correction field divergence certificate failed "
                            "at weight 1", capsys)
 

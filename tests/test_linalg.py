@@ -1,7 +1,7 @@
 import random
 from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -250,6 +250,35 @@ def test_integer_echelon_rejects_floats():
         with pytest.raises(TypeError):
             call({0: 1, 1: 0.5})
     assert ech.rank == 1 and ech.count == 1
+
+
+def test_integer_row_matches_the_lcm_reference():
+    # int and Fraction mixes, zeros and Fractions of denominator 1 among them
+    rng = random.Random(5)
+    for _ in range(200):
+        vec = {j: rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9),
+                                                              rng.randint(1, 4))])
+               for j in rng.sample(range(12), rng.randint(0, 6))}
+        den = lcm(1, *(Fraction(c).denominator for c in vec.values()))
+        want = {j: den * c for j, c in vec.items() if c}
+        got_den, got = integer_row(vec)
+        assert (got_den, got) == (den, want)
+        assert all(type(c) is int for c in got.values())
+    for vec in ({0: 0.5}, {0: 1, 1: 0.5}, {0: Q(1, 2), 3: 2.0}):
+        with pytest.raises(TypeError):
+            integer_row(vec)
+
+
+def test_integer_row_leaves_the_stored_columns_intact():
+    columns = [{0: 3, 2: -1}, {0: 6, 1: 4, 2: -2}, {1: 2}]
+    stored = [dict(c) for c in columns]
+    _, row = integer_row(columns[0])
+    row[0] = 99
+    del row[2]
+    m = ExactMatrix(columns, 3)
+    assert m.echelon().rank == 2
+    assert m.apply({0: 1, 2: 1}) == {0: 3, 1: 2, 2: -1}
+    assert m.columns == stored
 
 
 @pytest.mark.parametrize("track", [False, True])

@@ -1,11 +1,16 @@
 """Every SliceOperator the package builds against the map it wraps.
 
-Each instance is checked two ways: its slice columns equal the coordinates
-of fn on each basis element, on every slice up to weight 8, and `apply`
-equals fn on random non-homogeneous rational forms (hypothesis).  The two
-rational structures of test_poisson.py do not preserve the weight, so they
-have no slice matrices; their rows are checked there, basis element by
-basis element.
+Each instance is checked three ways: its rows equal the rows read off the
+map at five points (`SliceOperator.sampled`, the reader the identity suite
+keeps as its independent route); its slice columns equal the coordinates
+of the map on each basis element, on every slice of coefficient degree at
+most 8 - k (so up to weight 8 for forms); and `apply` equals the map on
+random non-homogeneous rational elements (hypothesis).  The two rational
+structures of test_poisson.py do not preserve the weight, so they have no
+slice matrices; their rows are checked against the five-point rows, and
+their images against the map basis element by basis element there.  The
+closed rows of delta_pi and d_pi are also checked on random bivectors that
+need not be Poisson.
 """
 
 from itertools import combinations
@@ -14,47 +19,76 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poisson_forge.division import _times, _wedge_by
-from poisson_forge.exterior import FORM, GradedElement, enumerate_basis
+from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
+                                    SliceOperator, contract, de_rham,
+                                    enumerate_basis, star_inv, wedge)
+from poisson_forge.poisson import PoissonStructure, d_pi
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
-from test_poisson import rational_structures
+from test_poisson import delta_reference, rational_structures
 from test_properties import CHECKS, coefficients
 
 NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
+         "d_pi Lefschetz", "d_pi rational R^4", "d_pi rational R^3",
          "d", "df1 ^ .", "df2 ^ .", "df1^df2 ^ .",
          "contract(star_inv(.), df1)", "contract(star_inv(.), df2)",
          "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
 
 
+def differentials(name, P):
+    """The delta_pi and d_pi instances of one structure, with their maps."""
+    return {"delta " + name: (P.delta, lambda a: delta_reference(a, P),
+                              P.n, range(P.n + 1), 0),
+            "d_pi " + name: (P.d_pi, lambda v: d_pi(v, P),
+                             P.n, range(P.n + 1), 0)}
+
+
 @pytest.fixture(scope="module")
 def instances(cat, engine):
-    """name -> (operator, n, source degrees, weight shift)."""
+    """name -> (operator, the map, n, source degrees, weight shift)."""
     on_r4, on_r3 = rational_structures()
-    out = {"delta Lefschetz": (cat.poisson.delta, 4, range(5), 0),
-           "delta rational R^4": (on_r4.delta, 4, range(5), 0),
-           "delta rational R^3": (on_r3.delta, 3, range(4), 0),
-           "d": (engine._d, 4, range(4), 0),
-           "df1 ^ .": (_wedge_by(cat.df1), 4, range(4), 2),
-           "df2 ^ .": (_wedge_by(cat.df2), 4, range(4), 2),
-           "df1^df2 ^ .": (_wedge_by(cat.df1df2), 4, range(3), 4)}
+    out = {"d": (engine._d, de_rham, 4, range(4), 0)}
+    for name, P in [("Lefschetz", cat.poisson), ("rational R^4", on_r4),
+                    ("rational R^3", on_r3)]:
+        out.update(differentials(name, P))
+    for a, name in [(cat.df1, "df1"), (cat.df2, "df2"), (cat.df1df2, "df1^df2")]:
+        out[name + " ^ ."] = (_wedge_by(a), lambda b, a=a: wedge(a, b), 4,
+                              range(5 - a.degree), 2 * a.degree)
     for i, op in enumerate(engine._tangency, start=1):
-        out["contract(star_inv(.), df%d)" % i] = (op, 4, [3], -2)
+        df = cat.df1 if i == 1 else cat.df2
+        out["contract(star_inv(.), df%d)" % i] = (
+            op, lambda tau, df=df: contract(star_inv(tau), df), 4, [3], -2)
     for name, g in zip(NAMES[-4:], cat.ideal_generators):
-        out[name] = (_times(g), 4, [0], 2)
+        out[name] = (_times(g), lambda b, g=g: b * g, 4, [0], 2)
     assert sorted(out) == sorted(NAMES)
     return out
 
 
+def five_point_rows_agree(op, fn, n, degrees):
+    reference = SliceOperator.sampled(fn, n, op.shift, op.kind)
+    for k in degrees:
+        for idx in combinations(range(1, n + 1), k):
+            assert op.row(idx) == reference.row(idx), idx
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_equal_the_five_point_rows(instances, name):
+    op, fn, n, degrees, _ = instances[name]
+    five_point_rows_agree(op, fn, n, degrees)
+
+
 @pytest.mark.parametrize("name", [n for n in NAMES if "rational" not in n])
 def test_columns_are_coordinates_of_the_map(instances, name):
-    op, n, degrees, shift = instances[name]
+    op, fn, n, degrees, shift = instances[name]
     for k in degrees:
-        for w in range(k, 9):
-            src = enumerate_basis(k, w, FORM, n)
-            images = [op.fn(basis_element(src, i)) for i in range(len(src))]
+        # coefficient degrees d through 8 - k, so the weights k..8 for forms
+        for d in range(9 - k):
+            w = d + k if op.kind == FORM else d - k
+            src = enumerate_basis(k, w, op.kind, n)
+            images = [fn(basis_element(src, i)) for i in range(len(src))]
             if not images:
                 continue
-            dst = enumerate_basis(images[0].degree, w + shift, FORM, n)
+            dst = enumerate_basis(images[0].degree, w + shift, op.kind, n)
             assert op.columns(src, dst) == [dst.coords(a) for a in images], (k, w)
 
 
@@ -66,8 +100,9 @@ def test_columns_name_both_slices_when_the_image_leaves_dst():
 
 
 @st.composite
-def forms(draw, n, degrees):
-    """A form on R^n of one of the degrees, up to four terms of x-degree <= 2n."""
+def elements(draw, n, degrees, kind=FORM):
+    """An element on R^n of one of the degrees, up to four terms of x-degree
+    <= 2n."""
     k = draw(st.sampled_from(list(degrees)))
     axes = list(combinations(range(1, n + 1), k))
     comps = {}
@@ -75,7 +110,7 @@ def forms(draw, n, degrees):
             st.sampled_from(axes), st.tuples(*[st.integers(0, 2)] * n),
             coefficients), max_size=4)):
         comps.setdefault(idx, {})[m] = c
-    return GradedElement(n, k, FORM,
+    return GradedElement(n, k, kind,
                          {i: Polynomial(n, t) for i, t in comps.items()})
 
 
@@ -83,6 +118,27 @@ def forms(draw, n, degrees):
 @CHECKS
 @given(data=st.data())
 def test_apply_equals_the_map(instances, name, data):
-    op, n, degrees, _ = instances[name]
-    a = data.draw(forms(n, degrees))
-    assert op.apply(a) == op.fn(a)
+    op, fn, n, degrees, _ = instances[name]
+    a = data.draw(elements(n, degrees, op.kind))
+    assert op.apply(a) == fn(a)
+
+
+def test_apply_refuses_the_other_kind(cat):
+    v = GradedElement.basis(4, MULTIVECTOR, (1, 2), Polynomial.variable(4, 1))
+    with pytest.raises(ValueError, match="acts on forms, not multivectors"):
+        cat.poisson.delta.apply(v)
+    a = GradedElement.basis(4, FORM, (1, 2), Polynomial.variable(4, 1))
+    with pytest.raises(ValueError, match="acts on multivectors, not forms"):
+        cat.poisson.d_pi.apply(a)
+    assert cat.poisson.d_pi.apply(v) == d_pi(v, cat.poisson)
+
+
+@CHECKS
+@given(data=st.data())
+def test_closed_rows_of_random_bivectors(data):
+    # rational, non-homogeneous and in general not Poisson: the closed rows
+    # read pi's terms and nothing else
+    n = data.draw(st.sampled_from([3, 4]))
+    P = PoissonStructure(data.draw(elements(n, [2], MULTIVECTOR)))
+    for op, fn, _, degrees, _ in differentials("", P).values():
+        five_point_rows_agree(op, fn, n, degrees)

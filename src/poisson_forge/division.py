@@ -10,12 +10,16 @@ slices.  The dimension of a slice is a rank difference: the kernel
 dimension of wedging with a_1 ^ ... ^ a_k, less the rank of the submodule,
 both eliminated on the slice's basis.  Their columns (wedging, multiplication
 by a polynomial) come from SliceOperators.  The submodule lies in the
-kernel, so the wedge columns at its pivots are left out.  The Lefschetz case
-(a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit generators
-c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured failure of
-the isolated-singularity depth bound.
+kernel, so the wedge columns at its pivots are left out.  What does not
+depend on the slice is built once per tuple of dividing forms (`_dividing`):
+the forms' weights, alpha = a_1 ^ ... ^ a_k, the exact check a_i ^ alpha
+= 0 that the skipped columns rest on, and the wedge operator of alpha.
+The Lefschetz case (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit
+generators c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured
+failure of the isolated-singularity depth bound.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -26,24 +30,58 @@ from .polynomials import Polynomial
 
 
 class DivisionProblem:
-    """Forms a_1..a_k, exterior degree p, weight w of the tested slice."""
+    """Forms a_1..a_k, exterior degree p, weight w of the tested slice.
 
-    __slots__ = ("forms", "p", "w")
+    `dividing` is the data of the forms that every slice shares
+    (`_dividing`)."""
+
+    __slots__ = ("forms", "p", "w", "dividing")
 
     def __init__(self, forms, p, w):
         if not forms:
             raise ValueError("need at least one dividing 1-form")
-        n = forms[0].n
-        for a in forms:
-            if a.kind != FORM or a.degree != 1 or a.n != n:
-                raise ValueError("dividing elements must be 1-forms")
-            if len(a.weights()) > 1:
-                raise ValueError("dividing forms must be weight-homogeneous")
+        self.dividing = _dividing(tuple(forms))
         if w < p:
             raise ValueError("weight below exterior degree")
         self.forms = list(forms)
         self.p = p
         self.w = w
+
+
+# (weights, alpha, weight of alpha, wedge by alpha) per tuple of dividing forms
+Dividing = namedtuple("Dividing", "weights alpha weight wedge")
+_DIVIDING = {}
+
+
+def _dividing(forms):
+    """The Dividing data of a tuple of 1-forms, built once per tuple.
+
+    The forms must be nonzero weight-homogeneous 1-forms on one R^n.  alpha =
+    a_1 ^ ... ^ a_k, and a_i ^ alpha = 0 is checked exactly here, before
+    any slice skips a wedge column on its strength (`_wedge_kernel_echelon`).
+    """
+    data = _DIVIDING.get(forms)
+    if data is None:
+        n = forms[0].n
+        weights = []
+        for a in forms:
+            if a.kind != FORM or a.degree != 1 or a.n != n:
+                raise ValueError("dividing elements must be 1-forms")
+            ws = a.weights()
+            if len(ws) != 1:
+                raise ValueError("dividing forms must be nonzero and "
+                                 "weight-homogeneous")
+            weights.append(ws[0])
+        alpha = wedge_all(forms)
+        for i, a in enumerate(forms, 1):
+            if wedge(a, alpha):
+                raise InvariantViolation(
+                    "a_%d ^ alpha != 0 for the dividing forms: the submodule "
+                    "is not inside the kernel of the wedge map" % i)
+        # when alpha is zero every wedge column is empty
+        data = _DIVIDING[forms] = Dividing(tuple(weights), alpha,
+                                           sum(weights), _wedge_by(alpha))
+    return data
 
 
 @lru_cache(maxsize=None)
@@ -60,10 +98,10 @@ def _times(g):
 
 def _submodule_echelon(prob, src):
     """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
-    return echelon(col for a in prob.forms
+    return echelon(col for a, u in zip(prob.forms, prob.dividing.weights)
                    for col in _wedge_by(a).columns(
-                       enumerate_basis(prob.p - 1, prob.w - a.weights()[0],
-                                       FORM, a.n), src))
+                       enumerate_basis(prob.p - 1, prob.w - u, FORM, a.n),
+                       src))
 
 
 def _wedge_kernel_echelon(prob):
@@ -71,24 +109,17 @@ def _wedge_kernel_echelon(prob):
 
     The submodule echelon comes first.  Its rows lie in the kernel of
     b -> alpha ^ b, because a_i ^ alpha = 0 for every dividing form (checked
-    exactly here).  So the wedge column at a row's pivot, its smallest
-    index, is a combination of the columns after it, and by downward
-    induction over the pivots the other columns have the same span: the
-    pivot columns are neither assembled nor eliminated.
+    once per tuple of forms, `_dividing`).  So the wedge column at a row's
+    pivot, its smallest index, is a combination of the columns after it,
+    and by downward induction over the pivots the other columns have the
+    same span: the pivot columns are neither assembled nor eliminated.
     """
-    alpha = wedge_all(prob.forms)
+    _, alpha, u, wedge_alpha = prob.dividing
     src = enumerate_basis(prob.p, prob.w, FORM, alpha.n)
     sub = _submodule_echelon(prob, src)
-    for i, a in enumerate(prob.forms, 1):
-        if wedge(a, alpha):
-            raise InvariantViolation(
-                "a_%d ^ alpha != 0 at the (%d, %d) division slice: the "
-                "submodule is not inside the kernel" % (i, prob.p, prob.w))
-    # the weight of alpha; when alpha is zero every column is empty
-    u = sum(a.weights()[0] for a in prob.forms)
     dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
     # a ^ b = +-b ^ a, so the rank is that of b -> b ^ alpha
-    ech = echelon(_wedge_by(alpha).columns(src, dst, skip=sub.rows))
+    ech = echelon(wedge_alpha.columns(src, dst, skip=sub.rows))
     return len(src) - ech.rank, sub
 
 
@@ -142,8 +173,7 @@ def verify_division_basis(prob):
     reps = division_group_basis(prob)
     kernel_dim, sub = _wedge_kernel_echelon(prob)
     dim = kernel_dim - sub.rank
-    op = _wedge_by(wedge_all(prob.forms))
-    all_kernel = all(op.apply(r).is_zero() for r in reps)
+    all_kernel = all(prob.dividing.wedge.apply(r).is_zero() for r in reps)
     src = enumerate_basis(prob.p, prob.w, FORM, 4)
     independent = all(sub.insert(src.coords(r)) for r in reps)
     return len(reps), dim, independent, all_kernel

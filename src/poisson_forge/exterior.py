@@ -318,27 +318,28 @@ class WeightSliceBasis:
     """Deterministic monomial basis of one (exterior degree, weight) slice.
 
     Elements are (index tuple, monomial) pairs, ordered lexicographically on
-    the index tuple and then by the local monomial order, greatest first;
-    `positions` maps each element to its position.
+    the index tuple and then by the local monomial order, greatest first.
+    So the basis is one block of `monomials` per index tuple: the element
+    (J, m) sits at offset[J] + rank[m], where `offset` maps each index tuple
+    of the degree to the start of its block and `rank` each monomial of the
+    slice's coefficient degree to its place in a block.
     """
 
-    __slots__ = ("n", "degree", "weight", "kind", "elements", "positions")
+    __slots__ = ("n", "degree", "weight", "kind", "elements", "monomials",
+                 "rank", "offset")
 
     def __init__(self, n, degree, weight, kind):
         self.n = n
         self.degree = degree
         self.weight = weight
         self.kind = kind
-        elements = []
-        if 0 <= degree <= n:
-            d = weight - degree if kind == FORM else weight + degree
-            if d >= 0:
-                monos = monomials_of_degree(n, d)
-                for idx in combinations(range(1, n + 1), degree):
-                    for m in monos:
-                        elements.append((idx, m))
-        self.elements = elements
-        self.positions = {e: i for i, e in enumerate(elements)}
+        d = weight - degree if kind == FORM else weight + degree
+        monos = monomials_of_degree(n, d)
+        tuples = combinations(range(1, n + 1), degree) if 0 <= degree <= n else ()
+        self.monomials = monos
+        self.rank = {m: i for i, m in enumerate(monos)}
+        self.offset = {idx: i * len(monos) for i, idx in enumerate(tuples)}
+        self.elements = [(idx, m) for idx in self.offset for m in monos]
 
     def __len__(self):
         return len(self.elements)
@@ -347,14 +348,16 @@ class WeightSliceBasis:
         """Sparse coordinates of a slice-homogeneous element; error if it leaves the slice."""
         if elem.kind != self.kind or elem.degree != self.degree or elem.n != self.n:
             raise ValueError("element does not match slice")
+        rank = self.rank
         out = {}
         for idx, p in elem.comps.items():
+            start = self.offset[idx]
             for m, c in p.terms.items():
-                key = (idx, m)
-                if key not in self.positions:
+                r = rank.get(m)
+                if r is None:
                     raise ValueError("element has a term outside the (%d,%d) slice"
                                      % (self.degree, self.weight))
-                out[self.positions[key]] = c
+                out[start + r] = c
         return out
 
 
@@ -423,7 +426,9 @@ class SliceOperator:
     operator with it.  fn of a degree-k element has degree k + shift,
     clamped to 0..n as the zero elements of the algebra are.  `apply`
     refuses the other kind and an element on another R^n, whose terms the
-    rows do not describe.
+    rows do not describe.  `square` composes the rows of fn o fn, so an
+    identity such as delta_pi o delta_pi = 0 is checked once for every
+    weight.
     """
 
     __slots__ = ("read", "n", "shift", "kind", "rows")
@@ -483,31 +488,82 @@ class SliceOperator:
             row = self.rows[idx] = self.read(idx)
         return row
 
+    def square(self, idx):
+        """fn(fn(x^m dx_idx)) for every m at once: {(K, u): q} over the
+        nonzero coefficients q of x^(m+u) dx_K, each a polynomial of degree
+        at most 2 in m, as a dict from () (the constant), i (for m_i) and
+        (i, j) with i <= j (for m_i m_j), axis positions, to coefficients.
+
+        The term (c0 + c.m) x^(m+t) dx_J of the row of idx meets the row
+        (K, s, d0, d) of J at m + t and adds (c0 + c.m)(d0 + d.(m+t)) at
+        u = t + s.  That holds at every m >= 0: where m + t leaves the
+        exponents, t_i = -1 and c0 + c.m is a multiple of m_i = 0 (so too
+        for the second factor at m + t + s).  A polynomial in m that
+        vanishes at every m >= -u is zero, so fn o fn vanishes on the terms
+        of index idx, at every weight, exactly when this is empty.
+        """
+        acc = {}
+        for J, t, c0, c in self.row(idx):
+            for K, s, d0, d in self.row(J):
+                e0 = d0
+                for j, dj in d:
+                    e0 += dj * t[j]
+                key = (K, tuple(map(add, t, s)))
+                q = acc.get(key)
+                if q is None:
+                    q = acc[key] = {}
+                # (c0 + c.m)(e0 + d.m), term by term
+                if c0:
+                    q[()] = q.get((), 0) + c0 * e0
+                    for j, dj in d:
+                        q[j] = q.get(j, 0) + c0 * dj
+                for i, ci in c:
+                    q[i] = q.get(i, 0) + ci * e0
+                    for j, dj in d:
+                        ij = (i, j) if i <= j else (j, i)
+                        q[ij] = q.get(ij, 0) + ci * dj
+        return {Ku: nonzero for Ku, q in acc.items()
+                if (nonzero := {key: v for key, v in q.items() if v})}
+
     def columns(self, src, dst, skip=()):
         """Sparse columns of fn from the slice basis src into the slice basis
         dst, in src order.
 
-        The columns at the src positions in `skip` are neither computed nor
-        returned: a caller that has proved them dependent leaves them out.
+        Each shift t of a row is one table, built once per call: the rank in
+        dst of m + t for every monomial m of src, None where m + t is not a
+        monomial of dst.  The image of (I, m) at (J, t) then sits at
+        dst.offset[J] + table[rank of m].  The columns at the src positions
+        in `skip` are neither computed nor returned: a caller that has
+        proved them dependent leaves them out.
         """
-        pos = dst.positions
+        monos, rank = src.monomials, dst.rank
+        tables = {}
         out = []
-        try:
-            for j, (idx, m) in enumerate(src.elements):
-                if j in skip:
+        for idx, start in src.offset.items():
+            entries = []
+            for J, t, c0, c in self.row(idx):
+                table = tables.get(t)
+                if table is None:
+                    table = tables[t] = [rank.get(tuple(map(add, m, t)))
+                                         for m in monos]
+                entries.append((dst.offset.get(J), table, c0, c))
+            for r, m in enumerate(monos):
+                if start + r in skip:
                     continue
                 col = {}
-                for J, t, c0, c in self.row(idx):
+                for off, table, c0, c in entries:
                     v = c0
                     for i, ci in c:
                         v += ci * m[i]
                     if v:
-                        col[pos[(J, tuple(map(add, m, t)))]] = v
+                        k = table[r]
+                        if k is None or off is None:
+                            raise ValueError(
+                                "the image of the (%d,%d) slice leaves the "
+                                "(%d,%d) slice" % (src.degree, src.weight,
+                                                   dst.degree, dst.weight))
+                        col[off + k] = v
                 out.append(col)
-        except KeyError:
-            raise ValueError("the image of the (%d,%d) slice leaves the (%d,%d) "
-                             "slice" % (src.degree, src.weight, dst.degree,
-                                        dst.weight)) from None
         return out
 
     def apply(self, a):

@@ -11,8 +11,11 @@ homology dimensions are rank differences, and homology classes are handled
 through one cached echelonized boundary basis per slice.  Since
 delta_{k+1} delta_{k+2} = 0, every boundary of the (k+1, w) slice is a
 kernel vector of delta_{k+1}, so the (k, w) echelon leaves out the columns
-at the pivots of the (k+1, w) echelon when that one is already built; the
-identity is checked exactly on each slice where it is used.  Commands that
+at the pivots of the (k+1, w) echelon when that one is already built.  The
+identity is certified once per engine, before the first pivot is skipped,
+on delta_pi's stencil rather than slice by slice: each coefficient of
+delta_pi(delta_pi(x^m dx_I)) is a polynomial in m that must vanish
+identically, which covers every weight at once.  Commands that
 read every degree build each weight top degree first, and a homology
 dimension reads its image before its kernel.  The boundary echelon's
 quotient view with the representatives inserted (`class_echelon`, also
@@ -20,8 +23,9 @@ cached) gives the coordinates of a class over the representatives alone;
 it serves both the
 independence check and the induced de Rham complex, so no boundary is ever
 eliminated with tracking.  `class_echelon` also keeps each representative's
-coordinates, computed once per slice, and the cycle check applies the
-slice's delta matrix to them, cleared of denominators.
+coordinates, computed once per slice; the cycle check applies the slice's
+delta matrix to them, and the induced de Rham complex the slice matrix of
+d, both cleared of denominators.
 
 The explicit representative families (unique normal forms of classes) are
 one data table: a label, a parameter space, a base form and an optional
@@ -59,6 +63,7 @@ rows, dicts in the key order the report prints.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
@@ -170,6 +175,7 @@ class HomologyEngine:
         self._deformation = {}
         self._families = None
         self._parameters = {}
+        self._complex_certified = False
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         # the normalizer's step maps d and tau -> iota_X df_i, X = star_inv(tau)
         self._d = de_rham_operator(4)
@@ -234,10 +240,10 @@ class HomologyEngine:
         """Echelonized image of delta inside the (k, w) slice; cached.
 
         When the (k+1, w) echelon is already cached, its rows are cycles
-        once delta_{k+1} delta_{k+2} = 0 is certified on the weight-w
-        slices.  Then the column of delta_{k+1} at a row's pivot, the row's
-        smallest index, is a combination of the columns after it, so those
-        columns are left out of the elimination and the span is the same
+        once delta_pi delta_pi = 0 is certified (`_check_complex`).  Then
+        the column of delta_{k+1} at a row's pivot, the row's smallest
+        index, is a combination of the columns after it, so those columns
+        are left out of the elimination and the span is the same
         (`ExactMatrix.echelon`).  The echelon above is never built for
         that alone: `boundary_echelons` builds them top degree first for
         the commands that read every degree.
@@ -250,7 +256,7 @@ class HomologyEngine:
                 above = self._boundaries.get((k + 1, w))
                 skip = {} if above is None else above.rows
                 if skip:
-                    self._check_complex(k + 1, w)
+                    self._check_complex()
                 ech = self.delta_matrix(k + 1, w).echelon(skip)
             self._boundaries[key] = ech
         return self._boundaries[key]
@@ -263,14 +269,21 @@ class HomologyEngine:
             for k in range(3, lowest - 1, -1):
                 self.boundary_echelon(k, w)
 
-    def _check_complex(self, k, w):
-        """Raise unless delta_k delta_{k+1} = 0 on the weight-w slices,
-        column by column, exactly."""
-        lower = self.delta_matrix(k, w)
-        if any(lower.apply(col) for col in self.delta_matrix(k + 1, w).columns):
-            raise InvariantViolation(
-                "delta_%d delta_%d != 0 at weight %d: the boundaries of the "
-                "(%d, %d) slice are not all cycles" % (k, k + 1, w, k, w))
+    def _check_complex(self):
+        """Raise unless delta_pi delta_pi = 0, exactly and at every weight
+        at once, on the stencil of delta_pi (`SliceOperator.square`); the
+        slice matrices are read off the same stencil.  Once per engine."""
+        if self._complex_certified:
+            return
+        delta = self.cat.poisson.delta
+        for k in range(5):
+            for idx in combinations(range(1, 5), k):
+                if delta.square(idx):
+                    raise InvariantViolation(
+                        "delta_pi delta_pi != 0 on the stencil row of %s: the "
+                        "boundaries are not all cycles"
+                        % "^".join("dx%d" % i for i in idx))
+        self._complex_certified = True
 
     def class_echelon(self, k, w):
         """(reps, coords, independent, ech) of the (k, w) homology classes; cached.
@@ -400,33 +413,39 @@ class HomologyEngine:
     # -- induced de Rham complex on homology ----------------------------
 
     def induced_de_rham(self, w_max):
-        """Dimension table of the de Rham cohomology of (H_., d) per (k, w)."""
+        """Dimension table of the de Rham cohomology of (H_., d) per (k, w).
+
+        d of each representative is its coordinate vector times the slice
+        matrix of d, read off the d stencil."""
         table = {}
         self.boundary_echelons(w_max, lowest=1)
         for w in range(w_max + 1):
-            reps = {0: self.representative_basis(0, w)}
+            coords = {0: [self.basis(0, w).coords(r)
+                          for r in self.representative_basis(0, w)]}
             ranks = {}
             for k in range(4):
-                reps[k + 1], _, independent, ech = self.class_echelon(k + 1, w)
+                _, coords[k + 1], independent, ech = self.class_echelon(k + 1, w)
                 if not independent:
                     raise InvariantViolation("dependent representatives at "
                                              "(%d, %d)" % (k + 1, w))
+                dst = self.basis(k + 1, w)
+                d = ExactMatrix(self._d.columns(self.basis(k, w), dst), len(dst))
                 rows = QEchelon()
-                for r in reps[k]:
-                    dr = de_rham(r)
-                    if dr.is_zero():
+                for c in coords[k]:
+                    # a scaled vector has the same span
+                    dr = d.apply(integer_row(c)[1])
+                    if not dr:
                         continue
-                    solution = ech.solve(self.basis(k + 1, w).coords(dr))
+                    solution = ech.solve(dr)
                     if solution is None:
                         raise InvariantViolation(
                             "d of a cycle did not decompose at (%d, %d)" % (k, w))
-                    # a scaled row has the same span
                     if solution[1]:
                         rows.insert(solution[1])
                 ranks[k] = rows.rank
             ranks[4] = 0
             for k in range(5):
-                dim_h = len(reps[k])
+                dim_h = len(coords[k])
                 incoming = ranks[k - 1] if k else 0
                 table[(k, w)] = dim_h - ranks[k] - incoming
         return table

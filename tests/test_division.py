@@ -142,17 +142,29 @@ def test_skipped_wedge_columns_keep_the_ranks():
 def test_kernel_certificate_catches_a_form_that_alpha_does_not_absorb(
         monkeypatch, capsys):
     # alpha + x1^2 dx1^dx2 keeps the weight of df1^df2, but df1 ^ alpha != 0,
-    # so the submodule no longer lies in the kernel of the wedge map
+    # so the submodule no longer lies in the kernel of the wedge map.  The
+    # per-forms cache starts empty, so alpha is built through the patch.
     extra = GradedElement.basis(4, FORM, (1, 2), x(1) * x(1))
     monkeypatch.setattr(division, "wedge_all",
                         lambda forms: wedge_all(forms) + extra)
-    message = r"a_1 \^ alpha != 0 at the \(2, 5\) division slice"
+    monkeypatch.setattr(division, "_DIVIDING", {})
+    message = r"a_1 \^ alpha != 0 for the dividing forms"
     with pytest.raises(InvariantViolation, match=message):
         division_group_dim(lefschetz_problem(2, 5))
+    assert not division._DIVIDING
     assert main(["division", "--p", "3", "--max-degree", "2"]) == 1
     out = capsys.readouterr().out
-    assert "a_1 ^ alpha != 0 at the (3, 3) division slice" in out
+    assert "a_1 ^ alpha != 0 for the dividing forms" in out
     assert "FAIL" in out
+
+
+def test_dividing_data_is_built_once_per_tuple_of_forms(cat):
+    first = lefschetz_problem(2, 5).dividing
+    assert lefschetz_problem(3, 7).dividing is first
+    assert first.alpha == cat.df1df2 and first.weights == (2, 2)
+    assert first.weight == 4
+    with pytest.raises(ValueError, match="nonzero and weight-homogeneous"):
+        DivisionProblem([cat.df1, GradedElement.zero(4, 1, FORM)], 2, 4)
 
 
 def test_basis_instantiation(cat):

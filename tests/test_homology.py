@@ -1,3 +1,4 @@
+import copy
 from math import lcm
 from types import SimpleNamespace
 
@@ -6,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_forge import homology
 from poisson_forge.cli import main
-from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement, de_rham,
-                                    divergence, enumerate_basis, lie_derivative,
-                                    star, star_inv, wedge)
+from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
+                                    SliceOperator, de_rham, divergence,
+                                    lie_derivative, star, star_inv, wedge)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
                                     f_monomials)
 from poisson_forge.linalg import QEchelon
 from poisson_forge.parsing import parse_polynomial
-from poisson_forge.poisson import d_pi, schouten
+from poisson_forge.poisson import PoissonStructure, d_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
@@ -81,25 +82,46 @@ def test_single_degree_commands_build_no_echelon_above():
     assert eng._boundaries and all(k == 0 for k, _ in eng._boundaries)
 
 
-def test_complex_certificate_catches_a_broken_delta(monkeypatch, capsys):
-    # a column of delta_4 at weight 6 that delta_3 does not kill: the
-    # (3, 6) boundaries are no longer cycles, and skipping their pivots in
-    # the (2, 6) echelon would be unfounded
+def test_complex_certificate_catches_a_broken_delta(monkeypatch, capsys, cat):
+    # an engine on a private copy of the structure whose delta_pi row of
+    # dx1^dx2^dx3^dx4 gains the term x^m dx1^dx2^dx3, which delta_pi does not
+    # kill: boundaries of degree 3 are no longer cycles, and skipping their
+    # pivots in the degree-2 echelons would be unfounded.  The shared
+    # catalog's structure is never touched.
     def broken_engine():
+        P = PoissonStructure(cat.pi)
+        top = (1, 2, 3, 4)
+        P.delta.rows[top] = P.delta.row(top) + (((1, 2, 3), (0,) * 4, 1, ()),)
         eng = HomologyEngine()
-        lower = eng.delta_matrix(3, 6)
-        j = next(j for j, col in enumerate(lower.columns) if col)
-        eng.delta_matrix(4, 6).columns[0] = {j: 1}
+        eng.cat = copy.copy(cat)
+        eng.cat.poisson = P
         return eng
 
-    message = (r"delta_3 delta_4 != 0 at weight 6: the boundaries of the "
-               r"\(3, 6\) slice are not all cycles")
+    message = (r"delta_pi delta_pi != 0 on the stencil row of "
+               r"dx1\^dx2\^dx3\^dx4: the boundaries are not all cycles")
     with pytest.raises(InvariantViolation, match=message):
         broken_engine().boundary_echelons(6)
+    assert cat.poisson.delta.row((1, 2, 3, 4)) == \
+        PoissonStructure(cat.pi).delta.row((1, 2, 3, 4))
     monkeypatch.setattr(homology, "_ENGINE", broken_engine())
     assert main(["verify", "--suite", "theorem1", "--max-weight", "6"]) == 1
     out = capsys.readouterr().out
-    assert "delta_3 delta_4 != 0 at weight 6" in out and "FAIL" in out
+    assert "delta_pi delta_pi != 0 on the stencil row of dx1^dx2^dx3^dx4" in out
+    assert "FAIL" in out
+
+
+def test_complex_certificate_runs_once_before_the_first_skipped_pivot(
+        monkeypatch):
+    calls = []
+    square = SliceOperator.square
+    monkeypatch.setattr(SliceOperator, "square",
+                        lambda op, idx: calls.append(idx) or square(op, idx))
+    eng = HomologyEngine()
+    eng.boundary_echelon(3, 6)
+    assert not calls         # no echelon above, so nothing is skipped
+    eng.boundary_echelons(6)
+    assert len(calls) == 16  # every index tuple of R^4, once
+    assert eng._complex_certified
 
 
 # -- dimensions ---------------------------------------------------------

@@ -1,19 +1,25 @@
 """Every SliceOperator the package builds against the map it wraps.
 
-Each instance is checked three ways: its rows equal the rows read off the
+Each instance is checked four ways: its rows equal the rows read off the
 map at five points (`SliceOperator.sampled`, the reader the identity suite
 keeps as its independent route); its slice columns equal the coordinates
 of the map on each basis element, on every slice of coefficient degree at
-most 8 - k (so up to weight 8 for forms); and `apply` equals the map on
-random non-homogeneous rational elements (hypothesis).  The two rational
-structures of test_poisson.py do not preserve the weight, so they have no
-slice matrices; their rows are checked against the five-point rows, and
-their images against the map basis element by basis element there.  The
-closed rows of delta_pi and d_pi are also checked on random bivectors that
-need not be Poisson.
+most 8 - k (so up to weight 8 for forms); they also equal the columns
+found by looking each image term up in a dict of the target's positions,
+the reference for the monomial-shift tables, skipped columns included;
+and `apply` equals the map on random non-homogeneous
+rational elements (hypothesis).  The two rational structures of
+test_poisson.py do not preserve the weight, so they have no slice
+matrices; their rows are checked against the five-point rows, and their
+images against the map basis element by basis element there.  The closed
+rows of delta_pi and d_pi are also checked on random bivectors that need
+not be Poisson, and on those the composed rows of delta_pi o delta_pi
+(`SliceOperator.square`, the complex certificate) vanish exactly when
+[pi, pi] = 0.
 """
 
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +27,9 @@ from hypothesis import given, strategies as st
 from poisson_forge.division import _times, _wedge_by
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, contract, de_rham,
-                                    enumerate_basis, star_inv, wedge)
-from poisson_forge.poisson import PoissonStructure, d_pi
+                                    enumerate_basis, lie_derivative, star_inv,
+                                    wedge)
+from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
 from test_poisson import delta_reference, rational_structures
@@ -92,6 +99,74 @@ def test_columns_are_coordinates_of_the_map(instances, name):
             assert op.columns(src, dst) == [dst.coords(a) for a in images], (k, w)
 
 
+def position_columns(op, src, dst, skip=()):
+    """The columns of op with each image term (J, m + t) looked up in a
+    dict of dst's positions: the reference for the shift tables."""
+    positions = {e: i for i, e in enumerate(dst.elements)}
+    out = []
+    for j, (idx, m) in enumerate(src.elements):
+        if j in skip:
+            continue
+        col = {}
+        for J, t, c0, c in op.row(idx):
+            v = c0 + sum(ci * m[i] for i, ci in c)
+            if v:
+                key = (J, tuple(map(add, m, t)))
+                if key not in positions:
+                    raise ValueError("the image of the (%d,%d) slice leaves "
+                                     "the (%d,%d) slice" % (src.degree,
+                                                            src.weight,
+                                                            dst.degree,
+                                                            dst.weight))
+                col[positions[key]] = v
+        out.append(col)
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_table_columns_equal_the_position_route(instances, name):
+    # the rational structures do not preserve the weight: both routes must
+    # refuse with the same text there
+    op, _, n, degrees, shift = instances[name]
+    for k in degrees:
+        for d in range(9 - k):
+            w = d + k if op.kind == FORM else d - k
+            src = enumerate_basis(k, w, op.kind, n)
+            dst = enumerate_basis(min(max(k + op.shift, 0), n), w + shift,
+                                  op.kind, n)
+            for skip in ((), set(range(0, len(src), 2))):
+                assert outcome(op.columns, src, dst, skip=skip) == \
+                    outcome(position_columns, op, src, dst, skip), (k, w, skip)
+
+
+def test_columns_into_an_empty_slice(engine):
+    # d of the constants: every coefficient is 0, so no term needs a place
+    # in the empty (1, 0) slice
+    assert len(enumerate_basis(1, 0)) == 0
+    assert engine._d.columns(enumerate_basis(0, 0), enumerate_basis(1, 0)) \
+        == [{}]
+    with pytest.raises(ValueError, match=r"\(0,1\) slice leaves the \(1,0\)"):
+        engine._d.columns(enumerate_basis(0, 1), enumerate_basis(1, 0))
+
+
+def test_coords_refuse_a_term_outside_the_slice():
+    x1 = Polynomial.variable(4, 1)
+    a = GradedElement.basis(4, FORM, (1, 2), x1 * x1 + x1)
+    assert enumerate_basis(2, 4).coords(GradedElement.basis(4, FORM, (1, 2),
+                                                            x1 * x1)) == {0: 1}
+    for basis in (enumerate_basis(2, 4), enumerate_basis(2, 1)):
+        with pytest.raises(ValueError, match=r"outside the \(2,%d\) slice"
+                           % basis.weight):
+            basis.coords(a)
+
+
 def test_columns_name_both_slices_when_the_image_leaves_dst():
     # the rational structure on R^4 does not preserve the weight
     with pytest.raises(ValueError, match=r"\(2,5\) slice leaves the \(1,5\) slice"):
@@ -142,3 +217,70 @@ def test_closed_rows_of_random_bivectors(data):
     P = PoissonStructure(data.draw(elements(n, [2], MULTIVECTOR)))
     for op, fn, _, degrees, _ in differentials("", P).values():
         five_point_rows_agree(op, fn, n, degrees)
+
+
+@st.composite
+def bivectors(draw, n):
+    """A rational bivector on R^n: random, so mostly not Poisson, or the
+    Jacobi-Poisson structure of n - 2 random functions vanishing at 0."""
+    if draw(st.booleans()):
+        return draw(elements(n, [2], MULTIVECTOR))
+    fns = []
+    for _ in range(n - 2):
+        f = draw(elements(n, [0])).coefficient(())
+        fns.append(f - f.constant_term())
+    return jacobi_poisson(fns, n).bivector
+
+
+def square_at(op, idx, m):
+    """fn(fn(x^m dx_idx)) from op.square(idx), evaluated at m."""
+    comps = {}
+    for (K, u), q in op.square(idx).items():
+        v = 0
+        for key, c in q.items():
+            for i in (key if isinstance(key, tuple) else (key,)):
+                c *= m[i]
+            v += c
+        mu = tuple(map(add, m, u))
+        if min(mu) < 0:
+            assert v == 0, (idx, m, K, u)
+        elif v:
+            comps.setdefault(K, {})[mu] = v
+    return {K: Polynomial(len(m), t) for K, t in comps.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@CHECKS
+@given(data=st.data())
+def test_stencil_square_certifies_exactly_the_poisson_bivectors(n, data):
+    # an independent route for the complex certificate: delta_pi o delta_pi
+    # vanishes on every row exactly when [pi, pi] = 0
+    pi = data.draw(bivectors(n))
+    P = PoissonStructure(pi)
+    tuples = [idx for k in range(n + 1)
+              for idx in combinations(range(1, n + 1), k)]
+    certified = not any(P.delta.square(idx) for idx in tuples)
+    assert certified == schouten(pi, pi).is_zero()
+    # and the composed rows are delta_pi o delta_pi, including at m_i = 0
+    idx = data.draw(st.sampled_from(tuples))
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+    a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
+    assert P.delta.apply(P.delta.apply(a)).comps == square_at(P.delta, idx, m)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@CHECKS
+@given(data=st.data())
+def test_square_composes_a_map_of_order_one_with_itself(n, data):
+    # the square of delta_pi or d_pi has order one, so its quadratic terms
+    # in m cancel; the Lie derivative along a vector field squares to
+    # order two, which exercises them (on the degrees 1..n-1 where
+    # lie_derivative takes a form and returns one)
+    X = data.draw(elements(n, [1], MULTIVECTOR))
+    op = SliceOperator.sampled(lambda a: lie_derivative(X, a), n, 0)
+    idx = data.draw(st.sampled_from([idx for k in range(1, n) for idx in
+                                     combinations(range(1, n + 1), k)]))
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+    a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
+    assert lie_derivative(X, lie_derivative(X, a)).comps == \
+        square_at(op, idx, m)

@@ -308,6 +308,10 @@ def lie_derivative(v, g):
         return out.coefficient(())
     if g.kind != FORM:
         raise ValueError("lie_derivative acts on polynomials or forms")
+    if g.degree == 0:
+        return contract(v, de_rham(g))
+    if g.degree == g.n:     # d of a top form is zero
+        return de_rham(contract(v, g))
     return contract(v, de_rham(g)) + de_rham(contract(v, g))
 
 
@@ -325,8 +329,8 @@ class WeightSliceBasis:
     slice's coefficient degree to its place in a block.
     """
 
-    __slots__ = ("n", "degree", "weight", "kind", "elements", "monomials",
-                 "rank", "offset")
+    __slots__ = ("n", "degree", "weight", "kind", "coefficient_degree",
+                 "elements", "monomials", "rank", "offset")
 
     def __init__(self, n, degree, weight, kind):
         self.n = n
@@ -334,6 +338,7 @@ class WeightSliceBasis:
         self.weight = weight
         self.kind = kind
         d = weight - degree if kind == FORM else weight + degree
+        self.coefficient_degree = d
         monos = monomials_of_degree(n, d)
         tuples = combinations(range(1, n + 1), degree) if 0 <= degree <= n else ()
         self.monomials = monos
@@ -396,6 +401,10 @@ def _stencil_row(entries):
         if c0 or lin:
             row.append((J, t, exact(c0), lin))
     return tuple(row)
+
+
+# (n, source coefficient degree, shift, target coefficient degree) -> table
+_SHIFT_TABLES = {}
 
 
 def _lowered(s, i):
@@ -529,23 +538,25 @@ class SliceOperator:
         """Sparse columns of fn from the slice basis src into the slice basis
         dst, in src order.
 
-        Each shift t of a row is one table, built once per call: the rank in
-        dst of m + t for every monomial m of src, None where m + t is not a
-        monomial of dst.  The image of (I, m) at (J, t) then sits at
-        dst.offset[J] + table[rank of m].  The columns at the src positions
-        in `skip` are neither computed nor returned: a caller that has
-        proved them dependent leaves them out.
+        Each shift t of a row is one table: the rank in dst of m + t for
+        every monomial m of src, None where m + t is not a monomial of dst.
+        A table depends only on n, the two coefficient degrees and t, so it
+        is built once per process (`_SHIFT_TABLES`), for every operator and
+        kind.  The image of (I, m) at (J, t) then sits at dst.offset[J] +
+        table[rank of m].  The columns at the src positions in `skip` are
+        neither computed nor returned: a caller that has proved them
+        dependent, or does not read them, leaves them out.
         """
         monos, rank = src.monomials, dst.rank
-        tables = {}
         out = []
         for idx, start in src.offset.items():
             entries = []
             for J, t, c0, c in self.row(idx):
-                table = tables.get(t)
+                key = (self.n, src.coefficient_degree, t, dst.coefficient_degree)
+                table = _SHIFT_TABLES.get(key)
                 if table is None:
-                    table = tables[t] = [rank.get(tuple(map(add, m, t)))
-                                         for m in monos]
+                    table = [rank.get(tuple(map(add, m, t))) for m in monos]
+                    _SHIFT_TABLES[key] = table
                 entries.append((dst.offset.get(J), table, c0, c))
             for r, m in enumerate(monos):
                 if start + r in skip:
@@ -564,6 +575,21 @@ class SliceOperator:
                                                    dst.degree, dst.weight))
                         col[off + k] = v
                 out.append(col)
+        return out
+
+    def image(self, src, dst, vectors):
+        """The images under fn of sparse vectors over the slice basis src,
+        as sparse vectors over dst, from the columns at their support alone."""
+        support = sorted(set().union(*vectors))
+        unread = set(range(len(src))).difference(support)
+        cols = dict(zip(support, self.columns(src, dst, unread)))
+        out = []
+        for vec in vectors:
+            img = {}
+            for p, x in vec.items():
+                for k, v in cols[p].items():
+                    img[k] = img.get(k, 0) + v * x
+            out.append({k: v for k, v in img.items() if v})
         return out
 
     def apply(self, a):

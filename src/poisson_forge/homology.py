@@ -23,15 +23,19 @@ cached) gives the coordinates of a class over the representatives alone;
 it serves both the
 independence check and the induced de Rham complex, so no boundary is ever
 eliminated with tracking.  `class_echelon` also keeps each representative's
-coordinates, computed once per slice; the cycle check applies the slice's
-delta matrix to them, and the induced de Rham complex the slice matrix of
-d, both cleared of denominators.
+coordinates, computed once per slice.  The cycle check reads delta_pi's
+columns, and the induced de Rham complex d's, only at the support of
+those coordinates (`SliceOperator.image`); no other column of either map
+is assembled for them.
 
 The explicit representative families (unique normal forms of classes) are
 one data table: a label, a parameter space, a base form and an optional
-de_rham applied after scaling by the parameter; each weight offset is read
-off the template.  Besides dimensions this module instantiates and
-verifies these families, certifies the module-structure relations over the
+de_rham applied after scaling by the parameter; each weight offset is the
+weight of the base.  A representative is never built as a form: its slice
+coordinates are read straight off the parameter's terms and the base's,
+with the base's denominators cleared (`representative_coords`).  Besides
+dimensions this module verifies these families, certifies the
+module-structure relations over the
 Casimir ring as boundary memberships, computes the de Rham complex induced
 on homology, and runs the volume-deformation normalizer that rewrites g*pi
 as q*pi with q a Casimir function, through a chosen weight.
@@ -64,12 +68,14 @@ rows, dicts in the key order the report prints.
 
 from collections import namedtuple
 from itertools import combinations
+from math import lcm
+from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
                        de_rham_operator, divergence, enumerate_basis,
                        star_inv, wedge)
-from .linalg import ExactMatrix, InvariantViolation, QEchelon, integer_row
+from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
 
@@ -89,27 +95,31 @@ class RepresentativeFamily:
 
     A parameter monomial p of the family's parameter space, the Casimir
     ring or R[[x2^2, x4]], instantiates to the weight-homogeneous cycle
-    post(p * base); post is the identity (None) or de_rham.  The weight
-    offset is the weight of the template at p = 1.
+    post(p * base); post is None or the SliceOperator of de_rham.  The
+    family keeps the base's terms once, as (J, s, c) for c x^s dx_J, with
+    its denominators cleared so that every c is an int: a positive
+    multiple of a representative spans the same class.  The weight offset
+    is the weight of the base, which post = de_rham does not change.
     """
 
-    __slots__ = ("label", "parameter_space", "base", "post", "weight_offset")
+    __slots__ = ("label", "parameter_space", "base", "post", "terms",
+                 "weight_offset")
 
     def __init__(self, label, parameter_space, base, post=None):
         self.label = label
         self.parameter_space = parameter_space
         self.base = base
         self.post = post
-        one = Polynomial.constant(base.n, 1)
-        self.weight_offset = self.instantiate(one).weights()[0]
+        den = lcm(*(c.denominator for p in base.comps.values()
+                    for c in p.terms.values()))
+        self.terms = [(J, s, int(c * den)) for J, p in base.comps.items()
+                      for s, c in p.terms.items()]
+        self.weight_offset = base.weights()[0]
 
-    def instantiate(self, param):
-        form = self.base * param
-        return self.post(form) if self.post else form
 
-
-def _family_table(cat):
-    """The generator templates of H_0 .. H_4, indexed by degree.
+def _family_table(cat, d):
+    """The generator templates of H_0 .. H_4, indexed by degree; d is the
+    SliceOperator of de_rham.
 
     d(a*x_i)^df1 is written as d(a*x_i*df1), which is the same form since
     d(df1) = 0.
@@ -124,7 +134,7 @@ def _family_table(cat):
         + [F("a%d*x%d" % (i, i), X2SQ_X4, x0[i]) for i in range(1, 5)],
         [F("p1*zeta1", CASIMIR, cat.zeta1), F("p2*zeta2", CASIMIR, cat.zeta2),
          F("q1*df1", CASIMIR, cat.df1), F("q2*df2", CASIMIR, cat.df2)]
-        + [F("d(a%d*x%d)" % (i, i), X2SQ_X4, x0[i], de_rham)
+        + [F("d(a%d*x%d)" % (i, i), X2SQ_X4, x0[i], d)
            for i in range(1, 5)]
         + [F("b%d*x%d*df1" % (i, i), X2SQ_X4, cat.df1 * x[i])
            for i in range(1, 5)],
@@ -134,7 +144,7 @@ def _family_table(cat):
          F("p2*d(f1*zeta2)", CASIMIR, de_rham(cat.zeta2 * cat.f1)),
          F("q1*d(zeta1)", CASIMIR, cat.beta1),
          F("q2*d(zeta2)", CASIMIR, cat.beta2)]
-        + [F("d(a%d*x%d)^df1" % (i, i), X2SQ_X4, cat.df1 * x[i], de_rham)
+        + [F("d(a%d*x%d)^df1" % (i, i), X2SQ_X4, cat.df1 * x[i], d)
            for i in range(1, 5)],
         [F("p1*zeta2^d(zeta1)", CASIMIR, wedge(cat.zeta2, cat.beta1)),
          F("p2*zeta2^d(zeta2)", CASIMIR, wedge(cat.zeta2, cat.beta2)),
@@ -169,7 +179,6 @@ class HomologyEngine:
 
     def __init__(self):
         self.cat = lefschetz_catalog()
-        self._delta = {}
         self._boundaries = {}
         self._classes = {}
         self._deformation = {}
@@ -192,20 +201,20 @@ class HomologyEngine:
     def slice_dim(self, k, w):
         return len(self.basis(k, w))
 
-    def delta_matrix(self, k, w):
-        """Matrix of delta_pi from the (k, w) slice to the (k-1, w) slice.
+    def delta_matrix(self, k, w, skip=()):
+        """Matrix of delta_pi from the (k, w) slice to the (k-1, w) slice,
+        less the columns at the source positions in `skip`.
 
         Its columns are read off the structure's delta_pi stencil, with
-        integer entries in the Lefschetz case.
+        integer entries in the Lefschetz case; nothing is cached, since
+        each boundary echelon eliminates its matrix once.
         """
         if not 1 <= k <= 4:
             raise ValueError("degree out of range")
-        key = (k, w)
-        if key not in self._delta:
-            dst = self.basis(k - 1, w)
-            columns = self.cat.poisson.delta.columns(self.basis(k, w), dst)
-            self._delta[key] = ExactMatrix(columns, len(dst))
-        return self._delta[key]
+        dst = self.basis(k - 1, w)
+        return ExactMatrix(self.cat.poisson.delta.columns(self.basis(k, w),
+                                                          dst, skip),
+                           len(dst))
 
     def delta_rank(self, k, w):
         if k == 5:
@@ -243,10 +252,10 @@ class HomologyEngine:
         once delta_pi delta_pi = 0 is certified (`_check_complex`).  Then
         the column of delta_{k+1} at a row's pivot, the row's smallest
         index, is a combination of the columns after it, so those columns
-        are left out of the elimination and the span is the same
-        (`ExactMatrix.echelon`).  The echelon above is never built for
-        that alone: `boundary_echelons` builds them top degree first for
-        the commands that read every degree.
+        are neither assembled nor eliminated and the span is the same
+        (linalg.py).  The echelon above is never built for that alone:
+        `boundary_echelons` builds them top degree first for the commands
+        that read every degree.
         """
         key = (k, w)
         if key not in self._boundaries:
@@ -257,7 +266,7 @@ class HomologyEngine:
                 skip = {} if above is None else above.rows
                 if skip:
                     self._check_complex()
-                ech = self.delta_matrix(k + 1, w).echelon(skip)
+                ech = self.delta_matrix(k + 1, w, skip).echelon()
             self._boundaries[key] = ech
         return self._boundaries[key]
 
@@ -286,23 +295,21 @@ class HomologyEngine:
         self._complex_certified = True
 
     def class_echelon(self, k, w):
-        """(reps, coords, independent, ech) of the (k, w) homology classes; cached.
+        """(coords, independent, ech) of the (k, w) homology classes; cached.
 
-        `coords` are the representatives' coordinates in the slice basis.
-        `ech` is the boundary echelon's quotient view with the
-        representatives inserted, so its `solve` gives the coordinates of a
-        cycle's class over the representatives only.  `independent` is false
-        when a representative is zero or dependent modulo the boundaries;
-        insertion stops there.
+        `coords` are the representatives' coordinates in the slice basis
+        (`representative_coords`).  `ech` is the boundary echelon's
+        quotient view with the representatives inserted, so its `solve`
+        gives the coordinates of a cycle's class over the representatives
+        only.  `independent` is false when a representative is zero or
+        dependent modulo the boundaries; insertion stops there.
         """
         key = (k, w)
         if key not in self._classes:
-            reps = self.representative_basis(k, w)
-            basis = self.basis(k, w)
-            coords = [basis.coords(r) for r in reps]
+            coords = self.representative_coords(k, w)
             ech = self.boundary_echelon(k, w).quotient()
             independent = all(ech.insert(c) for c in coords)
-            self._classes[key] = (reps, coords, independent, ech)
+            self._classes[key] = (coords, independent, ech)
         return self._classes[key]
 
     def is_boundary(self, form):
@@ -317,19 +324,40 @@ class HomologyEngine:
 
     # -- representative families --------------------------------------
 
-    def representative_basis(self, k, w):
-        """Instantiates the unique-normal-form families at every parameter
-        monomial of weight w; each returned form is a weight-w cycle."""
-        return [fam.instantiate(p) for fam in self.representative_families(k)
-                for p in self.parameters(fam.parameter_space,
-                                         w - fam.weight_offset)]
+    def representative_coords(self, k, w):
+        """The coordinates in the (k, w) slice basis of the unique-normal-form
+        representatives, family by family and parameter monomial by
+        parameter monomial, with the families' denominators cleared.
+
+        The coordinate of x^a * c x^s dx_J is c at offset[J] + rank[a + s];
+        a Casimir parameter sums these over its terms, and a family with
+        post = de_rham applies d's stencil at the support of p * base.
+        """
+        basis = self.basis(k, w)
+        out = []
+        for fam in self.representative_families(k):
+            params = self.parameters(fam.parameter_space, w - fam.weight_offset)
+            if not params:
+                continue
+            src = basis if fam.post is None else self.basis(k - 1, w)
+            offset, rank = src.offset, src.rank
+            vecs = []
+            for p in params:
+                vec = {}
+                for a, pc in p.terms.items():
+                    for J, s, c in fam.terms:
+                        j = offset[J] + rank[tuple(map(add, a, s))]
+                        vec[j] = vec.get(j, 0) + pc * c
+                vecs.append({j: v for j, v in vec.items() if v})
+            out += vecs if fam.post is None else fam.post.image(src, basis, vecs)
+        return out
 
     def representative_families(self, k):
         """The generator templates of one homology degree."""
         if not 0 <= k <= 4:
             raise ValueError("degree out of range")
         if self._families is None:
-            self._families = _family_table(self.cat)
+            self._families = _family_table(self.cat, self._d)
         return self._families[k]
 
     def parameters(self, space, d):
@@ -342,13 +370,13 @@ class HomologyEngine:
 
     def verify_representatives(self, k, w):
         """Report row: cycles, independent modulo boundaries, count = dimension."""
-        reps, coords, independent, _ = self.class_echelon(k, w)
+        coords, independent, _ = self.class_echelon(k, w)
         dim = self.homology_dimension(k, w)
-        all_cycles = k == 0 or not any(
-            self.delta_matrix(k, w).apply(integer_row(c)[1]) for c in coords)
-        return {"degree": k, "weight": w, "count": len(reps), "dimension": dim,
+        all_cycles = k == 0 or not any(self.cat.poisson.delta.image(
+            self.basis(k, w), self.basis(k - 1, w), coords))
+        return {"degree": k, "weight": w, "count": len(coords), "dimension": dim,
                 "all_cycles": all_cycles, "independent": independent,
-                "ok": all_cycles and independent and len(reps) == dim,
+                "ok": all_cycles and independent and len(coords) == dim,
                 "name": "representatives (k=%d, w=%d)" % (k, w)}
 
     # -- module structure over the Casimir ring ------------------------
@@ -415,25 +443,22 @@ class HomologyEngine:
     def induced_de_rham(self, w_max):
         """Dimension table of the de Rham cohomology of (H_., d) per (k, w).
 
-        d of each representative is its coordinate vector times the slice
-        matrix of d, read off the d stencil."""
+        d of each representative is read off the d stencil at the support
+        of its coordinates, and decomposed over the representatives one
+        degree up."""
         table = {}
         self.boundary_echelons(w_max, lowest=1)
         for w in range(w_max + 1):
-            coords = {0: [self.basis(0, w).coords(r)
-                          for r in self.representative_basis(0, w)]}
+            coords = {0: self.representative_coords(0, w)}
             ranks = {}
             for k in range(4):
-                _, coords[k + 1], independent, ech = self.class_echelon(k + 1, w)
+                coords[k + 1], independent, ech = self.class_echelon(k + 1, w)
                 if not independent:
                     raise InvariantViolation("dependent representatives at "
                                              "(%d, %d)" % (k + 1, w))
-                dst = self.basis(k + 1, w)
-                d = ExactMatrix(self._d.columns(self.basis(k, w), dst), len(dst))
                 rows = QEchelon()
-                for c in coords[k]:
-                    # a scaled vector has the same span
-                    dr = d.apply(integer_row(c)[1])
+                for dr in self._d.image(self.basis(k, w), self.basis(k + 1, w),
+                                        coords[k]):
                     if not dr:
                         continue
                     solution = ech.solve(dr)

@@ -19,11 +19,33 @@ from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_deg
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
 from test_exterior import basis_element, weight_slice
-from test_linalg import clone, is_zero, matmul, rational_solve
+from test_linalg import apply, clone, is_zero, matmul, rational_solve
 
 
 def x(i):
     return Polynomial.variable(4, i)
+
+
+def instantiate(fam, p):
+    """The forms route to a representative, post(p * base) as a form with the
+    family's base as written: the reference for the engine's coordinates."""
+    form = fam.base * p
+    return de_rham(form) if fam.post else form
+
+
+def clearing(fam):
+    """The lcm of the denominators of a family's base."""
+    return lcm(*(c.denominator for p in fam.base.comps.values()
+                 for c in p.terms.values()))
+
+
+def representative_basis(engine, k, w, cleared=False):
+    """The (k, w) representatives as forms, family by family, each family's
+    scaled by `clearing` when `cleared`."""
+    return [instantiate(fam, p) * (clearing(fam) if cleared else 1)
+            for fam in engine.representative_families(k)
+            for p in engine.parameters(fam.parameter_space,
+                                       w - fam.weight_offset)]
 
 
 # -- slice matrices -----------------------------------------------------
@@ -38,7 +60,7 @@ def test_zeta1_in_kernel(engine, cat):
     basis = engine.basis(1, 2)
     coords = basis.coords(cat.zeta1)
     m = engine.delta_matrix(1, 2)
-    assert m.apply(coords) == {}
+    assert apply(m, coords) == {}
 
 
 def test_composition_zero(engine):
@@ -147,13 +169,30 @@ def test_kernel_hilbert_weight8(engine):
 
 
 def test_representative_examples(engine, cat):
-    reps22 = engine.representative_basis(2, 2)
+    reps22 = representative_basis(engine, 2, 2)
     assert reps22 == [cat.beta1, cat.beta2]
-    reps34 = engine.representative_basis(3, 4)
+    reps34 = representative_basis(engine, 3, 4)
     assert reps34 == [wedge(cat.zeta2, cat.beta1), wedge(cat.zeta2, cat.beta2),
                       wedge(cat.df1, cat.beta1), wedge(cat.df1, cat.beta2)]
-    reps01 = engine.representative_basis(0, 1)
+    reps01 = representative_basis(engine, 0, 1)
     assert reps01 == [GradedElement.from_polynomial(x(i)) for i in range(1, 5)]
+    # the engine's coordinates are those of the cleared bases: zeta2 carries
+    # a 1/2, df1 and d(zeta_i) have integer coefficients
+    basis = engine.basis(3, 4)
+    assert engine.representative_coords(3, 4) == \
+        [basis.coords(r * c) for r, c in zip(reps34, (2, 2, 1, 1))]
+
+
+def test_representative_coords_equal_the_forms_route(engine):
+    # every family, the de_rham ones included, at every (k, w <= 8)
+    assert {f.post is not None for k in range(5)
+            for f in engine.representative_families(k)} == {False, True}
+    for k in range(5):
+        for w in range(9):
+            basis = engine.basis(k, w)
+            assert engine.representative_coords(k, w) == \
+                [basis.coords(r) for r in
+                 representative_basis(engine, k, w, cleared=True)], (k, w)
 
 
 def test_verify_representatives_spot(engine):
@@ -169,11 +208,11 @@ def test_vacuous_odd_weight_top(engine):
 
 
 def test_cycle_check_flags_a_non_cycle(cat):
-    # the check runs on denominator-cleared rows: x1*mu/3 is not a cycle,
-    # f1*mu/3 is
+    # the check reads delta_pi at the support of rational coordinates:
+    # x1*mu/3 is not a cycle, f1*mu/3 is
     class OneRepresentative(HomologyEngine):
-        def representative_basis(self, k, w):
-            return [rep]
+        def representative_coords(self, k, w):
+            return [self.basis(k, w).coords(rep)]
 
     for rep, w, cycle in ((cat.mu * x(1) * Q(1, 3), 5, False),
                           (cat.mu * cat.f1 * Q(1, 3), 6, True)):
@@ -188,17 +227,19 @@ def test_boundary_adjoined_is_dependent(engine, cat):
     w = boundary.weights()[0]
     basis = engine.basis(3, w)
     ech = clone(engine.boundary_echelon(3, w))
-    for r in engine.representative_basis(3, w):
+    for r in representative_basis(engine, 3, w):
         assert ech.insert(basis.coords(r))
     assert not ech.insert(basis.coords(boundary))
 
 
 def test_class_coordinates_over_representatives(engine, cat):
-    # a representative plus a boundary has class coordinates {j: 1};
-    # a boundary alone has none
+    # a representative (with its family's denominators cleared, as the
+    # engine's are) plus a boundary has class coordinates {j: 1}; a boundary
+    # alone has none
     for k in range(5):
         for w in range(6):
-            reps, _, independent, ech = engine.class_echelon(k, w)
+            _, independent, ech = engine.class_echelon(k, w)
+            reps = representative_basis(engine, k, w, cleared=True)
             assert independent
             basis = engine.basis(k, w)
             above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
@@ -226,7 +267,7 @@ def test_family_templates_yield_cycles(engine, cat):
             for w in range(fam.weight_offset, fam.weight_offset + 5):
                 for p in engine.parameters(fam.parameter_space,
                                            w - fam.weight_offset):
-                    inst = fam.instantiate(p)
+                    inst = instantiate(fam, p)
                     assert cat.poisson.delta.apply(inst).is_zero(), fam.label
                     if inst:
                         assert inst.weights() == [w]
@@ -262,7 +303,7 @@ def test_family_table(engine):
     one = Polynomial.constant(4, 1)
     for k in range(5):
         for f in engine.representative_families(k):
-            assert f.instantiate(one).degree == k, f.label
+            assert instantiate(f, one).degree == k, f.label
     for k in (-1, 5):
         with pytest.raises(ValueError):
             engine.representative_families(k)

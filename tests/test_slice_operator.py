@@ -27,7 +27,8 @@ from hypothesis import given, strategies as st
 from poisson_forge.division import _times, _wedge_by
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, contract, de_rham,
-                                    enumerate_basis, lie_derivative, star_inv,
+                                    divergence, enumerate_basis,
+                                    lie_derivative, star_inv,
                                     wedge)
 from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
 from poisson_forge.polynomials import Polynomial
@@ -274,13 +275,28 @@ def test_stencil_square_certifies_exactly_the_poisson_bivectors(n, data):
 def test_square_composes_a_map_of_order_one_with_itself(n, data):
     # the square of delta_pi or d_pi has order one, so its quadratic terms
     # in m cancel; the Lie derivative along a vector field squares to
-    # order two, which exercises them (on the degrees 1..n-1 where
-    # lie_derivative takes a form and returns one)
+    # order two, which exercises them (on every degree, top forms included)
     X = data.draw(elements(n, [1], MULTIVECTOR))
     op = SliceOperator.sampled(lambda a: lie_derivative(X, a), n, 0)
-    idx = data.draw(st.sampled_from([idx for k in range(1, n) for idx in
+    idx = data.draw(st.sampled_from([idx for k in range(n + 1) for idx in
                                      combinations(range(1, n + 1), k)]))
     m = data.draw(st.tuples(*[st.integers(0, 2)] * n))
     a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
     assert lie_derivative(X, lie_derivative(X, a)).comps == \
         square_at(op, idx, m)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@CHECKS
+@given(data=st.data())
+def test_lie_derivative_of_a_top_form_is_the_divergence(n, data):
+    # L_X(g mu) = div(g X) mu, with div(Y) = sum_i d_i Y_i written out here
+    # rather than read off `divergence`, which is checked against it too
+    X = data.draw(elements(n, [1], MULTIVECTOR))
+    g = data.draw(elements(n, [0])).coefficient(())
+    div = Polynomial.zero(n)
+    for i in range(1, n + 1):
+        div = div + (X.coefficient((i,)) * g).diff(i)
+    assert divergence(X * g).coefficient(()) == div
+    mu = GradedElement.basis(n, FORM, tuple(range(1, n + 1)))
+    assert lie_derivative(X, mu * g) == mu * div

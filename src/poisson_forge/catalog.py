@@ -14,6 +14,8 @@ Everything here is validated by the identity suite in poisson.py; the
 explicit coefficients below are fixed by those identities.
 """
 
+from functools import cache
+
 from .exterior import (FORM, MULTIVECTOR, GradedElement, de_rham, star,
                        star_inv, volume_form, wedge)
 from .poisson import jacobi_poisson
@@ -86,11 +88,6 @@ class LefschetzCatalog:
         self.pi = self.poisson.bivector
 
 
-_CATALOG = None
-
-
+@cache
 def lefschetz_catalog():
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = LefschetzCatalog()
-    return _CATALOG
+    return LefschetzCatalog()

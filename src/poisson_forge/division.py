@@ -8,23 +8,26 @@ For 1-forms a_1, ..., a_k the p-th division group is
 All inputs here are weight-homogeneous, so the groups split into weight
 slices.  The dimension of a slice is a rank difference: the kernel
 dimension of wedging with a_1 ^ ... ^ a_k, less the rank of the submodule,
-both eliminated on the slice's basis.  Their columns (wedging, multiplication
-by a polynomial) come from SliceOperators.  The submodule lies in the
-kernel, so the wedge columns at its pivots are left out.  What does not
-depend on the slice is built once per tuple of dividing forms (`_dividing`):
-the forms' weights, alpha = a_1 ^ ... ^ a_k, the exact check a_i ^ alpha
-= 0 that the skipped columns rest on, and the wedge operator of alpha.
+both eliminated on the slice's basis.  Every column is read off the
+SliceOperator of a wedge (`exterior.wedge_operator`); a product with a
+polynomial g, as in the ideal slices, is the wedge by the 0-form g.  The
+submodule lies in the kernel, so the wedge columns at its pivots are left
+out.  What does not depend on the slice is built once per tuple of
+dividing forms (`_dividing`): the forms' weights, alpha = a_1 ^ ... ^
+a_k, the exact check a_i ^ alpha = 0 that the skipped columns rest on,
+and the wedge operator of alpha.
 The Lefschetz case (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit
 generators c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured
 failure of the isolated-singularity depth bound.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache
 from math import comb
 
 from .catalog import lefschetz_catalog
-from .exterior import FORM, SliceOperator, enumerate_basis, wedge, wedge_all
+from .exterior import (FORM, GradedElement, enumerate_basis, wedge, wedge_all,
+                       wedge_operator)
 from .linalg import InvariantViolation, echelon
 from .polynomials import Polynomial
 
@@ -50,9 +53,9 @@ class DivisionProblem:
 
 # (weights, alpha, weight of alpha, wedge by alpha) per tuple of dividing forms
 Dividing = namedtuple("Dividing", "weights alpha weight wedge")
-_DIVIDING = {}
 
 
+@cache
 def _dividing(forms):
     """The Dividing data of a tuple of 1-forms, built once per tuple.
 
@@ -60,46 +63,30 @@ def _dividing(forms):
     a_1 ^ ... ^ a_k, and a_i ^ alpha = 0 is checked exactly here, before
     any slice skips a wedge column on its strength (`_wedge_kernel_echelon`).
     """
-    data = _DIVIDING.get(forms)
-    if data is None:
-        n = forms[0].n
-        weights = []
-        for a in forms:
-            if a.kind != FORM or a.degree != 1 or a.n != n:
-                raise ValueError("dividing elements must be 1-forms")
-            ws = a.weights()
-            if len(ws) != 1:
-                raise ValueError("dividing forms must be nonzero and "
-                                 "weight-homogeneous")
-            weights.append(ws[0])
-        alpha = wedge_all(forms)
-        for i, a in enumerate(forms, 1):
-            if wedge(a, alpha):
-                raise InvariantViolation(
-                    "a_%d ^ alpha != 0 for the dividing forms: the submodule "
-                    "is not inside the kernel of the wedge map" % i)
-        # when alpha is zero every wedge column is empty
-        data = _DIVIDING[forms] = Dividing(tuple(weights), alpha,
-                                           sum(weights), _wedge_by(alpha))
-    return data
-
-
-@lru_cache(maxsize=None)
-def _wedge_by(a):
-    """SliceOperator of b -> a ^ b."""
-    return SliceOperator.pointwise(lambda b: wedge(a, b), a.n, a.degree)
-
-
-@lru_cache(maxsize=None)
-def _times(g):
-    """SliceOperator of multiplication by the polynomial g."""
-    return SliceOperator.pointwise(lambda b: b * g, g.n, 0)
+    n = forms[0].n
+    weights = []
+    for a in forms:
+        if a.kind != FORM or a.degree != 1 or a.n != n:
+            raise ValueError("dividing elements must be 1-forms")
+        ws = a.weights()
+        if len(ws) != 1:
+            raise ValueError("dividing forms must be nonzero and "
+                             "weight-homogeneous")
+        weights.append(ws[0])
+    alpha = wedge_all(forms)
+    for i, a in enumerate(forms, 1):
+        if wedge(a, alpha):
+            raise InvariantViolation(
+                "a_%d ^ alpha != 0 for the dividing forms: the submodule "
+                "is not inside the kernel of the wedge map" % i)
+    # when alpha is zero every wedge column is empty
+    return Dividing(tuple(weights), alpha, sum(weights), wedge_operator(alpha))
 
 
 def _submodule_echelon(prob, src):
     """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
     return echelon(col for a, u in zip(prob.forms, prob.dividing.weights)
-                   for col in _wedge_by(a).columns(
+                   for col in wedge_operator(a).columns(
                        enumerate_basis(prob.p - 1, prob.w - u, FORM, a.n),
                        src))
 
@@ -192,8 +179,9 @@ def ideal_slice_echelon(generators, d, n=4):
     """Echelonized degree-d slice of the ideal generated by homogeneous polys."""
     basis = enumerate_basis(0, d, FORM, n)
     return echelon(col for g in generators
-                   for col in _times(g).columns(
-                       enumerate_basis(0, d - g.degree(), FORM, n), basis))
+                   for col in wedge_operator(GradedElement.from_polynomial(g))
+                   .columns(enumerate_basis(0, d - g.degree(), FORM, n),
+                            basis))
 
 
 def ideal_slice_dim(d):

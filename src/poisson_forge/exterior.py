@@ -19,8 +19,8 @@ convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
 bivector to df_1 ^ df_2, and star_inv reads its sign off the same rule.
 
 A SliceOperator is one fixed linear map of differential order at most one
-(delta_pi, d_pi, d, a ^ ., a product with a polynomial) as a stencil, its
-rows read off the map's coefficients; it expands the map term by term,
+(delta_pi, d_pi, d, or a ^ . for a fixed form a) as a stencil, its rows
+read off the map's coefficients; it expands the map term by term,
 both on elements and as sparse columns between the slice bases below.
 """
 
@@ -427,17 +427,16 @@ class SliceOperator:
     coefficient) pairs, and coefficients with denominator 1 are ints.
 
     `read(I)` gives the row of I; `rows` caches it from the first use on.
-    The rows of delta_pi, d_pi (poisson.py) and d (`de_rham_operator`) are
-    read off the coefficients of the map in closed form, those of a map
-    linear over the polynomials with one evaluation (`pointwise`).
-    `sampled` reads them off any fn at five points; the identity suite
-    compares a map with its rows that way, and the tests compare every
-    operator with it.  fn of a degree-k element has degree k + shift,
-    clamped to 0..n as the zero elements of the algebra are.  `apply`
-    refuses the other kind and an element on another R^n, whose terms the
-    rows do not describe.  `square` composes the rows of fn o fn, so an
-    identity such as delta_pi o delta_pi = 0 is checked once for every
-    weight.
+    There is one reader per kind of map: the rows of delta_pi, d_pi
+    (poisson.py) and d (`de_rham_operator`) are read off the coefficients
+    of the map in closed form, and those of a wedge by a fixed form a
+    (`wedge_operator`, a product with a polynomial being the wedge by a
+    0-form) off the one element a ^ dx_I.  fn of a degree-k element has
+    degree k + shift, clamped to 0..n as the zero elements of the algebra
+    are.  `apply` refuses the other kind and an element on another R^n,
+    whose terms the rows do not describe.  `square` composes the rows of
+    fn o fn, so an identity such as delta_pi o delta_pi = 0 is checked
+    once for every weight.
     """
 
     __slots__ = ("read", "n", "shift", "kind", "rows")
@@ -448,47 +447,6 @@ class SliceOperator:
         self.shift = shift
         self.kind = kind
         self.rows = {}
-
-    @classmethod
-    def sampled(cls, fn, n, shift, kind=FORM):
-        """The operator of fn, its rows read off fn at m = (1,...,1) and at
-        the n unit steps m + e_i.
-
-        The coefficient of x^(m+t) dx_J there is c0 + c.m, and since every
-        t >= -1 no term is lost at these points.
-        """
-        ones = (1,) * n
-
-        def read(idx):
-            values = []
-            for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
-                image = fn(GradedElement.basis(n, kind, idx,
-                                               Polynomial.monomial(n, m)))
-                values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): v
-                               for J, p in image.comps.items()
-                               for mt, v in p.terms.items()})
-            base = values[0]
-            entries = [(J, t, None, v) for (J, t), v in base.items()]
-            # c_i is the value at m + e_i less the value at m, c0 = base - sum c
-            for i, image in enumerate(values[1:]):
-                for J, t in set(image) | set(base):
-                    ci = image.get((J, t), 0) - base.get((J, t), 0)
-                    entries += [(J, t, i, ci), (J, t, None, -ci)]
-            return _stencil_row(entries)
-
-        return cls(read, n, shift, kind)
-
-    @classmethod
-    def pointwise(cls, fn, n, shift):
-        """The operator of an fn on forms linear over the polynomials, such
-        as a ^ . or a product: fn(x^m dx_I) = x^m fn(dx_I), so a row is
-        read off one evaluation, with t the exponents of fn(dx_I) and no c."""
-        def read(idx):
-            image = fn(GradedElement.basis(n, FORM, idx))
-            return _stencil_row((J, s, None, v) for J, p in image.comps.items()
-                                for s, v in p.terms.items())
-
-        return cls(read, n, shift)
 
     def row(self, idx):
         """The row (J, t, c0, c) of fn(x^m dx_idx); cached."""
@@ -629,3 +587,17 @@ def de_rham_operator(n):
         return _stencil_row(entries)
 
     return SliceOperator(read, n, 1)
+
+
+@cache
+def wedge_operator(a):
+    """The SliceOperator of b -> a ^ b for a fixed form a; cached.
+
+    a ^ (x^m dx_I) = x^m (a ^ dx_I), so the row of I is read off a ^ dx_I
+    alone: its terms c x^t dx_J, with no c in m."""
+    def read(idx):
+        image = wedge(a, GradedElement.basis(a.n, FORM, idx))
+        return _stencil_row((J, t, None, v) for J, p in image.comps.items()
+                            for t, v in p.terms.items())
+
+    return SliceOperator(read, a.n, a.degree)

@@ -54,27 +54,30 @@ to g*pi for q = 1/c.
 
 The normalizer's step splits one weight-i slice r_i of 1/g: it is the
 scalar equation d(tau) = (r_i - c_i) mu on tangent fields
-X = -star_inv(tau), since [X, pi] = -div(X) pi.  The system is built once
-per weight from operator columns (d and the tangency maps) and is the
-normalizer's only linear system.  The solve hands out s*X with integer
-coefficients and one scale s, and the certificates check s*X against
-s*(r_i - c_i).  The first, d_pi(s*X) = s*(r_i - c_i) pi, expands s*X
-through the structure's d_pi stencil, whose rows are read off pi's terms
-(poisson.py), so it shares no stencil with the step system.
+X = -star_inv(tau), since [X, pi] = -div(X) pi; tangency is (iota_X df_k)
+mu = tau ^ df_k = 0.  The system is built once per weight from operator
+columns (d and the wedges by df1 and df2) and is the normalizer's only
+linear system.  The solve hands out s*X with integer coefficients and one
+scale s, and the certificates check s*X against s*(r_i - c_i).  The
+first, d_pi(s*X) = s*(r_i - c_i) pi, expands s*X through the structure's
+d_pi stencil, whose rows are read off pi's terms (poisson.py), and the
+tangency check contracts s*X into df_k, so neither shares a map with the
+step system.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import add
 
 from .catalog import lefschetz_catalog
-from .exterior import (FORM, GradedElement, SliceOperator, contract, de_rham,
+from .exterior import (FORM, GradedElement, contract, de_rham,
                        de_rham_operator, divergence, enumerate_basis,
-                       star_inv, wedge)
+                       star_inv, wedge, wedge_operator)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
@@ -186,12 +189,7 @@ class HomologyEngine:
         self._parameters = {}
         self._complex_certified = False
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
-        # the normalizer's step maps d and tau -> iota_X df_i, X = star_inv(tau)
         self._d = de_rham_operator(4)
-        self._tangency = [SliceOperator.pointwise(
-                              lambda tau, df=df: contract(star_inv(tau), df),
-                              4, -3)
-                          for df in (self.cat.df1, self.cat.df2)]
 
     # -- matrices and dimensions ------------------------------------
 
@@ -531,7 +529,8 @@ class HomologyEngine:
         0, by one augmented exact solve of a system cached per weight.  For
         tangent X, star(d_pi X) = -div(X) df1^df2 and d(star X) = div(X)
         mu, so the system is d(tau) = (r_i - c_i) mu with X =
-        -star_inv(tau).  The solve's integer coordinates give s*X with
+        -star_inv(tau), and tangency is tau ^ df1 = tau ^ df2 = 0 in the
+        (4, w + 2) slice.  The solve's integer coordinates give s*X with
         integer coefficients and a positive int s.  The Casimir generators
         mu * f1^a f2^b come first, so s*X is None exactly when r_i is a
         Casimir slice."""
@@ -539,18 +538,18 @@ class HomologyEngine:
         w = i + 4
         top = self.basis(4, w)
         if i not in self._deformation:
-            basis3 = self.basis(3, w)
-            fun_basis = self.basis(0, i + 2)
-            n4, n0 = len(top), len(fun_basis)
+            basis3, top2 = self.basis(3, w), self.basis(4, w + 2)
+            n4, n2 = len(top), len(top2)
             fmonos = f_monomials(cat, i)
             ech = QEchelon(track=True)
             for _, fm in fmonos:
                 ech.insert(top.coords(cat.mu * fm))
-            # column j is d(tau_j), extended by the functions iota_X df1
-            # and iota_X df2 of X = star_inv(tau_j)
-            tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
+            # column j is d(tau_j), extended by df1 ^ tau_j and df2 ^ tau_j:
+            # up to one sign, the tangency conditions tau_j ^ df_k
+            tangent = [wedge_operator(df).columns(basis3, top2)
+                       for df in (cat.df1, cat.df2)]
             for vec, *cols in zip(self._d.columns(basis3, top), *tangent):
-                for off, col in zip((n4, n4 + n0), cols):
+                for off, col in zip((n4, n4 + n2), cols):
                     for idx, val in col.items():
                         vec[off + idx] = val
                 ech.insert(vec)
@@ -577,11 +576,6 @@ class HomologyEngine:
         return ci, -star_inv(tau), s
 
 
-_ENGINE = None
-
-
+@cache
 def default_engine():
-    global _ENGINE
-    if _ENGINE is None:
-        _ENGINE = HomologyEngine()
-    return _ENGINE
+    return HomologyEngine()

@@ -21,8 +21,9 @@ a form, `structure.delta.apply(a)`, and the slice matrices of homology.py
 expand terms through the first; the normalizer's certificate
 d_pi(s*X) = s*(r_i - c_i) pi expands s*X through the second.  The
 function `d_pi` evaluates the same differential by the Schouten bracket,
-so the identity suite's homotopy check, which reads star o d_pi o
-star_inv off it at five points, is a route independent of both stencils.
+so the identity suite's homotopy check, which compares star o d_pi o
+star_inv on five monomials per row with delta_pi's stencil, is a route
+independent of both stencils.
 
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions, signed by the merge sign of exterior.py;
@@ -234,10 +235,11 @@ def verify_identity_suite(cat):
     Covers the star/contraction relations of E_i and T_i, the wedge
     relations of pi and W_i, the Lie-derivative table, and the homotopy
     identity star o d_pi = delta_pi o star.  Both sides of the homotopy
-    identity are SliceOperators, so it is checked on their stencil rows,
-    one per form index tuple, which covers every weight at once: the left
-    side's rows are read at five points off the Schouten bracket, the
-    right side's in closed form off pi's terms.
+    identity are first-order maps with shifts t >= -1, so on x^m dx_I
+    their values at m = (1,1,1,1) and its four unit steps fix the row of I
+    (exterior.SliceOperator): comparing them there, for each I, covers
+    every weight at once.  delta_pi is expanded through its closed stencil
+    rows, star o d_pi o star_inv through the Schouten bracket.
     Failures are reported, never raised.
     """
     checks = []
@@ -330,14 +332,17 @@ def verify_identity_suite(cat):
                             top * (cat.f1 * cat.f1 + cat.f2 * cat.f2)))
 
     # the homotopy identity on multivectors of degree k, read on forms of
-    # degree 4-k (both sides vanish for k = 4); columns only expand rows
-    conjugate = SliceOperator.sampled(lambda a: star(d_pi(star_inv(a), P)),
-                                      P.n, -1)
+    # degree 4-k (both sides vanish for k = 4), at the five monomials that
+    # fix a row of either side: x^(1,1,1,1) and, for i = 0..3, x^(m + e_i)
+    monomials = [Polynomial.monomial(4, tuple(1 + (j == i) for j in range(4)))
+                 for i in range(-1, 4)]
     eq4_bad = next(("first failure at degree %d, row of dx%s"
                     % (k, "^dx".join(map(str, idx)))
                     for k in range(4)
                     for idx in combinations(range(1, 5), 4 - k)
-                    if conjugate.row(idx) != P.delta.row(idx)), "")
+                    if any(P.delta.apply(a) != star(d_pi(star_inv(a), P))
+                           for a in (GradedElement.basis(4, FORM, idx, xm)
+                                     for xm in monomials))), "")
     checks.append({"name": "star o d_pi = delta_pi o star (X_mu = 0)",
                    "status": "fail" if eq4_bad else "pass", "detail": eq4_bad})
 

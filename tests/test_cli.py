@@ -302,7 +302,9 @@ def test_emit_report_bad_format():
 # slices of 1/g; q itself is pinned on its own below.  The last three are
 # the representative, de Rham and kernel reports at their weight caps,
 # where the order of elimination could move a byte that weight 5 does not
-# see
+# see.  The last three pin the reports of the maps read through five
+# monomials per row (the identity suite alone), through wedge operators
+# (a D^3 table) and through the tangency wedges (a normalizer at weight 10)
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
@@ -318,6 +320,12 @@ def test_emit_report_bad_format():
      "b936f1600eaab246586549782ffbc4c51d2b09bf5cdc23d2cf3749a5154294c8"),
     (["kernels", "--max-weight", "12"], 0,
      "7a868889568493556b5a89f334b2eadf7a14565f28188f7b4626b3d9d148e151"),
+    (["verify", "--suite", "identities"], 1,
+     "79dcc0945c9f8d72df611c19fe0d3aa152ff89a7027b1d50ccdbce183c2194a2"),
+    (["division", "--p", "3", "--max-degree", "8"], 0,
+     "5b1a008b0e29e4e7412d133072442dcc8d75365cdf9d715245d881a8bf67f6fc"),
+    (["normalize", "--g", "1+x1+x2*x4+x3^3", "--max-weight", "10"], 0,
+     "79da061bc49b71afecc6a39b03931459b57ba63a2fd997bd1131f14a1adddf4a"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code

@@ -2,14 +2,13 @@ import pytest
 
 from poisson_forge import division
 from poisson_forge.cli import main
-from poisson_forge.division import (DivisionProblem, _times,
-                                    _wedge_kernel_echelon,
+from poisson_forge.division import (DivisionProblem, _wedge_kernel_echelon,
                                     division_group_basis, division_group_dim,
                                     ideal_dim_binomial_print, ideal_slice_dim,
                                     ideal_slice_echelon, lefschetz_problem,
                                     submodule_contains, verify_division_basis)
 from poisson_forge.exterior import (FORM, GradedElement, enumerate_basis,
-                                    wedge, wedge_all)
+                                    wedge, wedge_all, wedge_operator)
 from poisson_forge.linalg import ExactMatrix, InvariantViolation, QEchelon
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
@@ -143,15 +142,16 @@ def test_kernel_certificate_catches_a_form_that_alpha_does_not_absorb(
         monkeypatch, capsys):
     # alpha + x1^2 dx1^dx2 keeps the weight of df1^df2, but df1 ^ alpha != 0,
     # so the submodule no longer lies in the kernel of the wedge map.  The
-    # per-forms cache starts empty, so alpha is built through the patch.
+    # per-forms cache is cleared, so alpha is built through the patch, and
+    # the failed build leaves nothing in it.
     extra = GradedElement.basis(4, FORM, (1, 2), x(1) * x(1))
     monkeypatch.setattr(division, "wedge_all",
                         lambda forms: wedge_all(forms) + extra)
-    monkeypatch.setattr(division, "_DIVIDING", {})
+    division._dividing.cache_clear()
     message = r"a_1 \^ alpha != 0 for the dividing forms"
     with pytest.raises(InvariantViolation, match=message):
         division_group_dim(lefschetz_problem(2, 5))
-    assert not division._DIVIDING
+    assert division._dividing.cache_info().currsize == 0
     assert main(["division", "--p", "3", "--max-degree", "2"]) == 1
     out = capsys.readouterr().out
     assert "a_1 ^ alpha != 0 for the dividing forms" in out
@@ -215,8 +215,9 @@ def regular_sequence_check(seq, w_max, n=4):
         for d in range(0, w_max - e + 1):
             ideal_lo = ideal_slice_echelon(prev, d, n)
             ideal_hi = ideal_slice_echelon(prev, d + e, n)
-            products = _times(f).columns(enumerate_basis(0, d, FORM, n),
-                                         enumerate_basis(0, d + e, FORM, n))
+            times_f = wedge_operator(GradedElement.from_polynomial(f))
+            products = times_f.columns(enumerate_basis(0, d, FORM, n),
+                                       enumerate_basis(0, d + e, FORM, n))
             kills = sum(not ideal_hi.insert(col) for col in products)
             # multiplication kernel on the quotient must be exactly the ideal slice
             if kills != ideal_lo.rank:

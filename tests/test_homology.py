@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_forge import homology
+from poisson_forge import cli
 from poisson_forge.cli import main
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, de_rham, divergence,
-                                    lie_derivative, star, star_inv, wedge)
+                                    lie_derivative, star, star_inv, wedge,
+                                    wedge_operator)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
                                     f_monomials)
 from poisson_forge.linalg import QEchelon
@@ -125,7 +126,8 @@ def test_complex_certificate_catches_a_broken_delta(monkeypatch, capsys, cat):
         broken_engine().boundary_echelons(6)
     assert cat.poisson.delta.row((1, 2, 3, 4)) == \
         PoissonStructure(cat.pi).delta.row((1, 2, 3, 4))
-    monkeypatch.setattr(homology, "_ENGINE", broken_engine())
+    broken = broken_engine()
+    monkeypatch.setattr(cli, "default_engine", lambda: broken)
     assert main(["verify", "--suite", "theorem1", "--max-weight", "6"]) == 1
     out = capsys.readouterr().out
     assert "delta_pi delta_pi != 0 on the stencil row of dx1^dx2^dx3^dx4" in out
@@ -733,16 +735,18 @@ class TwoFormStepRoute(HomologyEngine):
         basis2 = self.basis(2, w)
         if i not in self._deformation:
             basis3 = self.basis(3, w)
-            fun_basis = self.basis(0, i + 2)
-            n2, n0 = len(basis2), len(fun_basis)
+            top2 = self.basis(4, w + 2)
+            n2, n4 = len(basis2), len(top2)
             fmonos = f_monomials(cat, i)
             ech = QEchelon(track=True)
             for _, fm in fmonos:
                 ech.insert(basis2.coords(cat.df1df2 * fm))
-            tangent = [op.columns(basis3, fun_basis) for op in self._tangency]
+            # the tangency conditions df_k ^ tau = (iota_X df_k) mu
+            tangent = [wedge_operator(df).columns(basis3, top2)
+                       for df in (cat.df1, cat.df2)]
             for j, col in enumerate(self.delta_matrix(3, w).columns):
                 vec = dict(col)
-                for off, cols in zip((n2, n2 + n0), tangent):
+                for off, cols in zip((n2, n2 + n4), tangent):
                     for idx, val in cols[j].items():
                         vec[off + idx] = val
                 ech.insert(vec)

@@ -397,6 +397,27 @@ def test_identity_suite_reports_the_first_homotopy_failure(cat):
         ("fail", "first failure at degree 0, row of dx1^dx2^dx3^dx4")
 
 
+def test_identity_suite_catches_a_delta_row_wrong_in_one_m_coefficient(cat):
+    # a private structure whose delta_pi row of dx1^dx2^dx3^dx4 gains the
+    # term (m_1 - 1) x^m dx1^dx2^dx3: zero at m = (1,1,1,1), so only a check
+    # that also compares m + e_1 sees it.  The shared catalog is untouched.
+    import copy
+    from poisson_forge.poisson import PoissonStructure
+    P = PoissonStructure(cat.pi)
+    top = (1, 2, 3, 4)
+    P.delta.rows[top] = P.delta.row(top) + (((1, 2, 3), (0,) * 4, -1,
+                                             ((0, 1),)),)
+    bent = copy.copy(cat)
+    bent.poisson = P
+    checks = {c["name"]: c for c in verify_identity_suite(bent)}
+    check = checks["star o d_pi = delta_pi o star (X_mu = 0)"]
+    assert (check["status"], check["detail"]) == \
+        ("fail", "first failure at degree 0, row of dx1^dx2^dx3^dx4")
+    assert checks == {c["name"]: c for c in verify_identity_suite(cat)} | {
+        check["name"]: check}
+    assert cat.poisson.delta.row(top) == PoissonStructure(cat.pi).delta.row(top)
+
+
 def test_identity_suite_reports_a_bivector_of_nonzero_weight(cat):
     # pi = x1^3 e1^e2 is Poisson and of weight 1, so delta_pi moves each
     # slice up one weight; its modular field 3 x1^2 e2 breaks the identity

@@ -1,8 +1,8 @@
 """Every SliceOperator the package builds against the map it wraps.
 
 Each instance is checked four ways: its rows equal the rows read off the
-map at five points (`SliceOperator.sampled`, the reader the identity suite
-keeps as its independent route); its slice columns equal the coordinates
+map at five points (`sampled`, the reference reader kept here for any
+map of order at most one); its slice columns equal the coordinates
 of the map on each basis element, on every slice of coefficient degree at
 most 8 - k (so up to weight 8 for forms); they also equal the columns
 found by looking each image term up in a dict of the target's positions,
@@ -15,7 +15,9 @@ images against the map basis element by basis element there.  The closed
 rows of delta_pi and d_pi are also checked on random bivectors that need
 not be Poisson, and on those the composed rows of delta_pi o delta_pi
 (`SliceOperator.square`, the complex certificate) vanish exactly when
-[pi, pi] = 0.
+[pi, pi] = 0.  The normalizer's tangency conditions are wedges by df1 and
+df2 on the 3-form tau; their rows are checked against (iota_X df_k) mu
+for X = star_inv(tau), read off the contraction.
 """
 
 from itertools import combinations
@@ -24,12 +26,11 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
-from poisson_forge.division import _times, _wedge_by
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
-                                    SliceOperator, contract, de_rham,
-                                    divergence, enumerate_basis,
-                                    lie_derivative, star_inv,
-                                    wedge)
+                                    SliceOperator, _stencil_row, contract,
+                                    de_rham, divergence, enumerate_basis,
+                                    lie_derivative, star_inv, wedge,
+                                    wedge_operator)
 from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
@@ -41,6 +42,35 @@ NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
          "d", "df1 ^ .", "df2 ^ .", "df1^df2 ^ .",
          "contract(star_inv(.), df1)", "contract(star_inv(.), df2)",
          "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
+
+
+def sampled(fn, n, shift, kind=FORM):
+    """The operator of fn, its rows read off fn at m = (1,...,1) and at
+    the n unit steps m + e_i.
+
+    The coefficient of x^(m+t) dx_J there is c0 + c.m, and since every
+    t >= -1 no term is lost at these points.
+    """
+    ones = (1,) * n
+
+    def read(idx):
+        values = []
+        for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
+            image = fn(GradedElement.basis(n, kind, idx,
+                                           Polynomial.monomial(n, m)))
+            values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): v
+                           for J, p in image.comps.items()
+                           for mt, v in p.terms.items()})
+        base = values[0]
+        entries = [(J, t, None, v) for (J, t), v in base.items()]
+        # c_i is the value at m + e_i less the value at m, c0 = base - sum c
+        for i, image in enumerate(values[1:]):
+            for J, t in set(image) | set(base):
+                ci = image.get((J, t), 0) - base.get((J, t), 0)
+                entries += [(J, t, i, ci), (J, t, None, -ci)]
+        return _stencil_row(entries)
+
+    return SliceOperator(read, n, shift, kind)
 
 
 def differentials(name, P):
@@ -60,20 +90,24 @@ def instances(cat, engine):
                     ("rational R^3", on_r3)]:
         out.update(differentials(name, P))
     for a, name in [(cat.df1, "df1"), (cat.df2, "df2"), (cat.df1df2, "df1^df2")]:
-        out[name + " ^ ."] = (_wedge_by(a), lambda b, a=a: wedge(a, b), 4,
+        out[name + " ^ ."] = (wedge_operator(a), lambda b, a=a: wedge(a, b), 4,
                               range(5 - a.degree), 2 * a.degree)
-    for i, op in enumerate(engine._tangency, start=1):
-        df = cat.df1 if i == 1 else cat.df2
+    # the normalizer's tangency rows: df_k ^ tau = (iota_X df_k) mu
+    for i, df in enumerate((cat.df1, cat.df2), start=1):
         out["contract(star_inv(.), df%d)" % i] = (
-            op, lambda tau, df=df: contract(star_inv(tau), df), 4, [3], -2)
+            wedge_operator(df),
+            lambda tau, df=df: cat.mu * contract(star_inv(tau),
+                                                 df).coefficient(()),
+            4, [3], 2)
     for name, g in zip(NAMES[-4:], cat.ideal_generators):
-        out[name] = (_times(g), lambda b, g=g: b * g, 4, [0], 2)
+        out[name] = (wedge_operator(GradedElement.from_polynomial(g)),
+                     lambda b, g=g: b * g, 4, [0], 2)
     assert sorted(out) == sorted(NAMES)
     return out
 
 
 def five_point_rows_agree(op, fn, n, degrees):
-    reference = SliceOperator.sampled(fn, n, op.shift, op.kind)
+    reference = sampled(fn, n, op.shift, op.kind)
     for k in degrees:
         for idx in combinations(range(1, n + 1), k):
             assert op.row(idx) == reference.row(idx), idx
@@ -277,7 +311,7 @@ def test_square_composes_a_map_of_order_one_with_itself(n, data):
     # in m cancel; the Lie derivative along a vector field squares to
     # order two, which exercises them (on every degree, top forms included)
     X = data.draw(elements(n, [1], MULTIVECTOR))
-    op = SliceOperator.sampled(lambda a: lie_derivative(X, a), n, 0)
+    op = sampled(lambda a: lie_derivative(X, a), n, 0)
     idx = data.draw(st.sampled_from([idx for k in range(n + 1) for idx in
                                      combinations(range(1, n + 1), k)]))
     m = data.draw(st.tuples(*[st.integers(0, 2)] * n))

@@ -31,7 +31,6 @@ WEIGHT_CAPS = {
     "working weight": 20,
     "representative verification": 10,
     "induced de Rham": 10,
-    "deformation normalizer": 12,
 }
 USAGE_ERROR = 2
 SUITES = ("identities", "theorem1", "kernels", "division", "module-structure",
@@ -353,8 +352,7 @@ def _execute(args, argv):
                     _derham_block(doc, eng,
                                   _capped(doc, w_max, "induced de Rham"))
         elif args.cmd == "normalize":
-            _normalize_block(doc, eng, _parse(args.g),
-                             _capped(doc, w_max, "deformation normalizer"))
+            _normalize_block(doc, eng, _parse(args.g), w_max)
     except InvariantViolation as exc:
         # a failed certificate is a failing verdict, not a traceback
         doc.add_verdicts("certificates", [{"name": str(exc),

@@ -301,11 +301,19 @@ def divergence(v):
 
 def lie_derivative(v, g):
     """Lie derivative along a vector field of a Polynomial or a form (Cartan)."""
-    if v.kind != MULTIVECTOR or v.degree != 1:
-        raise ValueError("lie_derivative needs a vector field")
+    if v.kind != MULTIVECTOR or v.degree != 1 or v.n != g.n:
+        raise ValueError("lie_derivative needs a vector field on g's R^n")
     if isinstance(g, Polynomial):
-        out = contract(v, de_rham(GradedElement.from_polynomial(g)))
-        return out.coefficient(())
+        # v(g) term by term: a x^e d_j (c x^m) = a c m_j x^(m - e_j + e)
+        terms = {}
+        for (j,), p in v.comps.items():
+            shifts = [(_lowered(e, j), a) for e, a in p.terms.items()]
+            for m, c in g.terms.items():
+                if m[j - 1]:
+                    for t, a in shifts:
+                        mt = tuple(map(add, m, t))
+                        terms[mt] = terms.get(mt, 0) + a * c * m[j - 1]
+        return Polynomial._of(g.n, {m: exact(c) for m, c in terms.items() if c})
     if g.kind != FORM:
         raise ValueError("lie_derivative acts on polynomials or forms")
     if g.degree == 0:

@@ -52,17 +52,21 @@ The Jacobi-Poisson structure of mu/g is g*pi, so with r = 1/g and c its
 Casimir part (the part of 1/g in the top homology), phi_1 pulls q*pi back
 to g*pi for q = 1/c.
 
-The normalizer's step splits one weight-i slice r_i of 1/g: it is the
-scalar equation d(tau) = (r_i - c_i) mu on tangent fields
-X = -star_inv(tau), since [X, pi] = -div(X) pi; tangency is (iota_X df_k)
-mu = tau ^ df_k = 0.  The system is built once per weight from operator
-columns (d and the wedges by df1 and df2) and is the normalizer's only
-linear system.  The solve hands out s*X with integer coefficients and one
-scale s, and the certificates check s*X against s*(r_i - c_i).  The
-first, d_pi(s*X) = s*(r_i - c_i) pi, expands s*X through the structure's
-d_pi stencil, whose rows are read off pi's terms (poisson.py), and the
-tangency check contracts s*X into df_k, so neither shares a map with the
-step system.
+The normalizer's step splits one weight-i slice r_i of 1/g with no linear
+system.  The fields V1 = 2 T1 and V2 = 2 T2 commute, are divergence-free
+and tangent (V(f1) = V(f2) = 0): they span the torus with invariants the
+f1^a f2^b (Monnier, Lett. Math. Phys. 2002).  On degree-d polynomials their
+Lie derivatives L1, L2 are semisimple with the Casimir slice as joint
+kernel; off it L1^2 has eigenvalues -lam and L2^2 lam, for lam in
+E_d = {k^2 : 1 <= k <= d, k = d mod 2}.  So k2 = prod (L2^2 - lam)/(-lam)
+r_i, c_i = prod (L1^2 + lam)/lam k2, and Horner on the minimal polynomials
+gives r_i - c_i = L1 a + L2 b (`_torus_split`): X = -(a V1 + b V2) is
+tangent with div(X) = -(r_i - c_i), so d_pi(X) = (r_i - c_i) pi by
+[X, pi] = -div(X) pi.  The certificates check the integral s*X against
+s*(r_i - c_i) through no map of the split: d_pi by pi's d_pi stencil
+(poisson.py), tangency by contraction into df_k, divergence by
+star_inv d star.  Each homogeneous part of q = 1/(sum c_i) is recomposed
+over the f1^a f2^b (`is_casimir_slice`), which certifies q.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -71,21 +75,20 @@ rows, dicts in the key order the report prints.
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, contract, de_rham,
                        de_rham_operator, divergence, enumerate_basis,
-                       star_inv, wedge, wedge_operator)
+                       lie_derivative, wedge)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
 
 
-# one certified normalizer step on the weight-i slice r_i of 1/g: corrector is
-# the tangent field X with d_pi(X) = (r_i - c_i) pi, casimir_part the slice c_i
-# of 1/q as a polynomial in f1, f2
+# one certified normalizer step on the weight-i slice r_i of 1/g: its Casimir
+# part c_i, a slice of 1/q, and the tangent X with d_pi(X) = (r_i - c_i) pi
 DeformationStep = namedtuple("DeformationStep", "weight casimir_part corrector")
 
 
@@ -166,6 +169,17 @@ def f_monomials(cat, degree):
             for a in range(half, -1, -1)]
 
 
+def is_casimir_slice(cat, part, degree):
+    """Whether the degree-`degree` slice `part` is a combination of the
+    f1^a f2^b.  The lex-leading monomial of f1^a f2^b, x1^(2a+b) x2^b with
+    coefficient 2^b, is in no f-monomial of smaller a, so a descending
+    reads each coefficient off the remainder, which must end at zero."""
+    for (a, b), fm in f_monomials(cat, degree):
+        c = part.coefficient((2 * a + b, b, 0, 0))
+        part = part - fm * Q(c, 2 ** b)
+    return part.is_zero()
+
+
 def a_monomials(degree):
     """Monomials x2^{2s} x4^u with 2s + u = degree, largest exponent first."""
     if degree < 0:
@@ -184,7 +198,6 @@ class HomologyEngine:
         self.cat = lefschetz_catalog()
         self._boundaries = {}
         self._classes = {}
-        self._deformation = {}
         self._families = None
         self._parameters = {}
         self._complex_certified = False
@@ -479,12 +492,10 @@ class HomologyEngine:
         """Rewrite g*pi as q*pi modulo a formal diffeomorphism, through w_max.
 
         g*pi is the Jacobi-Poisson structure of the volume form mu/g.  Each
-        weight-i slice r_i of r = 1/g is split as c_i + d_pi-exact (c_i over
-        the Casimir monomials), and the correction field X is certified
-        exactly, on its integral multiple s*X against s*(r_i - c_i).  Then
-        mu/g - mu/q = -d(iota_X mu) for the tangent field X = sum of the
-        steps' fields, with 1/q = sum c_i, and the Moser argument of the
-        module docstring carries g*pi to q*pi.  Returns (q, transcript).
+        weight-i slice r_i of r = 1/g is split as c_i - div(X_i), c_i its
+        Casimir part, with X_i certified exactly on s*X_i.  For X the sum of
+        the X_i and 1/q = sum c_i, mu/g - mu/q = -d(iota_X mu), and the Moser
+        argument above carries g*pi to q*pi.  Returns (q, transcript).
         """
         cat = self.cat
         if not isinstance(g, Polynomial):
@@ -498,7 +509,7 @@ class HomologyEngine:
             ri = r.homogeneous_part(i)
             if ri.is_zero():
                 continue
-            ci, scaled, s = self._solve_deformation_step(ri, i)
+            ci, scaled, s = self._split_slice(ri, i)
             c = c + ci
             if scaled is None:     # already a pure Casimir slice
                 continue
@@ -518,62 +529,43 @@ class HomologyEngine:
             transcript.append(DeformationStep(i, ci, scaled * Q(1, s)))
         q = c.inverse(w_max)
         for d, part in q.homogeneous_parts().items():
-            if d and self._solve_deformation_step(part, d)[1] is not None:
+            if not is_casimir_slice(cat, part, d):
                 raise InvariantViolation("normalized factor is not a Casimir "
                                          "series at degree %d" % d)
         return q, transcript
 
-    def _solve_deformation_step(self, ri, i):
+    def _split_slice(self, ri, i):
         """(c_i, s*X, s) for a weight-i slice r_i: its Casimir part c_i and
-        a field X with d_pi(X) = (r_i - c_i) pi, iota_X df1 = iota_X df2 =
-        0, by one augmented exact solve of a system cached per weight.  For
-        tangent X, star(d_pi X) = -div(X) df1^df2 and d(star X) = div(X)
-        mu, so the system is d(tau) = (r_i - c_i) mu with X =
-        -star_inv(tau), and tangency is tau ^ df1 = tau ^ df2 = 0 in the
-        (4, w + 2) slice.  The solve's integer coordinates give s*X with
-        integer coefficients and a positive int s.  The Casimir generators
-        mu * f1^a f2^b come first, so s*X is None exactly when r_i is a
-        Casimir slice."""
-        cat = self.cat
-        w = i + 4
-        top = self.basis(4, w)
-        if i not in self._deformation:
-            basis3, top2 = self.basis(3, w), self.basis(4, w + 2)
-            n4, n2 = len(top), len(top2)
-            fmonos = f_monomials(cat, i)
-            ech = QEchelon(track=True)
-            for _, fm in fmonos:
-                ech.insert(top.coords(cat.mu * fm))
-            # column j is d(tau_j), extended by df1 ^ tau_j and df2 ^ tau_j:
-            # up to one sign, the tangency conditions tau_j ^ df_k
-            tangent = [wedge_operator(df).columns(basis3, top2)
-                       for df in (cat.df1, cat.df2)]
-            for vec, *cols in zip(self._d.columns(basis3, top), *tangent):
-                for off, col in zip((n4, n4 + n2), cols):
-                    for idx, val in col.items():
-                        vec[off + idx] = val
-                ech.insert(vec)
-            self._deformation[i] = (fmonos, basis3, ech)
-        fmonos, basis3, ech = self._deformation[i]
-        solution = ech.solve(top.coords(cat.mu * ri))
-        if solution is None:
-            raise InvariantViolation("deformation step unsolvable at weight %d "
-                                     "(contradicts the classification)" % i)
-        s, coords = solution
-        ci = Polynomial.zero(4)
-        tau = {}           # s*tau, index tuple -> {monomial: int}
-        for gen_index, c in coords.items():
-            if gen_index < len(fmonos):
-                ci = ci + fmonos[gen_index][1] * c
-            else:
-                idx, m = basis3.elements[gen_index - len(fmonos)]
-                tau.setdefault(idx, {})[m] = c
-        ci = ci * Q(1, s)
-        if not tau:
-            return ci, None, s
-        tau = GradedElement(4, 3, FORM, {idx: Polynomial._of(4, t)
-                                         for idx, t in tau.items()})
-        return ci, -star_inv(tau), s
+        a tangent X with div(X) = -(r_i - c_i), by the module docstring's
+        torus split on integer numerators: r_i = R/D, k2 = K2/(D M2),
+        b = -B/(D M2^2), c_i = C/(D M2 M1), a = -A/(D M2 M1^2)."""
+        V1, V2 = self.cat.T1 * 2, self.cat.T2 * 2
+        D = lcm(*(c.denominator for c in ri.terms.values()))
+        K2, M2, B = _torus_split(V2, -1, i, ri * D)
+        C, M1, A = _torus_split(V1, 1, i, K2)
+        ci = C * Q(1, D * M2 * M1)
+        field = V1 * (A * M2) + V2 * (B * (M1 * M1))   # D (M1 M2)^2 X
+        if not field:
+            return ci, None, 1
+        den = D * (M1 * M2) ** 2
+        g = gcd(den, *(c for p in field.comps.values() for c in p.terms.values()))
+        return ci, field * Q(1, g), den // g
+
+
+def _torus_split(V, sign, d, p):
+    """(K, m0, A) with p = K/m0 + L(-A/m0^2) and L(K) = 0 for L = L_V, whose
+    square is -sign * lam off its kernel on degree d, lam in E_d: K = prod
+    (L^2 + sign * lam) p, and off the kernel m(L^2) = 0 for m(t) = prod (t +
+    sign * lam), so A = L h(L^2) (m0 p - K) with m0 = m(0), h = (m - m0)/t."""
+    m = [1]            # coefficients of m, constant term first
+    K = p
+    for lam in (k * k for k in range(2 - d % 2, d + 1, 2)):
+        K = lie_derivative(V, lie_derivative(V, K)) + K * (sign * lam)
+        m = [sign * lam * c + c1 for c, c1 in zip(m + [0], [0] + m)]
+    acc = rest = p * m[0] - K
+    for c in reversed(m[1:-1]):
+        acc = lie_derivative(V, lie_derivative(V, acc)) + rest * c
+    return K, m[0], lie_derivative(V, acc)
 
 
 @cache

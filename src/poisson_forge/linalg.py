@@ -83,9 +83,9 @@ class QEchelon:
 
     __slots__ = ("rows", "track", "count")
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = {}     # pivot col -> (main dict, aug dict)
-        self.track = track
+        self.track = False
         self.count = 0
 
     @property
@@ -168,9 +168,9 @@ class QEchelon:
     def solve(self, vec):
         """(s, coords) with s*vec = sum coords[i] * generator_i, or None.
 
-        Requires track=True.  s is a positive int, coords maps generator
-        index -> nonzero int, and s and the coords share no factor, so
-        coords[i] / s are the rational coordinates of vec.
+        Needs tracking (`quotient`).  s is a positive int, coords maps
+        generator index -> nonzero int, and s and the coords share no
+        factor, so coords[i] / s are the rational coordinates of vec.
         """
         if not self.track:
             raise ValueError("echelon was built without coordinate tracking")
@@ -192,7 +192,8 @@ class QEchelon:
         Its rows start as these rows with their coordinates dropped, so
         reducing by one only scales the tracked coordinates, and `solve`
         gives coordinates over the generators inserted into the view."""
-        out = QEchelon(track=True)
+        out = QEchelon()
+        out.track = True
         out.rows = {p: (main, {}) for p, (main, _) in self.rows.items()}
         return out
 

@@ -215,17 +215,16 @@ def test_normalize_command(capsys):
     assert "q(0) = g(0)" in out
 
 
-def test_normalize_caps_at_weight_12(capsys):
-    # a constant g has no steps, so only the cap note costs anything
+def test_normalize_is_bounded_by_the_working_weight_alone(capsys):
+    # a constant g has no steps; weight 13 is not cut, and the working
+    # weight 20 is still the usage bound
     assert main(["normalize", "--g", "2", "--max-weight", "13",
-                 "--format", "json"]) == 0
-    blocks = {b["block"]: b for b in json.loads(capsys.readouterr().out)["blocks"]}
-    assert blocks["weight cap"]["text"] == ("deformation normalizer runs at "
-                                            "weight 12 (requested 13)")
-    assert main(["normalize", "--g", "2", "--max-weight", "12",
                  "--format", "json"]) == 0
     blocks = {b["block"] for b in json.loads(capsys.readouterr().out)["blocks"]}
     assert "weight cap" not in blocks
+    assert main(["normalize", "--g", "2", "--max-weight", "21"]) == 2
+    assert capsys.readouterr().err == ("max weight 21 beyond configured "
+                                       "maximum 20\n")
 
 
 def test_division_command(capsys):
@@ -304,7 +303,8 @@ def test_emit_report_bad_format():
 # where the order of elimination could move a byte that weight 5 does not
 # see.  The last three pin the reports of the maps read through five
 # monomials per row (the identity suite alone), through wedge operators
-# (a D^3 table) and through the tangency wedges (a normalizer at weight 10)
+# (a D^3 table) and through the normalizer's split (a normalizer at weight
+# 10; the pin was taken on the former step system of tangency wedges)
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),

@@ -191,6 +191,9 @@ def test_lie_derivative_examples(cat):
     assert lie_derivative(d1, Polynomial.variable(4, 1)) == \
         Polynomial.constant(4, 1)
     assert lie_derivative(cat.T2, cat.zeta1).is_zero()
+    for g in (Polynomial.variable(3, 1), Polynomial.variable(5, 5)):
+        with pytest.raises(ValueError, match="vector field on g's R"):
+            lie_derivative(cat.T1, g)
 
 
 def test_volume_form():

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from poisson_forge import cli
 from poisson_forge.cli import main
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
-                                    SliceOperator, de_rham, divergence,
-                                    lie_derivative, star, star_inv, wedge,
-                                    wedge_operator)
+                                    SliceOperator, contract, de_rham,
+                                    divergence, lie_derivative, star,
+                                    star_inv, wedge, wedge_operator)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
-                                    f_monomials)
+                                    f_monomials, is_casimir_slice)
 from poisson_forge.linalg import QEchelon
 from poisson_forge.parsing import parse_polynomial
 from poisson_forge.poisson import PoissonStructure, d_pi, schouten
@@ -390,11 +390,10 @@ def test_normalize_linear_deformation(engine, cat):
 
 
 def test_deformation_step_folds_the_casimir_check(engine, cat):
-    # reference: the separate pre-check the cached system replaced, an
-    # echelon of the df1^df2 * f-monomial images alone
+    # reference: an echelon of the df1^df2 * f-monomial images alone
     def casimir_reference(gi, i):
         basis2 = engine.basis(2, i + 4)
-        ech = QEchelon(track=True)
+        ech = QEchelon().quotient()
         for _, fm in f_monomials(cat, i):
             ech.insert(basis2.coords(cat.df1df2 * fm))
         return ech.solve(basis2.coords(cat.df1df2 * gi)) is not None
@@ -407,7 +406,7 @@ def test_deformation_step_folds_the_casimir_check(engine, cat):
         i = gi.degree()
         assert i <= 5
         assert casimir_reference(gi, i) == casimir
-        qi, scaled, _ = engine._solve_deformation_step(gi, i)
+        qi, scaled, _ = engine._split_slice(gi, i)
         assert (scaled is None) == casimir
         if casimir:
             assert qi == gi
@@ -488,7 +487,7 @@ def normalize_uncertified(engine, g, w_max, pullback):
         gi = current.homogeneous_part(i)
         if gi.is_zero():
             continue
-        qi, scaled, s = engine._solve_deformation_step(gi, i)
+        qi, scaled, s = engine._split_slice(gi, i)
         if scaled is None:
             continue
         corrector = scaled * Q(1, s)
@@ -544,7 +543,7 @@ class BivectorRoute(HomologyEngine):
                                          % (w, d, w_max))
             basisw = self.basis(2, w)
             if w not in self._conformal:
-                ech = QEchelon(track=True)
+                ech = QEchelon().quotient()
                 monos = sorted(monomials_of_degree(4, d), key=monomial_key)
                 for m in monos:
                     ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
@@ -630,10 +629,12 @@ def volume_factors(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(volume_factors())
-def test_linear_normalizer_matches_inverse_flow_route(inverse_route, args):
+def test_linear_normalizer_matches_inverse_flow_route(inverse_route,
+                                                      three_form_route, args):
     g, w_max = args
     q, _ = inverse_route.normalize_volume_deformation(g, w_max)
     assert q == inverse_route.normalize_by_inverse(g, w_max)[0]
+    assert q == three_form_route.normalize_volume_deformation(g, w_max)[0]
 
 
 @pytest.mark.parametrize("g", ["1+x1", "3/2+1/3*x1-x2^2+x1*x4",
@@ -658,14 +659,14 @@ def test_inverse_matches_the_series_reference(g, d):
 
 
 def corrupt_corrector(monkeypatch, change):
-    """Makes every engine's step solve return change(s*X) in place of s*X."""
-    solve = HomologyEngine._solve_deformation_step
+    """Makes every engine's split return change(s*X) in place of s*X."""
+    split = HomologyEngine._split_slice
 
     def corrupted(self, gi, i):
-        qi, scaled, s = solve(self, gi, i)
+        qi, scaled, s = split(self, gi, i)
         return qi, None if scaled is None else change(scaled), s
 
-    monkeypatch.setattr(HomologyEngine, "_solve_deformation_step", corrupted)
+    monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
 
 
 def assert_normalize_fails(message, capsys):
@@ -719,8 +720,140 @@ def test_normalizer_outputs_keep_integral_coefficients_as_int(engine, g,
 coefficients = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 
 
-class TwoFormStepRoute(HomologyEngine):
+class ThreeFormStepRoute(HomologyEngine):
     """The normalizer's former step system, kept as the reference route.
+
+    One augmented exact solve of a system cached per weight: for tangent
+    X, d(star X) = div(X) mu, so the system is d(tau) = (r_i - c_i) mu
+    with X = -star_inv(tau), extended by the tangency conditions tau ^
+    df1 = tau ^ df2 = 0 in the (4, w + 2) slice.  The Casimir generators
+    mu * f1^a f2^b come first, so s*X is None exactly when r_i is a
+    Casimir slice.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._deformation = {}
+
+    def _split_slice(self, ri, i):
+        cat = self.cat
+        w = i + 4
+        top = self.basis(4, w)
+        if i not in self._deformation:
+            basis3, top2 = self.basis(3, w), self.basis(4, w + 2)
+            n4, n2 = len(top), len(top2)
+            fmonos = f_monomials(cat, i)
+            ech = QEchelon().quotient()
+            for _, fm in fmonos:
+                ech.insert(top.coords(cat.mu * fm))
+            # column j is d(tau_j), extended by df1 ^ tau_j and df2 ^ tau_j:
+            # up to one sign, the tangency conditions tau_j ^ df_k
+            tangent = [wedge_operator(df).columns(basis3, top2)
+                       for df in (cat.df1, cat.df2)]
+            for vec, *cols in zip(self._d.columns(basis3, top), *tangent):
+                for off, col in zip((n4, n4 + n2), cols):
+                    for idx, val in col.items():
+                        vec[off + idx] = val
+                ech.insert(vec)
+            self._deformation[i] = (fmonos, basis3, ech)
+        fmonos, basis3, ech = self._deformation[i]
+        solution = ech.solve(top.coords(cat.mu * ri))
+        if solution is None:
+            raise InvariantViolation("deformation step unsolvable at weight %d "
+                                     "(contradicts the classification)" % i)
+        s, coords = solution
+        ci = Polynomial.zero(4)
+        tau = {}           # s*tau, index tuple -> {monomial: int}
+        for gen_index, c in coords.items():
+            if gen_index < len(fmonos):
+                ci = ci + fmonos[gen_index][1] * c
+            else:
+                idx, m = basis3.elements[gen_index - len(fmonos)]
+                tau.setdefault(idx, {})[m] = c
+        ci = ci * Q(1, s)
+        if not tau:
+            return ci, None, s
+        tau = GradedElement(4, 3, FORM, {idx: Polynomial._of(4, t)
+                                         for idx, t in tau.items()})
+        return ci, -star_inv(tau), s
+
+
+@pytest.fixture(scope="module")
+def three_form_route():
+    return ThreeFormStepRoute()
+
+
+def assert_certified(cat, ri, ci, scaled, s):
+    """The normalizer's three certificates on s*X against s*(r_i - c_i)."""
+    residual = (ri - ci) * s
+    assert cat.poisson.d_pi.apply(scaled) == cat.pi * residual
+    for df in (cat.df1, cat.df2):
+        assert contract(scaled, df).is_zero()
+    assert divergence(scaled).coefficient(()) == -residual
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_split_matches_the_three_form_route_on_every_monomial(
+        engine, cat, three_form_route, i):
+    for m in monomials_of_degree(4, i):
+        ri = Polynomial.monomial(4, m)
+        ci, scaled, s = engine._split_slice(ri, i)
+        assert ci == three_form_route._split_slice(ri, i)[0], m
+        if scaled is None:
+            assert ci == ri
+            continue
+        assert all(type(c) is int for p in scaled.comps.values()
+                   for c in p.terms.values())
+        assert_certified(cat, ri, ci, scaled, s)
+
+
+def test_normalizer_runs_no_linear_system(monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("the normalizer eliminated a vector")
+
+    for name in ("insert", "solve", "contains"):
+        monkeypatch.setattr(QEchelon, name, refuse)
+    g = parse_polynomial("3/2+1/3*x1-x2^2+x1*x4")
+    q, steps = HomologyEngine().normalize_volume_deformation(g, 6)
+    assert q.constant_term() == Q(3, 2)
+    assert [s.weight for s in steps] == [1, 2, 3, 4, 5, 6]
+
+
+def test_casimir_recomposition(cat):
+    f1, f2 = cat.f1, cat.f2
+    for part, d in ((f1 ** 3, 6), (f1 * f2 * f2 - f2 ** 3 * 3, 6),
+                    (Polynomial.zero(4), 3)):
+        assert is_casimir_slice(cat, part, d)
+    # f1^2 + x3^4 has the coefficients of f1^2 at every x1^a x2^b, so only
+    # the remainder rejects it
+    near = f1 * f1 + x(3) ** 4
+    assert all(near.coefficient((a, 4 - a, 0, 0))
+               == (f1 * f1).coefficient((a, 4 - a, 0, 0)) for a in range(5))
+    for part, d in ((x(2) ** 2 + x(4) ** 2, 2), (x(1) ** 3, 3), (near, 4)):
+        assert not is_casimir_slice(cat, part, d)
+
+
+def test_a_non_casimir_part_fails_the_recomposition(cat, monkeypatch, capsys):
+    # 1/g is a Casimir series, so no slice has a field; the patched split
+    # hands back c_2 + x3^2, which only the final recomposition can see
+    split = HomologyEngine._split_slice
+
+    def corrupted(self, ri, i):
+        ci, scaled, s = split(self, ri, i)
+        assert scaled is None
+        return (ci + x(3) ** 2 if i == 2 else ci), None, s
+
+    monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
+    text = "1+%s" % cat.f1
+    message = "normalized factor is not a Casimir series at degree 2"
+    with pytest.raises(InvariantViolation, match=message):
+        HomologyEngine().normalize_volume_deformation(parse_polynomial(text), 4)
+    assert main(["normalize", "--g", text, "--max-weight", "4"]) == 1
+    assert message in capsys.readouterr().out
+
+
+class TwoFormStepRoute(HomologyEngine):
+    """The step system before the three-form one, kept as a reference route.
 
     It solves delta_pi(tau) = (g_i - q_i) df1^df2 in the 2-form slice,
     with the delta_3 columns extended by the tangency conditions, and
@@ -729,7 +862,11 @@ class TwoFormStepRoute(HomologyEngine):
     scale.
     """
 
-    def _solve_deformation_step(self, gi, i):
+    def __init__(self):
+        super().__init__()
+        self._deformation = {}
+
+    def _split_slice(self, gi, i):
         cat = self.cat
         w = i + 4
         basis2 = self.basis(2, w)
@@ -738,7 +875,7 @@ class TwoFormStepRoute(HomologyEngine):
             top2 = self.basis(4, w + 2)
             n2, n4 = len(basis2), len(top2)
             fmonos = f_monomials(cat, i)
-            ech = QEchelon(track=True)
+            ech = QEchelon().quotient()
             for _, fm in fmonos:
                 ech.insert(basis2.coords(cat.df1df2 * fm))
             # the tangency conditions df_k ^ tau = (iota_X df_k) mu

@@ -148,7 +148,7 @@ def kernel_basis(m):
     generator c: a nonzero remainder is stored, and a zero one leaves
     the relation s*col_c + sum aug[j]*col_j = 0 in its coordinates.
     """
-    ech = QEchelon(track=True)
+    ech = QEchelon().quotient()
     basis = []
     for c, col in enumerate(m.columns):
         den, v = integer_row(col)
@@ -165,9 +165,15 @@ def kernel_basis(m):
     return basis
 
 
+def new_echelon(track):
+    """A fresh QEchelon, tracked as an empty span's quotient view when
+    `track`."""
+    return QEchelon().quotient() if track else QEchelon()
+
+
 def clone(ech):
     """Snapshot of a QEchelon sharing its (immutable) stored rows."""
-    out = QEchelon(track=ech.track)
+    out = new_echelon(ech.track)
     out.rows = dict(ech.rows)
     out.count = ech.count
     return out
@@ -225,7 +231,7 @@ def test_integer_echelon_matches_fraction_reference(track):
         dim = rng.randint(1, 9)
         gens = _random_vectors(rng, dim, rng.randint(0, 12))
         probes = _random_vectors(rng, dim, 6) + gens[:3]
-        ech, ref = QEchelon(track=track), FractionEchelon(track=track)
+        ech, ref = new_echelon(track), FractionEchelon(track=track)
         for i, g in enumerate(gens):
             assert ech.insert(g) == ref.insert(g)
             assert ech.rank == ref.rank
@@ -253,7 +259,7 @@ def test_integer_echelon_matches_fraction_reference(track):
 
 
 def test_integer_echelon_rejects_floats():
-    ech = QEchelon(track=True)
+    ech = QEchelon().quotient()
     ech.insert({0: 1, 1: Q(1, 2)})
     for call in (ech.insert, ech.solve, ech.contains):
         with pytest.raises(TypeError):
@@ -299,7 +305,7 @@ def test_quotient_solves_modulo_the_base(track):
         cut = rng.randint(0, len(vecs))
         base_gens, gens = vecs[:cut], vecs[cut:]
         probes = _random_vectors(rng, dim, 6) + gens[:3] + base_gens[:3]
-        base, ref = QEchelon(track=track), FractionEchelon()
+        base, ref = new_echelon(track), FractionEchelon()
         for b in base_gens:
             base.insert(b)
             ref.insert(b)
@@ -442,7 +448,7 @@ def rational_solve(ech, vec):
 
 def solve_in_span(v, span):
     """Coordinates of v over the span's vectors, or None."""
-    ech = QEchelon(track=True)
+    ech = QEchelon().quotient()
     for g in span:
         ech.insert(g)
     return rational_solve(ech, v)

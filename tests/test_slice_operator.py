@@ -15,8 +15,8 @@ images against the map basis element by basis element there.  The closed
 rows of delta_pi and d_pi are also checked on random bivectors that need
 not be Poisson, and on those the composed rows of delta_pi o delta_pi
 (`SliceOperator.square`, the complex certificate) vanish exactly when
-[pi, pi] = 0.  The normalizer's tangency conditions are wedges by df1 and
-df2 on the 3-form tau; their rows are checked against (iota_X df_k) mu
+[pi, pi] = 0.  The tangency conditions of the reference step systems of
+test_homology.py are wedges by df1 and df2 on the 3-form tau; their rows are checked against (iota_X df_k) mu
 for X = star_inv(tau), read off the contraction.
 """
 
@@ -92,7 +92,7 @@ def instances(cat, engine):
     for a, name in [(cat.df1, "df1"), (cat.df2, "df2"), (cat.df1df2, "df1^df2")]:
         out[name + " ^ ."] = (wedge_operator(a), lambda b, a=a: wedge(a, b), 4,
                               range(5 - a.degree), 2 * a.degree)
-    # the normalizer's tangency rows: df_k ^ tau = (iota_X df_k) mu
+    # the reference step systems' tangency rows: df_k ^ tau = (iota_X df_k) mu
     for i, df in enumerate((cat.df1, cat.df2), start=1):
         out["contract(star_inv(.), df%d)" % i] = (
             wedge_operator(df),

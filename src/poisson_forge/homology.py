@@ -17,15 +17,15 @@ on delta_pi's stencil rather than slice by slice: each coefficient of
 delta_pi(delta_pi(x^m dx_I)) is a polynomial in m that must vanish
 identically, which covers every weight at once.  Commands that
 read every degree build each weight top degree first, and a homology
-dimension reads its image before its kernel.  The boundary echelon's
-quotient view with the representatives inserted (`class_echelon`, also
-cached) gives the coordinates of a class over the representatives alone;
-it serves both the
-independence check and the induced de Rham complex, so no boundary is ever
-eliminated with tracking.  `class_echelon` also keeps each representative's
-coordinates, computed once per slice.  The cycle check reads delta_pi's
-columns, and the induced de Rham complex d's, only at the support of
-those coordinates (`SliceOperator.image`); no other column of either map
+dimension reads its image before its kernel.  A homology class is
+handled by its residual modulo the boundary echelon
+(`QEchelon.residual`): up to a nonzero scale the residual is linear, with
+the boundaries as kernel.  So one small echelon of the representatives'
+residuals per slice (`class_echelon`, also cached) serves both the
+independence check and the induced de Rham complex, and no coordinates
+are ever tracked.  The cycle check reads delta_pi's columns, and the
+induced de Rham complex d's, only at the support of the representatives'
+slice coordinates (`SliceOperator.image`); no other column of either map
 is assembled for them.
 
 The explicit representative families (unique normal forms of classes) are
@@ -306,21 +306,23 @@ class HomologyEngine:
         self._complex_certified = True
 
     def class_echelon(self, k, w):
-        """(coords, independent, ech) of the (k, w) homology classes; cached.
+        """(coords, independent, classes) of the (k, w) homology classes; cached.
 
         `coords` are the representatives' coordinates in the slice basis
-        (`representative_coords`).  `ech` is the boundary echelon's
-        quotient view with the representatives inserted, so its `solve`
-        gives the coordinates of a cycle's class over the representatives
-        only.  `independent` is false when a representative is zero or
-        dependent modulo the boundaries; insertion stops there.
+        (`representative_coords`).  `classes` is the echelon of their
+        residuals modulo the boundary echelon, so a cycle is a combination
+        of representatives modulo boundaries iff its residual lies in it.
+        `independent` is false when a representative is zero or dependent
+        modulo the boundaries; insertion stops there.
         """
         key = (k, w)
         if key not in self._classes:
             coords = self.representative_coords(k, w)
-            ech = self.boundary_echelon(k, w).quotient()
-            independent = all(ech.insert(c) for c in coords)
-            self._classes[key] = (coords, independent, ech)
+            boundaries = self.boundary_echelon(k, w)
+            classes = QEchelon()
+            independent = all(classes.insert(boundaries.residual(c))
+                              for c in coords)
+            self._classes[key] = (coords, independent, classes)
         return self._classes[key]
 
     def is_boundary(self, form):
@@ -455,30 +457,33 @@ class HomologyEngine:
         """Dimension table of the de Rham cohomology of (H_., d) per (k, w).
 
         d of each representative is read off the d stencil at the support
-        of its coordinates, and decomposed over the representatives one
-        degree up."""
+        of its coordinates, and its residual modulo the boundaries one
+        degree up must lie in the span of the representatives' residuals.
+        The rank of those residuals is the rank of d on homology, since a
+        residual is linear up to scale and injective modulo the boundaries.
+        """
         table = {}
         self.boundary_echelons(w_max, lowest=1)
         for w in range(w_max + 1):
             coords = {0: self.representative_coords(0, w)}
             ranks = {}
             for k in range(4):
-                coords[k + 1], independent, ech = self.class_echelon(k + 1, w)
+                coords[k + 1], independent, classes = self.class_echelon(k + 1, w)
                 if not independent:
                     raise InvariantViolation("dependent representatives at "
                                              "(%d, %d)" % (k + 1, w))
-                rows = QEchelon()
+                boundaries = self.boundary_echelon(k + 1, w)
+                image = QEchelon()
                 for dr in self._d.image(self.basis(k, w), self.basis(k + 1, w),
                                         coords[k]):
                     if not dr:
                         continue
-                    solution = ech.solve(dr)
-                    if solution is None:
+                    res = boundaries.residual(dr)
+                    if not classes.contains(res):
                         raise InvariantViolation(
                             "d of a cycle did not decompose at (%d, %d)" % (k, w))
-                    if solution[1]:
-                        rows.insert(solution[1])
-                ranks[k] = rows.rank
+                    image.insert(res)
+                ranks[k] = image.rank
             ranks[4] = 0
             for k in range(5):
                 dim_h = len(coords[k])

@@ -1,19 +1,20 @@
 """Exact rational linear algebra over sparse data.
 
 Everything here is exact: no floats, no tolerances, no modular arithmetic.
-Ranks, containment tests and solved coordinates all come from one
-incremental echelon of integer rows, `QEchelon`.  A rational input vector
-is cleared of its denominators on entry (`integer_row`); each elimination
-step is fraction-free, vec <- m*vec - t*row, and divides out the content
-of the row whenever m != 1 (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968), so entries
-stay small without any rational arithmetic.  Every reduced vector is a
-nonzero multiple of the one rational elimination along the same pivots
-gives, so ranks, containment and solved coordinates are exactly those of
-a rational echelon.  `solve` hands its coordinates out as ints over one
-positive scale, so no Fraction is built here.  `QEchelon.quotient` solves
-modulo a span eliminated once without tracking, such as the boundaries of
-one slice.  The function `echelon` eliminates columns in the order given.
+Ranks, containment tests and residuals all come from one incremental
+echelon of integer rows, `QEchelon`, which keeps no coordinates over what
+was inserted.  A rational input vector is cleared of its denominators on
+entry (`integer_row`); each elimination step is fraction-free,
+vec <- m*vec - t*row, and divides out the content of the row whenever
+m != 1 (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968), so entries stay small without
+any rational arithmetic.  Every reduced vector is a nonzero multiple of
+the one rational elimination along the same pivots gives, so ranks and
+containment are exactly those of a rational echelon.  `residual` hands
+out that reduced vector: modulo a span eliminated once, such as the
+boundaries of one slice, it stands for a class, so a second small
+echelon of residuals works in the quotient with no tracked coordinates.
+The function `echelon` eliminates columns in the order given.
 `ExactMatrix` is the column store that slice matrices are written in, and
 its `echelon` inserts the columns last first, with no sort.  On the
 banded slice matrices of delta_pi that order fills in little: the
@@ -35,7 +36,7 @@ from .rationals import exact
 
 
 def integer_row(vec):
-    """(D, D*vec) for a sparse rational vector, D the lcm of its denominators.
+    """D*vec for a sparse rational vector, D the lcm of its denominators.
 
     The row is a new dict with no zeros: the caller's vector is never
     handed back, since elimination changes its row in place.  An all-int
@@ -49,7 +50,7 @@ def integer_row(vec):
         if c:
             row[j] = c
     else:
-        return 1, row
+        return row
     row = {}
     den = 1
     for j, c in vec.items():
@@ -61,7 +62,7 @@ def integer_row(vec):
                 den = lcm(den, c.denominator)
     for j, c in row.items():
         row[j] = int(c.numerator) * (den // c.denominator)
-    return den, row
+    return row
 
 
 class InvariantViolation(Exception):
@@ -74,29 +75,26 @@ def _divide(vec, g):
 
 
 class QEchelon:
-    """Integer echelon rows with optional coordinates over inserted generators.
+    """Integer echelon rows of an inserted span, with no coordinates.
 
-    `rows` maps each pivot column to a pair (main, aug) of sparse integer
-    dicts with main = sum aug[i] * generator_i.  The pair is primitive and
-    main's pivot entry, at its smallest column, is positive.
+    `rows` maps each pivot column to a pair (row, ()), the row a primitive
+    sparse integer dict whose pivot entry, at its smallest column, is
+    positive.
     """
 
-    __slots__ = ("rows", "track", "count")
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows = {}     # pivot col -> (main dict, aug dict)
-        self.track = False
-        self.count = 0
+        self.rows = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec, aug):
-        # invariant: vec = sum aug[i] * generator_i (aug may be None when
-        # coordinates are not wanted).  Stored pivots present in vec are
-        # visited in ascending order; reducing by a row only touches its
-        # pivot and larger columns.
+    def _reduce(self, vec):
+        # Stored pivots present in vec are visited in ascending order;
+        # reducing by a row only touches its pivot and larger columns, so
+        # no pivot entry is left at the end.
         rows = self.rows
         heap = [j for j in vec if j in rows]
         heapify(heap)
@@ -105,17 +103,14 @@ class QEchelon:
             t = vec.get(p)
             if not t:
                 continue
-            main, raug = rows[p]
-            a = main[p]
+            row = rows[p][0]
+            a = row[p]
             g = gcd(t, a)
             m, t = a // g, t // g
             if m != 1:
                 for j in vec:
                     vec[j] *= m
-                if aug is not None:
-                    for j in aug:
-                        aug[j] *= m
-            for j, v in main.items():
+            for j, v in row.items():
                 old = vec.get(j)
                 if old is None:
                     vec[j] = -t * v
@@ -127,85 +122,51 @@ class QEchelon:
                         vec[j] = nv
                     else:
                         del vec[j]
-            if aug is not None:
-                for j, v in raug.items():
-                    nv = aug.get(j, 0) - t * v
-                    if nv:
-                        aug[j] = nv
-                    else:
-                        aug.pop(j, None)
             if m != 1:
                 g = gcd(*vec.values())
-                if aug and g != 1:
-                    g = gcd(g, *aug.values())
                 if g > 1:
                     _divide(vec, g)
-                    if aug:
-                        _divide(aug, g)
 
     def insert(self, vec):
-        """Insert generator; its coordinate index is the insertion count."""
-        den, v = integer_row(vec)
-        aug = {self.count: den} if self.track else None
-        self.count += 1
-        self._reduce(v, aug)
+        """Insert vec; True iff it raised the rank."""
+        v = integer_row(vec)
+        self._reduce(v)
         if not v:
             return False
-        return self._store(v, aug if aug is not None else {})
+        self._store(v)
+        return True
 
-    def _store(self, v, aug):
-        """Store the reduced nonzero v with coordinates aug as a primitive row."""
+    def _store(self, v):
+        """Store a reduced nonzero v as a primitive row."""
         p = min(v)
-        g = gcd(*v.values(), *aug.values())
+        g = gcd(*v.values())
         if v[p] < 0:
             g = -g
         if g != 1:
             _divide(v, g)
-            _divide(aug, g)
-        self.rows[p] = (v, aug)
-        return True
-
-    def solve(self, vec):
-        """(s, coords) with s*vec = sum coords[i] * generator_i, or None.
-
-        Needs tracking (`quotient`).  s is a positive int, coords maps
-        generator index -> nonzero int, and s and the coords share no
-        factor, so coords[i] / s are the rational coordinates of vec.
-        """
-        if not self.track:
-            raise ValueError("echelon was built without coordinate tracking")
-        den, v = integer_row(vec)
-        # vec enters as a would-be generator at the next index; its
-        # coordinate there stays a positive scale s, and once vec reduces
-        # to zero, s*vec + sum aug[i]*generator_i = 0
-        aug = {self.count: den}
-        self._reduce(v, aug)
-        if v:
-            return None
-        s = aug.pop(self.count)
-        g = gcd(s, *aug.values())
-        return s // g, {j: -c // g for j, c in aug.items()}
-
-    def quotient(self):
-        """Tracked echelon that solves modulo this span.
-
-        Its rows start as these rows with their coordinates dropped, so
-        reducing by one only scales the tracked coordinates, and `solve`
-        gives coordinates over the generators inserted into the view."""
-        out = QEchelon()
-        out.track = True
-        out.rows = {p: (main, {}) for p, (main, _) in self.rows.items()}
-        return out
+        self.rows[p] = (v, ())   # a pair, as bench/tracer.py unpacks it
 
     def contains(self, vec):
-        _, v = integer_row(vec)
-        self._reduce(v, None)
+        v = integer_row(vec)
+        self._reduce(v)
         return not v
+
+    def residual(self, vec):
+        """vec reduced by the rows: a nonzero multiple of vec minus its part
+        in the span, as a new integer dict with no entry at any pivot.
+
+        It is empty iff vec is in the span.  Up to that scale it is linear
+        in vec with the span as kernel, so residuals modulo a span of
+        boundaries stand for classes.
+        """
+        v = integer_row(vec)
+        self._reduce(v)
+        return v
 
 
 def echelon(columns):
-    """Untracked echelon of the span of columns, the nonzero ones inserted
-    in the order given."""
+    """Echelon of the span of columns, the nonzero ones inserted in the
+    order given."""
     ech = QEchelon()
     for col in columns:
         if col:

@@ -8,6 +8,17 @@ exact sequences and the paper's two-term forms) are proven in the tests
 by bounded expansion.
 """
 
+from .rationals import exact
+
+
+def _integer(x):
+    """x as an int; a float raises TypeError, a non-integral value ValueError."""
+    x = exact(x)
+    if type(x) is not int:
+        raise ValueError("series exponents and coefficients must be "
+                         "integers, got %s" % x)
+    return x
+
 
 class RationalSeries:
     """p(t) / prod (1 - t^{k_j}) with exact integer expansion."""
@@ -15,8 +26,12 @@ class RationalSeries:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        self.num = {int(k): int(v) for k, v in num.items() if v}
-        den = tuple(sorted(int(k) for k in den))
+        self.num = {}
+        for k, v in num.items():
+            k, v = _integer(k), _integer(v)
+            if v:
+                self.num[k] = v
+        den = tuple(sorted(_integer(k) for k in den))
         if any(k <= 0 for k in den):
             raise ValueError("denominator factors must be positive exponents")
         self.den = den

@@ -1,4 +1,6 @@
 import copy
+import json
+import re
 from math import lcm
 from types import SimpleNamespace
 
@@ -20,7 +22,8 @@ from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_deg
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
 from test_exterior import basis_element, weight_slice
-from test_linalg import apply, clone, is_zero, matmul, rational_solve
+from test_linalg import (SpanSolver, apply, clone, is_zero, matmul,
+                         rational_solve)
 
 
 def x(i):
@@ -80,23 +83,34 @@ def full_insert_echelon(matrix):
 
 
 @pytest.mark.parametrize("top_down", [True, False])
-def test_boundary_echelon_spans_the_image(top_down):
+def test_boundary_echelon_spans_the_image(top_down, monkeypatch):
     # top down, each echelon skips the pivots of the one above; built in
     # ascending degree on a fresh engine, none has an echelon above it
     eng = HomologyEngine()
+    inserts = []
+    insert = QEchelon.insert
+
+    def counted(self, vec):
+        inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(QEchelon, "insert", counted)
     if top_down:
         eng.boundary_echelons(8)
-    inserted = 0
+    else:
+        for w in range(9):
+            for k in range(4):
+                eng.boundary_echelon(k, w)
+    monkeypatch.undo()
     for w in range(9):
         for k in range(4):
             ech = eng.boundary_echelon(k, w)
             matrix = eng.delta_matrix(k + 1, w)
             assert ech.rank == full_insert_echelon(matrix).rank, (k, w)
             assert all(ech.contains(col) for col in matrix.columns), (k, w)
-            inserted += ech.count
     nonzero = sum(1 for w in range(9) for k in range(1, 5)
                   for col in eng.delta_matrix(k, w).columns if col)
-    assert (inserted < nonzero) if top_down else (inserted == nonzero)
+    assert (len(inserts) < nonzero) if top_down else (len(inserts) == nonzero)
 
 
 def test_single_degree_commands_build_no_echelon_above():
@@ -236,22 +250,30 @@ def test_boundary_adjoined_is_dependent(engine, cat):
 
 def test_class_coordinates_over_representatives(engine, cat):
     # a representative (with its family's denominators cleared, as the
-    # engine's are) plus a boundary has class coordinates {j: 1}; a boundary
-    # alone has none
+    # engine's are) plus a boundary has class coordinates {j: 1} over the
+    # engine's representative coordinates modulo the boundary echelon, and
+    # its residual lies in the engine's class echelon; a boundary alone has
+    # none and an empty residual
     for k in range(5):
         for w in range(6):
-            _, independent, ech = engine.class_echelon(k, w)
+            coords, independent, classes = engine.class_echelon(k, w)
             reps = representative_basis(engine, k, w, cleared=True)
             assert independent
+            boundaries_ech = engine.boundary_echelon(k, w)
+            solver = SpanSolver(boundaries_ech)
+            assert all(solver.insert(c) for c in coords)
+            assert classes.rank == len(coords)
             basis = engine.basis(k, w)
             above = engine.basis(k + 1, w - 1) if k < 4 and w >= 1 else []
             boundaries = [cat.poisson.delta.apply(basis_element(above, i) * x(1))
                           for i in range(len(above))]
             for b in boundaries:
-                assert ech.solve(basis.coords(b)) == (1, {})
+                assert solver.solve(basis.coords(b)) == (1, {})
+                assert boundaries_ech.residual(basis.coords(b)) == {}
             for j, r in enumerate(reps):
                 form = r + boundaries[j % len(boundaries)] if boundaries else r
-                assert ech.solve(basis.coords(form)) == (1, {j: 1})
+                assert solver.solve(basis.coords(form)) == (1, {j: 1})
+                assert classes.contains(boundaries_ech.residual(basis.coords(form)))
 
 
 def test_f_monomial_order(cat):
@@ -341,6 +363,43 @@ def test_induced_de_rham(engine):
         assert dim == (1 if (k, w) == (0, 0) else 0), (k, w, dim)
 
 
+class EditedRepresentatives(HomologyEngine):
+    """An engine whose (k, w) representatives are edited: the first one
+    repeated at the end, or the last one dropped."""
+
+    def __init__(self, k, w, edit):
+        super().__init__()
+        self.edited, self.edit = (k, w), edit
+
+    def representative_coords(self, k, w):
+        coords = super().representative_coords(k, w)
+        if (k, w) != self.edited:
+            return coords
+        return coords + coords[:1] if self.edit == "repeat" else coords[:-1]
+
+
+@pytest.mark.parametrize("k, w, edit, message", [
+    (1, 1, "repeat", "dependent representatives at (1, 1)"),
+    (2, 4, "repeat", "dependent representatives at (2, 4)"),
+    (4, 6, "repeat", "dependent representatives at (4, 6)"),
+    (2, 4, "drop", "d of a cycle did not decompose at (1, 4)"),
+], ids=["repeat-1-1", "repeat-2-4", "repeat-4-6", "drop-2-4"])
+def test_derham_certificates_fail_loudly(monkeypatch, capsys, k, w, edit,
+                                         message):
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        EditedRepresentatives(k, w, edit).induced_de_rham(6)
+    monkeypatch.setattr(cli, "default_engine",
+                        lambda: EditedRepresentatives(k, w, edit))
+    argv = ["verify", "--suite", "derham", "--max-weight", "6", "--format",
+            "json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["passed"]
+    assert [b for b in report["blocks"] if b["block"] == "certificates"] == [
+        {"block": "certificates", "kind": "verdicts",
+         "verdicts": [{"name": message, "status": "fail"}]}]
+
+
 # -- transfer to cohomology ----------------------------------------------
 
 
@@ -393,7 +452,7 @@ def test_deformation_step_folds_the_casimir_check(engine, cat):
     # reference: an echelon of the df1^df2 * f-monomial images alone
     def casimir_reference(gi, i):
         basis2 = engine.basis(2, i + 4)
-        ech = QEchelon().quotient()
+        ech = SpanSolver()
         for _, fm in f_monomials(cat, i):
             ech.insert(basis2.coords(cat.df1df2 * fm))
         return ech.solve(basis2.coords(cat.df1df2 * gi)) is not None
@@ -543,7 +602,7 @@ class BivectorRoute(HomologyEngine):
                                          % (w, d, w_max))
             basisw = self.basis(2, w)
             if w not in self._conformal:
-                ech = QEchelon().quotient()
+                ech = SpanSolver()
                 monos = sorted(monomials_of_degree(4, d), key=monomial_key)
                 for m in monos:
                     ech.insert(basisw.coords(cat.df1df2 * Polynomial.monomial(4, m)))
@@ -743,7 +802,7 @@ class ThreeFormStepRoute(HomologyEngine):
             basis3, top2 = self.basis(3, w), self.basis(4, w + 2)
             n4, n2 = len(top), len(top2)
             fmonos = f_monomials(cat, i)
-            ech = QEchelon().quotient()
+            ech = SpanSolver()
             for _, fm in fmonos:
                 ech.insert(top.coords(cat.mu * fm))
             # column j is d(tau_j), extended by df1 ^ tau_j and df2 ^ tau_j:
@@ -811,7 +870,7 @@ def test_normalizer_runs_no_linear_system(monkeypatch):
     def refuse(self, vec):
         raise AssertionError("the normalizer eliminated a vector")
 
-    for name in ("insert", "solve", "contains"):
+    for name in ("insert", "contains", "residual"):
         monkeypatch.setattr(QEchelon, name, refuse)
     g = parse_polynomial("3/2+1/3*x1-x2^2+x1*x4")
     q, steps = HomologyEngine().normalize_volume_deformation(g, 6)
@@ -875,7 +934,7 @@ class TwoFormStepRoute(HomologyEngine):
             top2 = self.basis(4, w + 2)
             n2, n4 = len(basis2), len(top2)
             fmonos = f_monomials(cat, i)
-            ech = QEchelon().quotient()
+            ech = SpanSolver()
             for _, fm in fmonos:
                 ech.insert(basis2.coords(cat.df1df2 * fm))
             # the tangency conditions df_k ^ tau = (iota_X df_k) mu

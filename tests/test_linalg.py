@@ -140,42 +140,91 @@ def rank(m):
     return m.echelon().rank
 
 
+# the first coordinate column of SpanSolver, past every slice column
+AUG = 1 << 40
+
+
+class SpanSolver:
+    """Coordinates over inserted generators, read off `QEchelon.residual`.
+
+    Generator i enters as g_i + e_(AUG + i), a unit entry at its own
+    column past every slice column, where no row ever has a pivot, so each
+    stored row carries its coordinates over the generators.  A target v
+    enters as v + e_M, M the next free column: its residual has no slice
+    entry iff v lies in the span, and then it is s e_M - sum c_i e_(AUG + i)
+    with s*v = sum c_i g_i.  A dependent generator is not stored, so the
+    coordinates are over the independent ones, as in a tracked rational
+    echelon.  `base` starts the rows as those of an echelon with no
+    coordinates, so that solving is modulo its span.
+    """
+
+    def __init__(self, base=None):
+        self.ech = QEchelon()
+        if base is not None:
+            self.ech.rows = dict(base.rows)
+        self.count = 0
+
+    @property
+    def rank(self):
+        return self.ech.rank
+
+    def _residual(self, vec, i):
+        return self.ech.residual({**vec, AUG + i: 1})
+
+    @staticmethod
+    def _read(res, i):
+        """(s, coords) off the residual of a target with marker index i, or
+        None, leaving res as it is, when it has a slice entry."""
+        if min(res) < AUG:
+            return None
+        s = res.pop(AUG + i)
+        g = gcd(s, *res.values())
+        return s // g, {j - AUG: -c // g for j, c in res.items()}
+
+    def relation(self, vec):
+        """Insert vec as generator `count`: None if it raised the rank, else
+        (s, coords) with s*vec = sum coords[i] * generator_i."""
+        i = self.count
+        self.count += 1
+        res = self._residual(vec, i)
+        rel = self._read(res, i)
+        if rel is None:
+            self.ech._store(res)
+        return rel
+
+    def insert(self, vec):
+        return self.relation(vec) is None
+
+    def solve(self, vec):
+        """(s, coords) with s*vec = sum coords[i] * generator_i, or None: s a
+        positive int, coords generator index -> nonzero int, gcd 1."""
+        return self._read(self._residual(vec, self.count), self.count)
+
+
 def kernel_basis(m):
     """Exact basis of the right kernel, as sparse dicts col -> rational.
 
     Column c gives a kernel vector exactly when it lies in the span of
-    the columns before it.  Each column is reduced once, tracked as
-    generator c: a nonzero remainder is stored, and a zero one leaves
-    the relation s*col_c + sum aug[j]*col_j = 0 in its coordinates.
+    the columns before it.  Each column is reduced once, as generator c:
+    a dependent one leaves the relation s*col_c = sum coords[j]*col_j.
     """
-    ech = QEchelon().quotient()
+    solver = SpanSolver()
     basis = []
     for c, col in enumerate(m.columns):
-        den, v = integer_row(col)
-        aug = {c: den}
-        ech._reduce(v, aug)
-        if v:
-            ech._store(v, aug)
-        else:
-            s = aug.pop(c)
+        rel = solver.relation(col)
+        if rel is not None:
+            s, coords = rel
             vec = {c: Q(1)}
-            for j, x in aug.items():
-                vec[j] = Q(x, s)
+            for j, x in coords.items():
+                vec[j] = Q(-x, s)
             basis.append(vec)
     return basis
 
 
-def new_echelon(track):
-    """A fresh QEchelon, tracked as an empty span's quotient view when
-    `track`."""
-    return QEchelon().quotient() if track else QEchelon()
-
-
 def clone(ech):
     """Snapshot of a QEchelon sharing its (immutable) stored rows."""
-    out = new_echelon(ech.track)
+    out = QEchelon()
     out.rows = dict(ech.rows)
-    out.count = ech.count
     return out
 
 
@@ -214,28 +263,25 @@ def _random_vectors(rng, dim, count):
 def _same_span_rows(ech, ref):
     """Each integer row is a primitive, positive-pivot multiple of the reference row."""
     assert list(ech.rows) == list(ref.rows)
-    for p, (main, aug) in ech.rows.items():
-        rmain, raug = ref.rows[p]
-        assert main[p] > 0
-        assert all(isinstance(x, int) for x in list(main.values()) + list(aug.values()))
-        assert gcd(*main.values(), *aug.values()) == 1
+    for p, (main, empty) in ech.rows.items():
+        rmain, _ = ref.rows[p]
+        assert main[p] > 0 and empty == ()
+        assert all(isinstance(x, int) for x in main.values())
+        assert gcd(*main.values()) == 1
         scale = rmain[p] / main[p]
         assert list(rmain.items()) == [(j, scale * x) for j, x in main.items()]
-        assert list(raug.items()) == [(j, scale * x) for j, x in aug.items()]
 
 
-@pytest.mark.parametrize("track", [False, True])
-def test_integer_echelon_matches_fraction_reference(track):
-    rng = random.Random(2024 + track)
+def test_integer_echelon_matches_fraction_reference():
+    rng = random.Random(2024)
     for _ in range(40):
         dim = rng.randint(1, 9)
         gens = _random_vectors(rng, dim, rng.randint(0, 12))
         probes = _random_vectors(rng, dim, 6) + gens[:3]
-        ech, ref = new_echelon(track), FractionEchelon(track=track)
+        ech, ref = QEchelon(), FractionEchelon()
         for i, g in enumerate(gens):
             assert ech.insert(g) == ref.insert(g)
             assert ech.rank == ref.rank
-            assert ech.count == ref.count
             if i == len(gens) // 2:
                 # a snapshot grows on its own without touching the original
                 snap, rsnap = clone(ech), ref.clone()
@@ -246,25 +292,38 @@ def test_integer_echelon_matches_fraction_reference(track):
         _same_span_rows(ech, ref)
         for v in probes:
             assert ech.contains(v) == ref.contains(v)
-            if track:
-                got, want = ech.solve(v), ref.solve(v)
-                if want is None:
-                    assert got is None
-                else:
-                    s, coords = got
-                    assert s > 0 and gcd(s, *coords.values()) == 1
-                    assert all(type(c) is int and c for c in coords.values())
-                    assert ([(j, Q(c, s)) for j, c in coords.items()]
-                            == list(want.items()))
+
+
+def test_span_solver_matches_the_fraction_reference():
+    rng = random.Random(2025)
+    for _ in range(40):
+        dim = rng.randint(1, 9)
+        gens = _random_vectors(rng, dim, rng.randint(0, 12))
+        probes = _random_vectors(rng, dim, 6) + gens[:3]
+        solver, ref = SpanSolver(), FractionEchelon(track=True)
+        for g in gens:
+            assert solver.insert(g) == ref.insert(g)
+            assert solver.rank == ref.rank
+            assert solver.count == ref.count
+        for v in probes:
+            got, want = solver.solve(v), ref.solve(v)
+            if want is None:
+                assert got is None
+            else:
+                s, coords = got
+                assert s > 0 and gcd(s, *coords.values()) == 1
+                assert all(type(c) is int and c for c in coords.values())
+                assert ([(j, Q(c, s)) for j, c in coords.items()]
+                        == list(want.items()))
 
 
 def test_integer_echelon_rejects_floats():
-    ech = QEchelon().quotient()
+    ech = QEchelon()
     ech.insert({0: 1, 1: Q(1, 2)})
-    for call in (ech.insert, ech.solve, ech.contains):
+    for call in (ech.insert, ech.contains, ech.residual):
         with pytest.raises(TypeError):
             call({0: 1, 1: 0.5})
-    assert ech.rank == 1 and ech.count == 1
+    assert ech.rank == 1
 
 
 def test_integer_row_matches_the_lcm_reference():
@@ -276,8 +335,8 @@ def test_integer_row_matches_the_lcm_reference():
                for j in rng.sample(range(12), rng.randint(0, 6))}
         den = lcm(1, *(Fraction(c).denominator for c in vec.values()))
         want = {j: den * c for j, c in vec.items() if c}
-        got_den, got = integer_row(vec)
-        assert (got_den, got) == (den, want)
+        got = integer_row(vec)
+        assert got == want
         assert all(type(c) is int for c in got.values())
     for vec in ({0: 0.5}, {0: 1, 1: 0.5}, {0: Q(1, 2), 3: 2.0}):
         with pytest.raises(TypeError):
@@ -287,7 +346,7 @@ def test_integer_row_matches_the_lcm_reference():
 def test_integer_row_leaves_the_stored_columns_intact():
     columns = [{0: 3, 2: -1}, {0: 6, 1: 4, 2: -2}, {1: 2}]
     stored = [dict(c) for c in columns]
-    _, row = integer_row(columns[0])
+    row = integer_row(columns[0])
     row[0] = 99
     del row[2]
     m = ExactMatrix(columns, 3)
@@ -296,46 +355,44 @@ def test_integer_row_leaves_the_stored_columns_intact():
     assert m.columns == stored
 
 
-@pytest.mark.parametrize("track", [False, True])
-def test_quotient_solves_modulo_the_base(track):
-    rng = random.Random(77 + track)
-    for _ in range(40):
+def test_residual_modulo_the_base_matches_the_fraction_reference():
+    # B a random rational span: the residual of v is empty iff v lies in
+    # span(B), has no entry at a pivot of B and lies in span(B + {v}); the
+    # residuals of a list G have rank rank(B + G) - rank(B)
+    rng = random.Random(77)
+    for _ in range(60):
         dim = rng.randint(1, 9)
         vecs = _random_vectors(rng, dim, rng.randint(0, 14))
         cut = rng.randint(0, len(vecs))
         base_gens, gens = vecs[:cut], vecs[cut:]
         probes = _random_vectors(rng, dim, 6) + gens[:3] + base_gens[:3]
-        base, ref = new_echelon(track), FractionEchelon()
+        base, ref = QEchelon(), FractionEchelon()
         for b in base_gens:
             base.insert(b)
             ref.insert(b)
-        before = ({p: (dict(m), dict(a)) for p, (m, a) in base.rows.items()},
-                  base.rank, base.count)
-        quo = base.quotient()
-        assert quo.count == 0
+        before = {p: dict(m) for p, (m, _) in base.rows.items()}
+        for v in probes + gens:
+            res = base.residual(v)
+            assert (not res) == ref.contains(v)
+            assert all(type(c) is int and c for c in res.values())
+            assert not set(res) & set(base.rows)
+            with_v = ref.clone()
+            with_v.insert(v)
+            assert with_v.contains(res)
+            # a multiple of the rational reduction of v, which is unique
+            want, _ = ref.clone()._reduce({j: Q(c) for j, c in v.items() if c},
+                                          None)
+            assert set(want) == set(res)
+            assert all(want[j] * res[p] == want[p] * res[j]
+                       for p in list(res)[:1] for j in res)
+        residuals = QEchelon()
         for g in gens:
-            assert quo.insert(g) == ref.insert(g)
-            assert quo.rank == ref.rank
-        assert quo.count == len(gens)
-        for v in probes:
-            coords = rational_solve(quo, v)
-            assert (coords is None) == (not ref.contains(v))
-            if coords is None:
-                continue
-            # v - sum c_i g_i lies in span(B), and only G carries coordinates
-            assert set(coords) <= set(range(len(gens)))
-            rest = dict(v)
-            for i, c in coords.items():
-                for j, x in gens[i].items():
-                    rest[j] = rest.get(j, 0) - c * x
-            assert base.contains(rest)
-        after = ({p: (dict(m), dict(a)) for p, (m, a) in base.rows.items()},
-                 base.rank, base.count)
-        assert after == before
-    with pytest.raises(TypeError):
-        quo.insert({0: 0.5})
-    with pytest.raises(TypeError):
-        quo.solve({0: 0.5})
+            residuals.insert(base.residual(g))
+        rank_b = ref.rank
+        for g in gens:
+            ref.insert(g)
+        assert residuals.rank == ref.rank - rank_b
+        assert {p: dict(m) for p, (m, _) in base.rows.items()} == before
 
 
 def test_kernel_basis_on_rational_matrices():
@@ -381,9 +438,9 @@ def test_kernel_basis_reduces_each_column_once(monkeypatch):
     calls = []
     reduce = QEchelon._reduce
 
-    def counted(self, vec, aug):
+    def counted(self, vec):
         calls.append(len(vec))
-        reduce(self, vec, aug)
+        reduce(self, vec)
 
     monkeypatch.setattr(QEchelon, "_reduce", counted)
     m = from_rows([[1, 2, 0, 3], [2, 4, 1, 6]], 4)
@@ -437,9 +494,9 @@ def test_rank_invariant_under_permutation():
     assert all(e2.contains(v) for v in k1)
 
 
-def rational_solve(ech, vec):
-    """The rational coordinates of `QEchelon.solve`, or None."""
-    solution = ech.solve(vec)
+def rational_solve(solver, vec):
+    """The rational coordinates of `SpanSolver.solve`, or None."""
+    solution = solver.solve(vec)
     if solution is None:
         return None
     s, coords = solution
@@ -448,10 +505,10 @@ def rational_solve(ech, vec):
 
 def solve_in_span(v, span):
     """Coordinates of v over the span's vectors, or None."""
-    ech = QEchelon().quotient()
+    solver = SpanSolver()
     for g in span:
-        ech.insert(g)
-    return rational_solve(ech, v)
+        solver.insert(g)
+    return rational_solve(solver, v)
 
 
 def test_membership_examples():

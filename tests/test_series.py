@@ -7,7 +7,10 @@ is exact: over the product of all denominators, the numerator of
 coefficients do.
 """
 
+from fractions import Fraction
 from math import comb
+
+import pytest
 
 from poisson_forge.series import (H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES,
                                   RationalSeries)
@@ -34,6 +37,22 @@ def test_expand_examples():
     assert s.expand(4) == [1, 4, 6, 8, 11]
     assert RationalSeries({4: 1}, (1, 1, 1, 1)).expand(5) == [0, 0, 0, 0, 1, 4]
     assert RationalSeries({0: 1}, (1,)).expand(3) == [1, 1, 1, 1]
+
+
+def test_series_refuses_non_integers_and_stores_no_zero():
+    for num, den in (({0: 0.5}, ()), ({1.9: 2}, ()), ({0: 1}, (2.7,)),
+                     ({0: 2.0}, ())):
+        with pytest.raises(TypeError):
+            RationalSeries(num, den)
+    for num, den in (({0: Fraction(1, 2)}, ()), ({Fraction(3, 2): 1}, ()),
+                     ({0: 1}, (Fraction(5, 2),))):
+        with pytest.raises(ValueError):
+            RationalSeries(num, den)
+    s = RationalSeries({0: 0, 1: Fraction(4, 2), 2: Fraction(0, 3)},
+                       (Fraction(2), 2))
+    assert s.num == {1: 2} and s.den == (2, 2)
+    assert str(s) == "(2*t)/(1-t^2)^2"
+    assert s.expand(3) == [0, 2, 0, 4]
 
 
 def test_kernel_sum_reproduces_h1():

@@ -395,6 +395,72 @@ def test_residual_modulo_the_base_matches_the_fraction_reference():
         assert {p: dict(m) for p, (m, _) in base.rows.items()} == before
 
 
+def _residual_scale(base, ref_base, vec):
+    """k with base.residual(vec) = k * (vec reduced by the rational
+    reference of the same span), or 1 when vec lies in the span."""
+    res = base.residual(vec)
+    if not res:
+        return Q(1)
+    want, _ = ref_base.clone()._reduce({j: Q(c) for j, c in vec.items() if c},
+                                       None)
+    p = min(res)
+    return Q(res[p]) / want[p]
+
+
+@pytest.mark.parametrize("via_residuals", [False, True])
+def test_quotient_solves_modulo_the_base(via_residuals):
+    # coordinates of v over G modulo span(B): v - sum c_i g_i lies in
+    # span(B), read either off a solver started from B's rows or, as the
+    # homology classes are, off the residuals of G and v modulo B
+    rng = random.Random(77 + via_residuals)
+    for _ in range(40):
+        dim = rng.randint(1, 9)
+        vecs = _random_vectors(rng, dim, rng.randint(0, 14))
+        cut = rng.randint(0, len(vecs))
+        base_gens, gens = vecs[:cut], vecs[cut:]
+        probes = _random_vectors(rng, dim, 6) + gens[:3] + base_gens[:3]
+        base, ref = QEchelon(), FractionEchelon()
+        for b in base_gens:
+            base.insert(b)
+            ref.insert(b)
+        ref_base = ref.clone()
+        before = {p: dict(m) for p, (m, _) in base.rows.items()}
+        quo = SpanSolver() if via_residuals else SpanSolver(base)
+        # the residuals span only the part of span(B + G) past span(B)
+        offset = ref_base.rank if via_residuals else 0
+        assert quo.count == 0
+        for g in gens:
+            assert quo.insert(base.residual(g) if via_residuals else g) \
+                == ref.insert(g)
+            assert quo.rank == ref.rank - offset
+        assert quo.count == len(gens)
+        for v in probes:
+            if via_residuals:
+                coords = rational_solve(quo, base.residual(v))
+            else:
+                coords = rational_solve(quo, v)
+            assert (coords is None) == (not ref.contains(v))
+            if coords is None:
+                continue
+            # only G carries coordinates
+            assert set(coords) <= set(range(len(gens)))
+            if via_residuals:
+                # k_v res(v) = sum c_i k_i res(g_i) up to the residual scales
+                k_v = _residual_scale(base, ref_base, v)
+                coords = {i: c * _residual_scale(base, ref_base, gens[i]) / k_v
+                          for i, c in coords.items()}
+            rest = dict(v)
+            for i, c in coords.items():
+                for j, x in gens[i].items():
+                    rest[j] = rest.get(j, 0) - c * x
+            assert base.contains(rest)
+        assert {p: dict(m) for p, (m, _) in base.rows.items()} == before
+    with pytest.raises(TypeError):
+        quo.insert({0: 0.5})
+    with pytest.raises(TypeError):
+        quo.solve({0: 0.5})
+
+
 def test_kernel_basis_on_rational_matrices():
     rng = random.Random(17)
     for _ in range(30):

@@ -4,7 +4,8 @@ Subcommands: homology, hilbert, kernels, division, nf, verify, normalize.
 All take --format and --output.  The five that truncate at a working
 weight take --max-weight, 12 by default: homology, hilbert, kernels,
 verify and normalize.  division is sized by --max-degree and nf by its
-input alone, so neither takes one, and their reports carry no weight
+input alone, of degree at most the working weight cap, so neither takes
+one, and their reports carry no weight
 (max_weight null in JSON, no "max weight" line in text).  Exit codes:
 0 all requested verdicts pass, 1 some verdict failed, 2 usage or parse
 error (one line on stderr and SystemExit(2), as argparse does).
@@ -25,8 +26,9 @@ from .reports import ReportDocument, emit_report
 from .series import H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES
 
 # The highest weight of each computation.  A working weight above
-# "working weight" is a usage error; each other entry cuts the working
-# weight of its computation and notes the cut in the report.
+# "working weight" is a usage error, and so is an nf polynomial of higher
+# degree; each other entry cuts the working weight of its computation and
+# notes the cut in the report.
 WEIGHT_CAPS = {
     "working weight": 20,
     "representative verification": 10,
@@ -330,7 +332,12 @@ def _execute(args, argv):
                               [[w, division_group_dim(lefschetz_problem(3, w))]
                                for w in range(3, args.max_degree + 4)])
         elif args.cmd == "nf":
-            _nf_block(doc, _parse(args.poly))
+            poly = _parse(args.poly)
+            cap = WEIGHT_CAPS["working weight"]
+            if poly.degree() > cap:
+                _usage_error("polynomial degree %d beyond configured maximum "
+                             "%d" % (poly.degree(), cap))
+            _nf_block(doc, poly)
         elif args.cmd == "verify":
             for s in SUITES if args.suite == "all" else (args.suite,):
                 if s == "identities":

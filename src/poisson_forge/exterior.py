@@ -18,8 +18,8 @@ iota_{e_J}(dx_I) = s dx_R with R = I minus J and dx_I = s dx_J ^ dx_R
 convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
 bivector to df_1 ^ df_2, and star_inv reads its sign off the same rule.
 
-A SliceOperator is one fixed linear map of differential order at most one
-(delta_pi, d_pi, d, or a ^ . for a fixed form a) as a stencil, its rows
+A SliceOperator is one fixed linear map on forms of differential order at
+most one (delta_pi, d, or a ^ . for a fixed form a) as a stencil, its rows
 read off the map's coefficients; it expands the map term by term,
 both on elements and as sparse columns between the slice bases below.
 """
@@ -421,7 +421,7 @@ def _lowered(s, i):
 
 
 class SliceOperator:
-    """A fixed linear map fn on the forms (or multivectors) of R^n, as a stencil.
+    """A fixed linear map fn on the forms of R^n, as a stencil.
 
     fn has polynomial coefficients and differential order at most one, so
     d brings down at most one exponent and
@@ -435,25 +435,23 @@ class SliceOperator:
     coefficient) pairs, and coefficients with denominator 1 are ints.
 
     `read(I)` gives the row of I; `rows` caches it from the first use on.
-    There is one reader per kind of map: the rows of delta_pi, d_pi
-    (poisson.py) and d (`de_rham_operator`) are read off the coefficients
-    of the map in closed form, and those of a wedge by a fixed form a
-    (`wedge_operator`, a product with a polynomial being the wedge by a
-    0-form) off the one element a ^ dx_I.  fn of a degree-k element has
-    degree k + shift, clamped to 0..n as the zero elements of the algebra
-    are.  `apply` refuses the other kind and an element on another R^n,
+    The rows of delta_pi (poisson.py) and d (`de_rham_operator`) are read
+    off the coefficients of the map in closed form, and those of a wedge
+    by a fixed form a (`wedge_operator`, a product with a polynomial being
+    the wedge by a 0-form) off the one element a ^ dx_I.  fn of a degree-k
+    form has degree k + shift, clamped to 0..n as the zero elements of the
+    algebra are.  `apply` refuses a multivector and a form on another R^n,
     whose terms the rows do not describe.  `square` composes the rows of
     fn o fn, so an identity such as delta_pi o delta_pi = 0 is checked
     once for every weight.
     """
 
-    __slots__ = ("read", "n", "shift", "kind", "rows")
+    __slots__ = ("read", "n", "shift", "rows")
 
-    def __init__(self, read, n, shift, kind=FORM):
+    def __init__(self, read, n, shift):
         self.read = read
         self.n = n
         self.shift = shift
-        self.kind = kind
         self.rows = {}
 
     def row(self, idx):
@@ -507,8 +505,8 @@ class SliceOperator:
         Each shift t of a row is one table: the rank in dst of m + t for
         every monomial m of src, None where m + t is not a monomial of dst.
         A table depends only on n, the two coefficient degrees and t, so it
-        is built once per process (`_SHIFT_TABLES`), for every operator and
-        kind.  The image of (I, m) at (J, t) then sits at dst.offset[J] +
+        is built once per process (`_SHIFT_TABLES`), for every operator.
+        The image of (I, m) at (J, t) then sits at dst.offset[J] +
         table[rank of m].  The columns at the src positions in `skip` are
         neither computed nor returned: a caller that has proved them
         dependent, or does not read them, leaves them out.
@@ -559,10 +557,9 @@ class SliceOperator:
         return out
 
     def apply(self, a):
-        """fn(a) for any element a of the operator's kind on R^n."""
-        if a.kind != self.kind:
-            raise ValueError("the operator acts on %ss, not %ss"
-                             % (self.kind, a.kind))
+        """fn(a) for any form a on R^n."""
+        if a.kind != FORM:
+            raise ValueError("the operator acts on forms, not %ss" % a.kind)
         if a.n != self.n:
             raise ValueError("dimension mismatch: an element on R^%d, an "
                              "operator on R^%d" % (a.n, self.n))
@@ -579,7 +576,7 @@ class SliceOperator:
                         mt = tuple(map(add, m, t))
                         terms[mt] = terms.get(mt, 0) + coeff * v
         degree = min(max(a.degree + self.shift, 0), self.n)
-        return GradedElement(a.n, degree, self.kind,
+        return GradedElement(a.n, degree, FORM,
                              {J: Polynomial(a.n, t) for J, t in comps.items()})
 
 

@@ -63,10 +63,12 @@ r_i, c_i = prod (L1^2 + lam)/lam k2, and Horner on the minimal polynomials
 gives r_i - c_i = L1 a + L2 b (`_torus_split`): X = -(a V1 + b V2) is
 tangent with div(X) = -(r_i - c_i), so d_pi(X) = (r_i - c_i) pi by
 [X, pi] = -div(X) pi.  The certificates check the integral s*X against
-s*(r_i - c_i) through no map of the split: d_pi by pi's d_pi stencil
-(poisson.py), tangency by contraction into df_k, divergence by
-star_inv d star.  Each homogeneous part of q = 1/(sum c_i) is recomposed
-over the f1^a f2^b (`is_casimir_slice`), which certifies q.
+s*(r_i - c_i) through no map of the split, on tau = star(s*X): d_pi by
+delta_pi's stencil, since star o d_pi = delta_pi o star and star(pi) =
+df1^df2 make d_pi(s*X) = s*(r_i - c_i) pi read delta_pi(tau) =
+s*(r_i - c_i) df1^df2; tangency by contraction into df_k; divergence by
+d(tau) = div(s*X) mu.  Each homogeneous part of q = 1/(sum c_i) is
+recomposed over the f1^a f2^b (`is_casimir_slice`), which certifies q.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -80,8 +82,8 @@ from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, contract, de_rham,
-                       de_rham_operator, divergence, enumerate_basis,
-                       lie_derivative, wedge)
+                       de_rham_operator, enumerate_basis, lie_derivative, star,
+                       wedge)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
@@ -203,6 +205,8 @@ class HomologyEngine:
         self._complex_certified = False
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         self._d = de_rham_operator(4)
+        # the torus fields V1 = 2 T1 and V2 = 2 T2 of the normalizer's split
+        self._torus = (self.cat.T1 * 2, self.cat.T2 * 2)
 
     # -- matrices and dimensions ------------------------------------
 
@@ -518,17 +522,20 @@ class HomologyEngine:
             c = c + ci
             if scaled is None:     # already a pure Casimir slice
                 continue
-            # exact certificates on s*X, never trusted silently
+            # exact certificates on s*X, never trusted silently; d_pi(s*X)
+            # = residual * pi is read off tau = star(s*X) (module docstring)
             residual = (ri - ci) * s
-            if cat.poisson.d_pi.apply(scaled) != cat.pi * residual:
+            tau = star(scaled)
+            if cat.poisson.delta.apply(tau) != cat.df1df2 * residual:
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
             for df in (cat.df1, cat.df2):
                 if not contract(scaled, df).is_zero():
                     raise InvariantViolation("correction field is not tangent "
                                              "to the fibration at weight %d" % i)
-            # tangency and d_pi(X) = residual * pi force div(X) = -residual
-            if divergence(scaled).coefficient(()) != -residual:
+            # d(iota_X mu) = div(X) mu, and the first two force
+            # div(X) = -residual
+            if de_rham(tau) != cat.mu * -residual:
                 raise InvariantViolation("correction field divergence "
                                          "certificate failed at weight %d" % i)
             transcript.append(DeformationStep(i, ci, scaled * Q(1, s)))
@@ -544,7 +551,7 @@ class HomologyEngine:
         a tangent X with div(X) = -(r_i - c_i), by the module docstring's
         torus split on integer numerators: r_i = R/D, k2 = K2/(D M2),
         b = -B/(D M2^2), c_i = C/(D M2 M1), a = -A/(D M2 M1^2)."""
-        V1, V2 = self.cat.T1 * 2, self.cat.T2 * 2
+        V1, V2 = self._torus
         D = lcm(*(c.denominator for c in ri.terms.values()))
         K2, M2, B = _torus_split(V2, -1, i, ri * D)
         C, M1, A = _torus_split(V1, 1, i, K2)

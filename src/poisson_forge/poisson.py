@@ -13,17 +13,17 @@ with the determinant-pairing contraction of exterior.py; the sign is the
 one that gives delta_pi(g mu) = dg ^ df_1 ^ df_2 on top forms, and it
 satisfies star o d_pi = delta_pi o star for the unimodular case.
 
-Both differentials of a structure are SliceOperators of exterior.py
-whose rows of (J, t, c0, c) are read off pi's terms in closed form, once
-per index tuple I on first use: `delta` is delta_pi on forms and `d_pi`
-the Lichnerowicz differential X -> [X, pi] on multivectors.  delta_pi of
-a form, `structure.delta.apply(a)`, and the slice matrices of homology.py
-expand terms through the first; the normalizer's certificate
-d_pi(s*X) = s*(r_i - c_i) pi expands s*X through the second.  The
-function `d_pi` evaluates the same differential by the Schouten bracket,
-so the identity suite's homotopy check, which compares star o d_pi o
-star_inv on five monomials per row with delta_pi's stencil, is a route
-independent of both stencils.
+A structure's `delta` is delta_pi on forms as a SliceOperator of
+exterior.py, its rows of (J, t, c0, c) read off pi's terms in closed
+form, once per index tuple I on first use.  delta_pi of a form,
+`structure.delta.apply(a)`, the slice matrices of homology.py and the
+normalizer's certificate d_pi(s*X) = s*(r_i - c_i) pi, read as
+delta_pi(star(s*X)) = s*(r_i - c_i) df_1 ^ df_2, all expand terms through
+it.  The Lichnerowicz differential X -> [X, pi] on multivectors has no
+stencil: the function `d_pi` evaluates it by the Schouten bracket, so the
+identity suite's homotopy check, which compares star o d_pi o star_inv on
+five monomials per row with delta_pi's stencil, is a route independent
+of the stencil.
 
 The Schouten bracket uses the odd-Poisson (superfield) formula with right
 derivatives in the odd directions, signed by the merge sign of exterior.py;
@@ -49,19 +49,17 @@ from .rationals import Q
 class PoissonStructure:
     """Bivector on R^n with the standard volume; immutable after construction.
 
-    `delta` (delta_pi on forms) and `d_pi` ([., pi] on multivectors) are
-    SliceOperators whose rows are read off pi's terms on first use.
+    `delta` (delta_pi on forms) is a SliceOperator whose rows are read off
+    pi's terms on first use.
     """
 
-    __slots__ = ("n", "bivector", "delta", "d_pi")
+    __slots__ = ("n", "bivector", "delta")
 
     def __init__(self, bivector):
         self.n = bivector.n
         self.bivector = bivector
         self.delta = SliceOperator(partial(_koszul_brylinski_row, bivector),
                                    self.n, -1)
-        self.d_pi = SliceOperator(partial(_lichnerowicz_row, bivector),
-                                  self.n, 1, MULTIVECTOR)
 
 
 def jacobi_poisson(fns, n):
@@ -176,38 +174,6 @@ def _koszul_brylinski_row(pi, idx):
                 for s, c in p.terms.items():
                     entries.append((R, _lowered(s, i), i - 1,
                                     -sign * sign_ab * c))
-    return _stencil_row(entries)
-
-
-def _lichnerowicz_row(pi, idx):
-    """The stencil row of X -> [X, pi] at x^m e_idx, by the formula of
-    schouten() with a = x^m e_I of degree k and b = pi.
-
-    The first sum takes i in I, e_I = sign e_R ^ e_i, and gives
-    sign (x^m e_R) ^ d_i pi, so the constant s_i c at e_R ^ e_ab.  The
-    second takes i in ab, e_ab = sign e_r ^ e_i, and gives
-    (-1)^k sign c x^s e_r ^ d_i(x^m) e_I, so m_i at e_r ^ e_I.  Each term
-    has t = s - e_i.
-    """
-    entries = []
-    parity = -1 if len(idx) & 1 else 1
-    for ab, p in pi.comps.items():
-        for i in idx:
-            rest = tuple(j for j in idx if j != i)
-            J, sign = _merge_sign(rest, ab)
-            if J is None:
-                continue
-            sign *= _merge_sign(rest, (i,))[1]
-            entries.extend((J, _lowered(s, i), None, sign * s[i - 1] * c)
-                           for s, c in p.terms.items() if s[i - 1])
-        for i in ab:
-            rest = tuple(j for j in ab if j != i)
-            J, sign = _merge_sign(rest, idx)
-            if J is None:
-                continue
-            sign *= parity * _merge_sign(rest, (i,))[1]
-            entries.extend((J, _lowered(s, i), i - 1, sign * c)
-                           for s, c in p.terms.items())
     return _stencil_row(entries)
 
 

@@ -147,8 +147,10 @@ def test_negative_weight_is_a_usage_error(capsys):
      "max weight -1 is negative\n"),
     (["hilbert", "--group", "H0", "--max-weight", "21"],
      "max weight 21 beyond configured maximum 20\n"),
+    (["nf", "--poly", "x1^21"],
+     "polynomial degree 21 beyond configured maximum 20\n"),
 ], ids=["nf-parse", "normalize-parse", "max-degree", "weight-negative",
-        "weight-over-cap"])
+        "weight-over-cap", "nf-degree-over-cap"])
 def test_usage_errors_raise_system_exit(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
@@ -246,6 +248,17 @@ def test_division_p1_reports_d1_alone(capsys):
         "D^2(df1,df2) by coefficient degree", "D^2 classification",
         "second-group relation classes", "Jacobian ideal slices",
         "Jacobian quotient dimensions"]
+
+
+def test_nf_is_bounded_by_the_working_weight(capsys):
+    # nf reduces about d/2 times and eliminates the whole degree-d ideal
+    # slice, so a degree above the working weight cap is refused before
+    # either runs, however large; the cap itself is still computed
+    assert main(["nf", "--poly", "x1^20"]) == 0
+    assert "normal form" in capsys.readouterr().out
+    assert main(["nf", "--poly", "1+x2*x3^99999999999"]) == 2
+    assert capsys.readouterr().err == ("polynomial degree 100000000000 "
+                                       "beyond configured maximum 20\n")
 
 
 @pytest.mark.parametrize("argv", [["nf", "--poly", "x1", "--max-weight", "4"],

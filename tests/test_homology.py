@@ -706,6 +706,23 @@ def test_step_casimir_parts_are_the_slices_of_one_over_q(engine, g):
         assert s.casimir_part == inverse.homogeneous_part(s.weight)
 
 
+@pytest.mark.parametrize("g", ["1+x1", "3/2+1/3*x1-x2^2+x1*x4",
+                               "1+x1+x2*x4+x3^3", "2+x1*x3-x2^2"])
+def test_steps_are_certified_in_im_d_pi_by_the_schouten_route(engine, cat, g):
+    # the normalizer reads d_pi(X) = (r_i - c_i) pi off delta_pi(star(X));
+    # the Schouten bracket shares no stencil with delta_pi, and checks both
+    # the identity it relies on and the statement the verdict prints
+    g = parse_polynomial(g)
+    r = g.inverse(6)
+    q, steps = engine.normalize_volume_deformation(g, 6)
+    assert steps
+    for step in steps:
+        X = step.corrector
+        residual = r.homogeneous_part(step.weight) - step.casimir_part
+        assert star(d_pi(X, cat.poisson)) == cat.poisson.delta.apply(star(X))
+        assert d_pi(X, cat.poisson) == cat.pi * residual
+
+
 @pytest.mark.parametrize("g, d", [
     ("1+x1", 6), ("3/2+1/3*x1-x2^2+x1*x4", 5), ("-2/7+x2*x3-x1^3", 4),
     ("2/3-x1*x3+5*x2^7", 4), ("5", 3), ("1+x1", 0)])
@@ -742,6 +759,18 @@ def test_d_pi_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
                            capsys)
 
 
+def test_d_pi_certificate_catches_a_field_that_is_not_d_pi_closed(
+        cat, monkeypatch, capsys):
+    # x1 e1 is neither tangent nor d_pi-closed: the first certificate,
+    # which runs before the tangency check, must see it
+    field = GradedElement.basis(4, MULTIVECTOR, (1,), x(1))
+    assert not contract(field, cat.df1).is_zero()
+    assert not d_pi(field, cat.poisson).is_zero()
+    corrupt_corrector(monkeypatch, lambda scaled: scaled + field)
+    assert_normalize_fails("correction field certificate failed at weight 1",
+                           capsys)
+
+
 def test_tangency_certificate_catches_a_wrong_corrector(cat, monkeypatch,
                                                         capsys):
     # E1 = Euler/2 is d_pi-closed, so only the tangency check sees it
@@ -753,12 +782,13 @@ def test_tangency_certificate_catches_a_wrong_corrector(cat, monkeypatch,
 
 def test_divergence_certificate_catches_a_wrong_corrector(cat, monkeypatch,
                                                           capsys):
-    # a d_pi stencil that halves its argument lets the doubled field through
-    # the first certificate; tangency holds, so the divergence check must fail
+    # a delta_pi stencil that halves its argument lets the doubled field
+    # through the first certificate; tangency holds, so the divergence check
+    # must fail
     corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
-    stencil = cat.poisson.d_pi
-    monkeypatch.setattr(cat.poisson, "d_pi", SimpleNamespace(
-        apply=lambda v: stencil.apply(v * Q(1, 2))))
+    stencil = cat.poisson.delta
+    monkeypatch.setattr(cat.poisson, "delta", SimpleNamespace(
+        apply=lambda a: stencil.apply(a * Q(1, 2))))
     assert_normalize_fails("correction field divergence certificate failed "
                            "at weight 1", capsys)
 
@@ -843,11 +873,16 @@ def three_form_route():
 
 
 def assert_certified(cat, ri, ci, scaled, s):
-    """The normalizer's three certificates on s*X against s*(r_i - c_i)."""
+    """The normalizer's three certificates on s*X against s*(r_i - c_i),
+    each also by a route of its own: d_pi by the Schouten bracket and the
+    divergence by star_inv d star."""
     residual = (ri - ci) * s
-    assert cat.poisson.d_pi.apply(scaled) == cat.pi * residual
+    tau = star(scaled)
+    assert cat.poisson.delta.apply(tau) == cat.df1df2 * residual
+    assert d_pi(scaled, cat.poisson) == cat.pi * residual
     for df in (cat.df1, cat.df2):
         assert contract(scaled, df).is_zero()
+    assert de_rham(tau) == cat.mu * -residual
     assert divergence(scaled).coefficient(()) == -residual
 
 

@@ -8,11 +8,14 @@ most 8 - k (so up to weight 8 for forms); they also equal the columns
 found by looking each image term up in a dict of the target's positions,
 the reference for the monomial-shift tables, skipped columns included;
 and `apply` equals the map on random non-homogeneous
-rational elements (hypothesis).  The two rational structures of
+rational forms (hypothesis).  d_pi has no stencil of its own: its
+entries pair delta_pi's stencil with star o d_pi o star_inv, d_pi by the
+Schouten bracket, which is the identity through which the normalizer
+certifies d_pi(s*X) = s*(r_i - c_i) pi.  The two rational structures of
 test_poisson.py do not preserve the weight, so they have no slice
 matrices; their rows are checked against the five-point rows, and their
 images against the map basis element by basis element there.  The closed
-rows of delta_pi and d_pi are also checked on random bivectors that need
+rows of delta_pi are also checked on random bivectors that need
 not be Poisson, and on those the composed rows of delta_pi o delta_pi
 (`SliceOperator.square`, the complex certificate) vanish exactly when
 [pi, pi] = 0.  The tangency conditions of the reference step systems of
@@ -29,7 +32,7 @@ from hypothesis import given, strategies as st
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, _stencil_row, contract,
                                     de_rham, divergence, enumerate_basis,
-                                    lie_derivative, star_inv, wedge,
+                                    lie_derivative, star, star_inv, wedge,
                                     wedge_operator)
 from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
 from poisson_forge.polynomials import Polynomial
@@ -44,7 +47,7 @@ NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
          "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
 
 
-def sampled(fn, n, shift, kind=FORM):
+def sampled(fn, n, shift):
     """The operator of fn, its rows read off fn at m = (1,...,1) and at
     the n unit steps m + e_i.
 
@@ -56,7 +59,7 @@ def sampled(fn, n, shift, kind=FORM):
     def read(idx):
         values = []
         for m in [ones] + [ones[:i] + (2,) + ones[i + 1:] for i in range(n)]:
-            image = fn(GradedElement.basis(n, kind, idx,
+            image = fn(GradedElement.basis(n, FORM, idx,
                                            Polynomial.monomial(n, m)))
             values.append({(J, tuple(e - mi for e, mi in zip(mt, m))): v
                            for J, p in image.comps.items()
@@ -70,14 +73,16 @@ def sampled(fn, n, shift, kind=FORM):
                 entries += [(J, t, i, ci), (J, t, None, -ci)]
         return _stencil_row(entries)
 
-    return SliceOperator(read, n, shift, kind)
+    return SliceOperator(read, n, shift)
 
 
 def differentials(name, P):
-    """The delta_pi and d_pi instances of one structure, with their maps."""
+    """The delta_pi and d_pi instances of one unimodular structure: its
+    delta_pi stencil against delta_pi's definition, and against d_pi by
+    the Schouten bracket through star o d_pi = delta_pi o star."""
     return {"delta " + name: (P.delta, lambda a: delta_reference(a, P),
                               P.n, range(P.n + 1), 0),
-            "d_pi " + name: (P.d_pi, lambda v: d_pi(v, P),
+            "d_pi " + name: (P.delta, lambda a: star(d_pi(star_inv(a), P)),
                              P.n, range(P.n + 1), 0)}
 
 
@@ -107,7 +112,7 @@ def instances(cat, engine):
 
 
 def five_point_rows_agree(op, fn, n, degrees):
-    reference = sampled(fn, n, op.shift, op.kind)
+    reference = sampled(fn, n, op.shift)
     for k in degrees:
         for idx in combinations(range(1, n + 1), k):
             assert op.row(idx) == reference.row(idx), idx
@@ -125,13 +130,13 @@ def test_columns_are_coordinates_of_the_map(instances, name):
     for k in degrees:
         # coefficient degrees d through 8 - k, so the weights k..8 for forms
         for d in range(9 - k):
-            w = d + k if op.kind == FORM else d - k
-            src = enumerate_basis(k, w, op.kind, n)
+            src = enumerate_basis(k, d + k, FORM, n)
             images = [fn(basis_element(src, i)) for i in range(len(src))]
             if not images:
                 continue
-            dst = enumerate_basis(images[0].degree, w + shift, op.kind, n)
-            assert op.columns(src, dst) == [dst.coords(a) for a in images], (k, w)
+            dst = enumerate_basis(images[0].degree, d + k + shift, FORM, n)
+            assert op.columns(src, dst) == [dst.coords(a) for a in images], \
+                (k, d)
 
 
 def position_columns(op, src, dst, skip=()):
@@ -172,10 +177,10 @@ def test_table_columns_equal_the_position_route(instances, name):
     op, _, n, degrees, shift = instances[name]
     for k in degrees:
         for d in range(9 - k):
-            w = d + k if op.kind == FORM else d - k
-            src = enumerate_basis(k, w, op.kind, n)
+            w = d + k
+            src = enumerate_basis(k, w, FORM, n)
             dst = enumerate_basis(min(max(k + op.shift, 0), n), w + shift,
-                                  op.kind, n)
+                                  FORM, n)
             for skip in ((), set(range(0, len(src), 2))):
                 assert outcome(op.columns, src, dst, skip=skip) == \
                     outcome(position_columns, op, src, dst, skip), (k, w, skip)
@@ -229,18 +234,16 @@ def elements(draw, n, degrees, kind=FORM):
 @given(data=st.data())
 def test_apply_equals_the_map(instances, name, data):
     op, fn, n, degrees, _ = instances[name]
-    a = data.draw(elements(n, degrees, op.kind))
+    a = data.draw(elements(n, degrees))
     assert op.apply(a) == fn(a)
 
 
-def test_apply_refuses_the_other_kind(cat):
+def test_apply_refuses_the_other_kind(cat, engine):
+    # every operator acts on forms; a multivector's terms are not the rows'
     v = GradedElement.basis(4, MULTIVECTOR, (1, 2), Polynomial.variable(4, 1))
-    with pytest.raises(ValueError, match="acts on forms, not multivectors"):
-        cat.poisson.delta.apply(v)
-    a = GradedElement.basis(4, FORM, (1, 2), Polynomial.variable(4, 1))
-    with pytest.raises(ValueError, match="acts on multivectors, not forms"):
-        cat.poisson.d_pi.apply(a)
-    assert cat.poisson.d_pi.apply(v) == d_pi(v, cat.poisson)
+    for op in (cat.poisson.delta, engine._d, wedge_operator(cat.df1)):
+        with pytest.raises(ValueError, match="acts on forms, not multivectors"):
+            op.apply(v)
 
 
 @CHECKS
@@ -250,8 +253,8 @@ def test_closed_rows_of_random_bivectors(data):
     # read pi's terms and nothing else
     n = data.draw(st.sampled_from([3, 4]))
     P = PoissonStructure(data.draw(elements(n, [2], MULTIVECTOR)))
-    for op, fn, _, degrees, _ in differentials("", P).values():
-        five_point_rows_agree(op, fn, n, degrees)
+    five_point_rows_agree(P.delta, lambda a: delta_reference(a, P), n,
+                          range(n + 1))
 
 
 @st.composite
@@ -307,7 +310,7 @@ def test_stencil_square_certifies_exactly_the_poisson_bivectors(n, data):
 @CHECKS
 @given(data=st.data())
 def test_square_composes_a_map_of_order_one_with_itself(n, data):
-    # the square of delta_pi or d_pi has order one, so its quadratic terms
+    # the square of delta_pi has order one, so its quadratic terms
     # in m cancel; the Lie derivative along a vector field squares to
     # order two, which exercises them (on every degree, top forms included)
     X = data.draw(elements(n, [1], MULTIVECTOR))

@@ -20,17 +20,17 @@ from .division import (division_group_dim, ideal_dim_binomial_print,
                        ideal_slice_dim, lefschetz_problem,
                        submodule_contains, verify_division_basis)
 from .homology import InvariantViolation, default_engine
-from .parsing import ParseError, parse_polynomial
+from .parsing import MAX_DEGREE, ParseError, parse_polynomial
 from .poisson import verify_identity_suite
 from .reports import ReportDocument, emit_report
 from .series import H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES
 
 # The highest weight of each computation.  A working weight above
 # "working weight" is a usage error, and so is an nf polynomial of higher
-# degree; each other entry cuts the working weight of its computation and
-# notes the cut in the report.
+# degree or a product the parser would expand past it; each other entry
+# cuts the working weight of its computation and notes the cut in the report.
 WEIGHT_CAPS = {
-    "working weight": 20,
+    "working weight": MAX_DEGREE,
     "representative verification": 10,
     "induced de Rham": 10,
 }
@@ -75,8 +75,8 @@ def _capped(doc, w_max, label):
 
 def _homology_block(doc, eng, k, w_max):
     w_reps = _capped(doc, w_max, "representative verification")
-    # homology_dimension reads the image before the kernel, so the kernel's
-    # echelon, one degree down, skips the image's pivots
+    # an echelon of degree >= 1 builds the one above first; homology_dimension
+    # reads the image first, so H_1's kernel echelon, degree 0, finds it built
     dims = eng.hilbert_function(k, w_max)
     doc.add_table("homology degree %d" % k,
                   ["weight", "dim_ker", "dim_im", "dim_H"],

@@ -22,6 +22,7 @@ A SliceOperator is one fixed linear map on forms of differential order at
 most one (delta_pi, d, or a ^ . for a fixed form a) as a stencil, its rows
 read off the map's coefficients; it expands the map term by term,
 both on elements and as sparse columns between the slice bases below.
+d is its stencil alone: `de_rham` applies it to an element.
 """
 
 from functools import cache
@@ -221,22 +222,10 @@ def wedge_all(elems):
 
 
 def de_rham(a):
-    """The de Rham differential on forms: d(p dx_I) = sum_i d_i p dx_i ^ dx_I,
-    the sign of dx_i ^ dx_I that of the merge of (i,) into I."""
+    """The de Rham differential on forms, by d's stencil `de_rham_operator`."""
     if a.kind != FORM:
         raise ValueError("de_rham acts on forms")
-    if a.degree == a.n:
-        return GradedElement.zero(a.n, a.n, FORM)
-    comps = {}
-    for idx, p in a.comps.items():
-        for i in range(1, a.n + 1):
-            new, sign = _merge_sign((i,), idx)
-            if new is None:
-                continue
-            dp = p.diff(i)
-            if dp:
-                _accumulate(comps, new, dp if sign > 0 else -dp)
-    return GradedElement(a.n, a.degree + 1, FORM, comps)
+    return de_rham_operator(a.n).apply(a)
 
 
 @cache
@@ -338,7 +327,7 @@ class WeightSliceBasis:
     """
 
     __slots__ = ("n", "degree", "weight", "kind", "coefficient_degree",
-                 "elements", "monomials", "rank", "offset")
+                 "monomials", "rank", "offset")
 
     def __init__(self, n, degree, weight, kind):
         self.n = n
@@ -352,10 +341,9 @@ class WeightSliceBasis:
         self.monomials = monos
         self.rank = {m: i for i, m in enumerate(monos)}
         self.offset = {idx: i * len(monos) for i, idx in enumerate(tuples)}
-        self.elements = [(idx, m) for idx in self.offset for m in monos]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.offset) * len(self.monomials)
 
     def coords(self, elem):
         """Sparse coordinates of a slice-homogeneous element; error if it leaves the slice."""
@@ -580,6 +568,7 @@ class SliceOperator:
                              {J: Polynomial(a.n, t) for J, t in comps.items()})
 
 
+@cache
 def de_rham_operator(n):
     """The SliceOperator of d on the forms of R^n, its rows in closed form:
     d(x^m dx_I) = sum over i not in I of m_i x^(m - e_i) dx_i ^ dx_I."""

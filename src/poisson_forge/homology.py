@@ -11,22 +11,22 @@ homology dimensions are rank differences, and homology classes are handled
 through one cached echelonized boundary basis per slice.  Since
 delta_{k+1} delta_{k+2} = 0, every boundary of the (k+1, w) slice is a
 kernel vector of delta_{k+1}, so the (k, w) echelon leaves out the columns
-at the pivots of the (k+1, w) echelon when that one is already built.  The
-identity is certified once per engine, before the first pivot is skipped,
-on delta_pi's stencil rather than slice by slice: each coefficient of
+at the pivots of the (k+1, w) echelon, which it builds first for k >= 1
+and reads at k = 0 only when it is already built.  The identity is
+certified once per engine, before the first pivot is skipped, on
+delta_pi's stencil rather than slice by slice: each coefficient of
 delta_pi(delta_pi(x^m dx_I)) is a polynomial in m that must vanish
-identically, which covers every weight at once.  Commands that
-read every degree build each weight top degree first, and a homology
-dimension reads its image before its kernel.  A homology class is
-handled by its residual modulo the boundary echelon
-(`QEchelon.residual`): up to a nonzero scale the residual is linear, with
-the boundaries as kernel.  So one small echelon of the representatives'
-residuals per slice (`class_echelon`, also cached) serves both the
-independence check and the induced de Rham complex, and no coordinates
-are ever tracked.  The cycle check reads delta_pi's columns, and the
-induced de Rham complex d's, only at the support of the representatives'
-slice coordinates (`SliceOperator.image`); no other column of either map
-is assembled for them.
+identically, which covers every weight at once.  Commands that read every
+degree build each weight top degree first, and a homology dimension reads
+its image before its kernel.  A homology class is handled by its residual
+modulo the boundary echelon (`QEchelon.residual`): up to a nonzero scale
+the residual is linear, with the boundaries as kernel.  So one small
+echelon of the representatives' residuals per slice (`class_echelon`,
+also cached) serves both the independence check and the induced de Rham
+complex, and no coordinates are ever tracked.  The cycle check reads
+delta_pi's columns, and the induced de Rham complex d's, only at the
+support of the representatives' slice coordinates (`SliceOperator.image`);
+no other column of either map is assembled for them.
 
 The explicit representative families (unique normal forms of classes) are
 one data table: a label, a parameter space, a base form and an optional
@@ -232,8 +232,6 @@ class HomologyEngine:
                            len(dst))
 
     def delta_rank(self, k, w):
-        if k == 5:
-            return 0
         return self.boundary_echelon(k - 1, w).rank
 
     def kernel_dim(self, k, w):
@@ -263,21 +261,21 @@ class HomologyEngine:
     def boundary_echelon(self, k, w):
         """Echelonized image of delta inside the (k, w) slice; cached.
 
-        When the (k+1, w) echelon is already cached, its rows are cycles
-        once delta_pi delta_pi = 0 is certified (`_check_complex`).  Then
-        the column of delta_{k+1} at a row's pivot, the row's smallest
+        The rows of the (k+1, w) echelon, built first for k >= 1, are
+        cycles once delta_pi delta_pi = 0 is certified (`_check_complex`).
+        Then the column of delta_{k+1} at a row's pivot, the row's smallest
         index, is a combination of the columns after it, so those columns
         are neither assembled nor eliminated and the span is the same
-        (linalg.py).  The echelon above is never built for that alone:
-        `boundary_echelons` builds them top degree first for the commands
-        that read every degree.
+        (linalg.py).  At k = 0 the (1, w) echelon is read only when cached:
+        building degrees 1..3 costs H_0 alone more than it saves.
         """
         key = (k, w)
         if key not in self._boundaries:
             if k == 4:
                 ech = QEchelon()
             else:
-                above = self._boundaries.get((k + 1, w))
+                above = (self.boundary_echelon(k + 1, w) if k
+                         else self._boundaries.get((1, w)))
                 skip = {} if above is None else above.rows
                 if skip:
                     self._check_complex()
@@ -285,12 +283,12 @@ class HomologyEngine:
             self._boundaries[key] = ech
         return self._boundaries[key]
 
-    def boundary_echelons(self, w_max, lowest=0):
-        """Build the boundary echelons of degrees 3 down to `lowest` at each
-        weight through w_max, top degree first, so that each skips the
-        pivots of the one above."""
+    def boundary_echelons(self, w_max):
+        """Build the boundary echelons of every degree at each weight
+        through w_max, each skipping the pivots of the one above: degree 1
+        builds those above it, then degree 0 reads its pivots."""
         for w in range(w_max + 1):
-            for k in range(3, lowest - 1, -1):
+            for k in (1, 0):
                 self.boundary_echelon(k, w)
 
     def _check_complex(self):
@@ -441,8 +439,8 @@ class HomologyEngine:
     def module_structure_check(self, w_max):
         """One report row per relation: is it a boundary, as expected?
 
-        The memberships are decided top degree first, so that a boundary
-        echelon skips the pivots of the one above at the same weight."""
+        The memberships are decided top degree first, so that a degree-0
+        echelon skips the pivots of the degree-1 one at the same weight."""
         rels = self.module_structure_relations(w_max)
         found = {i: self.is_boundary(rels[i][2])
                  for i in sorted(range(len(rels)), key=lambda i: -rels[i][1])}
@@ -467,7 +465,6 @@ class HomologyEngine:
         residual is linear up to scale and injective modulo the boundaries.
         """
         table = {}
-        self.boundary_echelons(w_max, lowest=1)
         for w in range(w_max + 1):
             coords = {0: self.representative_coords(0, w)}
             ranks = {}

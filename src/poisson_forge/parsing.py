@@ -10,7 +10,9 @@ Grammar (ASCII only, whitespace-insensitive):
     VAR     := 'x' INT
 
 '^' is an integer power.  Exponents must be non-negative; unicode input
-is rejected.  A polynomial's `str` round-trips through parsing.
+is rejected.  A polynomial's `str` round-trips through parsing.  A product
+of two sums, or a power of a sum, is refused before it is expanded past
+MAX_DEGREE, the working weight cap; a monomial factor is exempt.
 """
 
 import re
@@ -27,6 +29,9 @@ class ParseError(ValueError):
         super().__init__("%s (at offset %d)" % (message, pos))
         self.pos = pos
 
+
+MAX_DEGREE = 20     # the working weight cap of cli.WEIGHT_CAPS
+_PAST_CAP = "%%s of degree %%d beyond configured maximum %d" % MAX_DEGREE
 
 # raised where an integer is longer than the interpreter converts to decimal
 _TOO_LONG = "coefficient with more than %d digits cannot be printed"
@@ -107,7 +112,11 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "op" and tok[1] == "*":
                 self.take()
-                value = value * self.factor()
+                rhs = self.factor()
+                degree = value.degree() + rhs.degree()
+                if min(len(value.terms), len(rhs.terms)) > 1 and degree > MAX_DEGREE:
+                    raise ParseError(_PAST_CAP % ("product", degree), tok[2])
+                value = value * rhs
             else:
                 return value
 
@@ -119,7 +128,10 @@ class _Parser:
             neg = self.peek()
             if neg[0] == "op" and neg[1] == "-":
                 raise ParseError("negative exponents rejected", neg[2])
-            value = value ** self._int()
+            k = self._int()
+            if len(value.terms) > 1 and k > 1 and value.degree() * k > MAX_DEGREE:
+                raise ParseError(_PAST_CAP % ("power", value.degree() * k), tok[2])
+            value = value ** k
         return value
 
     def atom(self):

@@ -149,8 +149,12 @@ def test_negative_weight_is_a_usage_error(capsys):
      "max weight 21 beyond configured maximum 20\n"),
     (["nf", "--poly", "x1^21"],
      "polynomial degree 21 beyond configured maximum 20\n"),
+    # refused at the '^' before the power is expanded
+    (["normalize", "--g", "(1+x1+x2+x3+x4)^40", "--max-weight", "2"],
+     "parse error: power of degree 40 beyond configured maximum 20 "
+     "(at offset 15)\n"),
 ], ids=["nf-parse", "normalize-parse", "max-degree", "weight-negative",
-        "weight-over-cap", "nf-degree-over-cap"])
+        "weight-over-cap", "nf-degree-over-cap", "normalize-power-over-cap"])
 def test_usage_errors_raise_system_exit(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)

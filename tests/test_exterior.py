@@ -10,9 +10,15 @@ from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
 from poisson_forge.polynomials import Polynomial
 
 
+def element_at(basis, i):
+    """The (index tuple, monomial) pair at position i of a WeightSliceBasis."""
+    block, r = divmod(i, len(basis.monomials))
+    return list(basis.offset)[block], basis.monomials[r]
+
+
 def basis_element(basis, i):
     """The i-th element of a WeightSliceBasis as a graded element."""
-    idx, m = basis.elements[i]
+    idx, m = element_at(basis, i)
     return GradedElement.basis(basis.n, basis.kind, idx,
                                Polynomial.monomial(basis.n, m))
 
@@ -29,7 +35,7 @@ def rand_element(rng, k, kind, max_deg=3):
     comps = {}
     basis = enumerate_basis(k, k + rng.randrange(max_deg), kind)
     for _ in range(3):
-        idx, m = basis.elements[rng.randrange(len(basis))]
+        idx, m = element_at(basis, rng.randrange(len(basis)))
         comps.setdefault(idx, {})[m] = rng.randint(-3, 3)
     return GradedElement(4, k, kind,
                          {i: Polynomial(4, t) for i, t in comps.items()})
@@ -171,7 +177,7 @@ def from_coords(basis, vec):
     for i, c in items:
         if not c:
             continue
-        idx, m = basis.elements[i]
+        idx, m = element_at(basis, i)
         comps.setdefault(idx, {})[m] = c
     return GradedElement(basis.n, basis.degree, basis.kind,
                          {idx: Polynomial(basis.n, t) for idx, t in comps.items()})

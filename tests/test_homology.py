@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from poisson_forge import cli
 from poisson_forge.cli import main
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
-                                    SliceOperator, contract, de_rham,
-                                    divergence, lie_derivative, star,
-                                    star_inv, wedge, wedge_operator)
+                                    SliceOperator, contract, divergence,
+                                    lie_derivative, star, star_inv, wedge,
+                                    wedge_operator)
 from poisson_forge.homology import (HomologyEngine, InvariantViolation,
                                     f_monomials, is_casimir_slice)
 from poisson_forge.linalg import QEchelon
@@ -21,9 +21,10 @@ from poisson_forge.poisson import PoissonStructure, d_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
-from test_exterior import basis_element, weight_slice
+from test_exterior import basis_element, element_at, weight_slice
 from test_linalg import (SpanSolver, apply, clone, is_zero, matmul,
                          rational_solve)
+from test_signs import de_rham_by_position
 
 
 def x(i):
@@ -32,9 +33,10 @@ def x(i):
 
 def instantiate(fam, p):
     """The forms route to a representative, post(p * base) as a form with the
-    family's base as written: the reference for the engine's coordinates."""
+    family's base as written and post = d by the elementwise formula: the
+    reference for the engine's coordinates."""
     form = fam.base * p
-    return de_rham(form) if fam.post else form
+    return de_rham_by_position(form) if fam.post else form
 
 
 def clearing(fam):
@@ -84,14 +86,16 @@ def full_insert_echelon(matrix):
 
 @pytest.mark.parametrize("top_down", [True, False])
 def test_boundary_echelon_spans_the_image(top_down, monkeypatch):
-    # top down, each echelon skips the pivots of the one above; built in
-    # ascending degree on a fresh engine, none has an echelon above it
+    # top down, each echelon skips the pivots of the one above.  Asked for
+    # in ascending degree on a fresh engine, an echelon of degree >= 1 still
+    # builds the one above first and skips its pivots, but the degree-0
+    # echelon comes before the degree-1 one and skips nothing
     eng = HomologyEngine()
     inserts = []
     insert = QEchelon.insert
 
     def counted(self, vec):
-        inserts.append(vec)
+        inserts.append(self)
         return insert(self, vec)
 
     monkeypatch.setattr(QEchelon, "insert", counted)
@@ -108,12 +112,19 @@ def test_boundary_echelon_spans_the_image(top_down, monkeypatch):
             matrix = eng.delta_matrix(k + 1, w)
             assert ech.rank == full_insert_echelon(matrix).rank, (k, w)
             assert all(ech.contains(col) for col in matrix.columns), (k, w)
-    nonzero = sum(1 for w in range(9) for k in range(1, 5)
-                  for col in eng.delta_matrix(k, w).columns if col)
-    assert (len(inserts) < nonzero) if top_down else (len(inserts) == nonzero)
+    degree = {id(ech): k for (k, _), ech in eng._boundaries.items()}
+    into = [sum(1 for ech in inserts if degree[id(ech)] == k) for k in range(4)]
+    nonzero = [sum(1 for w in range(9)
+                   for col in eng.delta_matrix(k + 1, w).columns if col)
+               for k in range(4)]
+    # nothing lies above degree 3; degrees 1 and 2 skip in either order
+    assert into[3] == nonzero[3]
+    assert into[1] < nonzero[1] and into[2] < nonzero[2]
+    assert (into[0] < nonzero[0]) if top_down else (into[0] == nonzero[0])
 
 
 def test_single_degree_commands_build_no_echelon_above():
+    # H_0 alone: degree 0 reads the (1, w) echelon only when it is built
     eng = HomologyEngine()
     assert eng.hilbert_function(0, 12) == H_SERIES[0].expand(12)
     assert eng._boundaries and all(k == 0 for k, _ in eng._boundaries)
@@ -857,7 +868,7 @@ class ThreeFormStepRoute(HomologyEngine):
             if gen_index < len(fmonos):
                 ci = ci + fmonos[gen_index][1] * c
             else:
-                idx, m = basis3.elements[gen_index - len(fmonos)]
+                idx, m = element_at(basis3, gen_index - len(fmonos))
                 tau.setdefault(idx, {})[m] = c
         ci = ci * Q(1, s)
         if not tau:
@@ -874,15 +885,15 @@ def three_form_route():
 
 def assert_certified(cat, ri, ci, scaled, s):
     """The normalizer's three certificates on s*X against s*(r_i - c_i),
-    each also by a route of its own: d_pi by the Schouten bracket and the
-    divergence by star_inv d star."""
+    with d by the elementwise formula, and d_pi and the divergence also by
+    routes of their own: the Schouten bracket and star_inv d star."""
     residual = (ri - ci) * s
     tau = star(scaled)
     assert cat.poisson.delta.apply(tau) == cat.df1df2 * residual
     assert d_pi(scaled, cat.poisson) == cat.pi * residual
     for df in (cat.df1, cat.df2):
         assert contract(scaled, df).is_zero()
-    assert de_rham(tau) == cat.mu * -residual
+    assert de_rham_by_position(tau) == cat.mu * -residual
     assert divergence(scaled).coefficient(()) == -residual
 
 

@@ -66,3 +66,19 @@ def test_polynomial_vs_form_contract():
     with pytest.raises(ParseError, match=r"unexpected character 'd'"):
         parse_polynomial("dx1")
 
+
+def test_expansion_past_the_working_weight_cap_is_refused():
+    # a product of two sums, or a power of a sum, is refused at its operator
+    # before it is expanded past MAX_DEGREE; monomial factors are exempt
+    with pytest.raises(ParseError, match=r"^power of degree 40 beyond "
+                       r"configured maximum 20 \(at offset 13\)$") as exc:
+        parse_polynomial("(x1+x2+x3+x4)^40")
+    assert exc.value.pos == 13
+    with pytest.raises(ParseError, match=r"^product of degree 21 beyond "
+                       r"configured maximum 20 \(at offset 10\)$") as exc:
+        parse_polynomial("(1+x1)^20 * (1+x2)")
+    assert exc.value.pos == 10
+    assert len(parse_polynomial("(1+x1+x2+x3+x4)^20").terms) == 10626
+    assert parse_polynomial("(1+x1)^20 * x2^5").degree() == 25
+    assert parse_polynomial("x1^21 * x2").degree() == 22
+    assert parse_polynomial("(x1^30 + x2)^1").degree() == 30

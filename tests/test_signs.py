@@ -6,7 +6,9 @@ the position counts each operation used before: contraction one factor
 at a time, star_inv through a sign table read off star, the position of
 dx_i in de Rham's dx_i ^ dx_I, and the position of xi_i in the odd right
 derivative.  They must agree with the package on every index pair up to
-n = 5, and on random elements of R^4.
+n = 5, and on random elements of R^4.  The package's d is its stencil
+alone, so `de_rham_by_position`, the elementwise formula, is also the
+route d is checked against wherever a test needs d independently.
 """
 
 from itertools import combinations
@@ -73,7 +75,8 @@ def star_inv_by_table(a):
 
 
 def de_rham_by_position(a):
-    """d with the sign of moving dx_i past the smaller indices of I."""
+    """d(p dx_I) = sum_i d_i p dx_i ^ dx_I, term by term, with the sign of
+    moving dx_i past the smaller indices of I."""
     if a.degree == a.n:
         return GradedElement.zero(a.n, a.n, FORM)
     terms = []

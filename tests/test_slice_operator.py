@@ -8,7 +8,10 @@ most 8 - k (so up to weight 8 for forms); they also equal the columns
 found by looking each image term up in a dict of the target's positions,
 the reference for the monomial-shift tables, skipped columns included;
 and `apply` equals the map on random non-homogeneous
-rational forms (hypothesis).  d_pi has no stencil of its own: its
+rational forms (hypothesis).  The map of d is the elementwise formula
+(`de_rham_by_position`, test_signs.py), since `exterior.de_rham` is d's
+stencil itself; the two also agree on random forms of every degree on
+R^3 and R^4.  d_pi has no stencil of its own: its
 entries pair delta_pi's stencil with star o d_pi o star_inv, d_pi by the
 Schouten bracket, which is the identity through which the normalizer
 certifies d_pi(s*X) = s*(r_i - c_i) pi.  The two rational structures of
@@ -36,9 +39,10 @@ from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     wedge_operator)
 from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
 from poisson_forge.polynomials import Polynomial
-from test_exterior import basis_element
+from test_exterior import basis_element, element_at
 from test_poisson import delta_reference, rational_structures
 from test_properties import CHECKS, coefficients
+from test_signs import de_rham_by_position
 
 NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
          "d_pi Lefschetz", "d_pi rational R^4", "d_pi rational R^3",
@@ -90,7 +94,7 @@ def differentials(name, P):
 def instances(cat, engine):
     """name -> (operator, the map, n, source degrees, weight shift)."""
     on_r4, on_r3 = rational_structures()
-    out = {"d": (engine._d, de_rham, 4, range(4), 0)}
+    out = {"d": (engine._d, de_rham_by_position, 4, range(4), 0)}
     for name, P in [("Lefschetz", cat.poisson), ("rational R^4", on_r4),
                     ("rational R^3", on_r3)]:
         out.update(differentials(name, P))
@@ -142,11 +146,12 @@ def test_columns_are_coordinates_of_the_map(instances, name):
 def position_columns(op, src, dst, skip=()):
     """The columns of op with each image term (J, m + t) looked up in a
     dict of dst's positions: the reference for the shift tables."""
-    positions = {e: i for i, e in enumerate(dst.elements)}
+    positions = {element_at(dst, i): i for i in range(len(dst))}
     out = []
-    for j, (idx, m) in enumerate(src.elements):
+    for j in range(len(src)):
         if j in skip:
             continue
+        idx, m = element_at(src, j)
         col = {}
         for J, t, c0, c in op.row(idx):
             v = c0 + sum(ci * m[i] for i, ci in c)
@@ -236,6 +241,15 @@ def test_apply_equals_the_map(instances, name, data):
     op, fn, n, degrees, _ = instances[name]
     a = data.draw(elements(n, degrees))
     assert op.apply(a) == fn(a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@CHECKS
+@given(data=st.data())
+def test_de_rham_equals_the_elementwise_formula(n, data):
+    # exterior.de_rham applies d's stencil, the top degree included
+    a = data.draw(elements(n, range(n + 1)))
+    assert de_rham(a) == de_rham_by_position(a)
 
 
 def test_apply_refuses_the_other_kind(cat, engine):

@@ -359,7 +359,11 @@ def _execute(args, argv):
                     _derham_block(doc, eng,
                                   _capped(doc, w_max, "induced de Rham"))
         elif args.cmd == "normalize":
-            _normalize_block(doc, eng, _parse(args.g), w_max)
+            g = _parse(args.g)
+            if g.constant_term() <= 0:
+                _usage_error("g must have positive constant term, not %s"
+                             % g.constant_term())
+            _normalize_block(doc, eng, g, w_max)
     except InvariantViolation as exc:
         # a failed certificate is a failing verdict, not a traceback
         doc.add_verdicts("certificates", [{"name": str(exc),

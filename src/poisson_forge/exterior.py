@@ -19,8 +19,9 @@ convention star(v) := iota_v(mu) sends e_1^...^e_n to 1 and the Lefschetz
 bivector to df_1 ^ df_2, and star_inv reads its sign off the same rule.
 
 A SliceOperator is one fixed linear map on forms of differential order at
-most one (delta_pi, d, or a ^ . for a fixed form a) as a stencil, its rows
-read off the map's coefficients; it expands the map term by term,
+most one (delta_pi, d, a ^ . for a fixed form a, or a vector field V
+acting on functions) as a stencil, its rows read off the map's
+coefficients; it expands the map term by term,
 both on elements and as sparse columns between the slice bases below.
 d is its stencil alone: `de_rham` applies it to an element.
 """
@@ -423,15 +424,17 @@ class SliceOperator:
     coefficient) pairs, and coefficients with denominator 1 are ints.
 
     `read(I)` gives the row of I; `rows` caches it from the first use on.
-    The rows of delta_pi (poisson.py) and d (`de_rham_operator`) are read
-    off the coefficients of the map in closed form, and those of a wedge
+    The rows of delta_pi (poisson.py), d (`de_rham_operator`) and a vector
+    field on functions (`derivation_operator`) are read off the
+    coefficients of the map in closed form, and those of a wedge
     by a fixed form a (`wedge_operator`, a product with a polynomial being
     the wedge by a 0-form) off the one element a ^ dx_I.  fn of a degree-k
     form has degree k + shift, clamped to 0..n as the zero elements of the
     algebra are.  `apply` refuses a multivector and a form on another R^n,
-    whose terms the rows do not describe.  `square` composes the rows of
-    fn o fn, so an identity such as delta_pi o delta_pi = 0 is checked
-    once for every weight.
+    whose terms the rows do not describe.  `compose` composes the rows of
+    fn o inner for another operator inner, so an identity between
+    composites, such as delta_pi o delta_pi = 0, is checked once for every
+    weight.
     """
 
     __slots__ = ("read", "n", "shift", "rows")
@@ -449,22 +452,24 @@ class SliceOperator:
             row = self.rows[idx] = self.read(idx)
         return row
 
-    def square(self, idx):
-        """fn(fn(x^m dx_idx)) for every m at once: {(K, u): q} over the
+    def compose(self, inner, idx):
+        """fn(inner(x^m dx_idx)) for every m at once: {(K, u): q} over the
         nonzero coefficients q of x^(m+u) dx_K, each a polynomial of degree
         at most 2 in m, as a dict from () (the constant), i (for m_i) and
         (i, j) with i <= j (for m_i m_j), axis positions, to coefficients.
 
-        The term (c0 + c.m) x^(m+t) dx_J of the row of idx meets the row
-        (K, s, d0, d) of J at m + t and adds (c0 + c.m)(d0 + d.(m+t)) at
-        u = t + s.  That holds at every m >= 0: where m + t leaves the
+        The term (c0 + c.m) x^(m+t) dx_J of inner's row of idx meets the
+        row (K, s, d0, d) of J at m + t and adds (c0 + c.m)(d0 + d.(m+t))
+        at u = t + s.  That holds at every m >= 0: where m + t leaves the
         exponents, t_i = -1 and c0 + c.m is a multiple of m_i = 0 (so too
         for the second factor at m + t + s).  A polynomial in m that
-        vanishes at every m >= -u is zero, so fn o fn vanishes on the terms
-        of index idx, at every weight, exactly when this is empty.
+        vanishes at every m >= -u is zero, so two composites agree on the
+        terms of index idx, at every weight, exactly when these dicts are
+        equal, and fn o fn vanishes there exactly when `compose(self, idx)`
+        is empty.
         """
         acc = {}
-        for J, t, c0, c in self.row(idx):
+        for J, t, c0, c in inner.row(idx):
             for K, s, d0, d in self.row(J):
                 e0 = d0
                 for j, dj in d:
@@ -595,3 +600,22 @@ def wedge_operator(a):
                             for t, v in p.terms.items())
 
     return SliceOperator(read, a.n, a.degree)
+
+
+@cache
+def derivation_operator(v):
+    """The SliceOperator of h -> v(h) on functions for a fixed vector field
+    v, its row in closed form from v's terms: for each term c x^s e_i,
+    c x^s d_i(x^m) = c m_i x^(m + s - e_i).  It has a row for 0-forms only."""
+    if v.kind != MULTIVECTOR or v.degree != 1:
+        raise ValueError("derivation_operator needs a vector field")
+
+    def read(idx):
+        if idx:
+            raise ValueError("a vector field acts on functions, not on "
+                             "%d-forms" % len(idx))
+        return _stencil_row(((), _lowered(s, i), i - 1, c)
+                            for (i,), p in v.comps.items()
+                            for s, c in p.terms.items())
+
+    return SliceOperator(read, v.n, 0)

@@ -60,15 +60,22 @@ Lie derivatives L1, L2 are semisimple with the Casimir slice as joint
 kernel; off it L1^2 has eigenvalues -lam and L2^2 lam, for lam in
 E_d = {k^2 : 1 <= k <= d, k = d mod 2}.  So k2 = prod (L2^2 - lam)/(-lam)
 r_i, c_i = prod (L1^2 + lam)/lam k2, and Horner on the minimal polynomials
-gives r_i - c_i = L1 a + L2 b (`_torus_split`): X = -(a V1 + b V2) is
-tangent with div(X) = -(r_i - c_i), so d_pi(X) = (r_i - c_i) pi by
-[X, pi] = -div(X) pi.  The certificates check the integral s*X against
-s*(r_i - c_i) through no map of the split, on tau = star(s*X): d_pi by
-delta_pi's stencil, since star o d_pi = delta_pi o star and star(pi) =
-df1^df2 make d_pi(s*X) = s*(r_i - c_i) pi read delta_pi(tau) =
-s*(r_i - c_i) df1^df2; tangency by contraction into df_k; divergence by
-d(tau) = div(s*X) mu.  Each homogeneous part of q = 1/(sum c_i) is
-recomposed over the f1^a f2^b (`is_casimir_slice`), which certifies q.
+(`_torus_split`) gives an integral pair (a, b) and a scale s > 0 with
+L1 a + L2 b = -s (r_i - c_i).  Then s*X = a V1 + b V2 is tangent with
+div(X) = -(r_i - c_i), so d_pi(X) = (r_i - c_i) pi by
+[X, pi] = -div(X) pi.  Each step is certified by that one identity,
+V1(a) + V2(b) = -s (r_i - c_i), read through the stencils of V1 and V2
+on functions (`exterior.derivation_operator`), not through
+`lie_derivative`, which the split uses.  By linearity over functions it
+carries every fact on X through the torus identities, certified once per
+engine on composed stencil rows, so for every weight at once
+(`_check_torus`): for V = V1, V2, iota_V df1 = iota_V df2 = 0,
+delta_pi(h star V) = -V(h) df1^df2 and d(h star V) = V(h) mu.  So s*X is
+tangent, delta_pi(star(s*X)) = s (r_i - c_i) df1^df2, which is
+d_pi(s*X) = s (r_i - c_i) pi since star o d_pi = delta_pi o star and
+star(pi) = df1^df2, and d(star(s*X)) = div(s*X) mu = -s (r_i - c_i) mu.
+Each homogeneous part of q = 1/(sum c_i) is recomposed over the
+f1^a f2^b (`is_casimir_slice`), which certifies q.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -82,8 +89,8 @@ from operator import add
 
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, contract, de_rham,
-                       de_rham_operator, enumerate_basis, lie_derivative, star,
-                       wedge)
+                       de_rham_operator, derivation_operator, enumerate_basis,
+                       lie_derivative, star, wedge, wedge_operator)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
@@ -203,6 +210,7 @@ class HomologyEngine:
         self._families = None
         self._parameters = {}
         self._complex_certified = False
+        self._torus_derivations = None
         self._x = [Polynomial.variable(4, i) for i in range(1, 5)]
         self._d = de_rham_operator(4)
         # the torus fields V1 = 2 T1 and V2 = 2 T2 of the normalizer's split
@@ -293,19 +301,55 @@ class HomologyEngine:
 
     def _check_complex(self):
         """Raise unless delta_pi delta_pi = 0, exactly and at every weight
-        at once, on the stencil of delta_pi (`SliceOperator.square`); the
+        at once, on the stencil of delta_pi (`SliceOperator.compose`); the
         slice matrices are read off the same stencil.  Once per engine."""
         if self._complex_certified:
             return
         delta = self.cat.poisson.delta
         for k in range(5):
             for idx in combinations(range(1, 5), k):
-                if delta.square(idx):
+                if delta.compose(delta, idx):
                     raise InvariantViolation(
                         "delta_pi delta_pi != 0 on the stencil row of %s: the "
                         "boundaries are not all cycles"
                         % "^".join("dx%d" % i for i in idx))
         self._complex_certified = True
+
+    def _check_torus(self):
+        """The stencils of h -> V1(h) and h -> V2(h) (`derivation_operator`),
+        once the torus identities of the normalizer's step are certified;
+        raise unless they hold.  Once per engine.
+
+        For V = V1 and V = V2: iota_V df1 = iota_V df2 = 0, and, as composed
+        stencil rows (`SliceOperator.compose`), so exactly and for every
+        x^m at once, delta_pi(h star V) = -V(h) df1^df2 and d(h star V) =
+        V(h) mu.  The first reads delta_pi's stencil, the second d's; both
+        read the wedge by star V, and the right-hand sides the stencil of V
+        on functions that the step applies.
+        """
+        if self._torus_derivations is None:
+            cat = self.cat
+            delta = cat.poisson.delta
+            derivations = []
+            for name, V in zip(("V1", "V2"), self._torus):
+                if contract(V, cat.df1) or contract(V, cat.df2):
+                    raise InvariantViolation("torus field %s is not tangent "
+                                             "to the fibration" % name)
+                times_star = wedge_operator(star(V))
+                L = derivation_operator(V)
+                if delta.compose(times_star, ()) != \
+                        wedge_operator(-cat.df1df2).compose(L, ()):
+                    raise InvariantViolation(
+                        "torus certificate failed: delta_pi(h star %s) != "
+                        "-%s(h) df1^df2" % (name, name))
+                if self._d.compose(times_star, ()) != \
+                        wedge_operator(cat.mu).compose(L, ()):
+                    raise InvariantViolation(
+                        "torus certificate failed: d(h star %s) != %s(h) mu"
+                        % (name, name))
+                derivations.append(L)
+            self._torus_derivations = tuple(derivations)
+        return self._torus_derivations
 
     def class_echelon(self, k, w):
         """(coords, independent, classes) of the (k, w) homology classes; cached.
@@ -499,7 +543,8 @@ class HomologyEngine:
 
         g*pi is the Jacobi-Poisson structure of the volume form mu/g.  Each
         weight-i slice r_i of r = 1/g is split as c_i - div(X_i), c_i its
-        Casimir part, with X_i certified exactly on s*X_i.  For X the sum of
+        Casimir part, with s*X_i = a V1 + b V2 certified exactly by one
+        identity on (a, b).  For X the sum of
         the X_i and 1/q = sum c_i, mu/g - mu/q = -d(iota_X mu), and the Moser
         argument above carries g*pi to q*pi.  Returns (q, transcript).
         """
@@ -515,27 +560,24 @@ class HomologyEngine:
             ri = r.homogeneous_part(i)
             if ri.is_zero():
                 continue
-            ci, scaled, s = self._split_slice(ri, i)
+            ci, pair, s = self._split_slice(ri, i)
             c = c + ci
-            if scaled is None:     # already a pure Casimir slice
+            if pair is None:       # already a pure Casimir slice
                 continue
-            # exact certificates on s*X, never trusted silently; d_pi(s*X)
-            # = residual * pi is read off tau = star(s*X) (module docstring)
-            residual = (ri - ci) * s
-            tau = star(scaled)
-            if cat.poisson.delta.apply(tau) != cat.df1df2 * residual:
+            # an exact certificate on s*X = a V1 + b V2, never trusted
+            # silently: with the torus identities, V1(a) + V2(b) =
+            # -s (r_i - c_i) makes s*X tangent with d_pi(s*X) =
+            # s (r_i - c_i) pi and div(s*X) = -s (r_i - c_i)
+            L1, L2 = self._check_torus()
+            a, b = pair
+            div = L1.apply(GradedElement.from_polynomial(a)) \
+                + L2.apply(GradedElement.from_polynomial(b))
+            if div.coefficient(()) != (ci - ri) * s:
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
-            for df in (cat.df1, cat.df2):
-                if not contract(scaled, df).is_zero():
-                    raise InvariantViolation("correction field is not tangent "
-                                             "to the fibration at weight %d" % i)
-            # d(iota_X mu) = div(X) mu, and the first two force
-            # div(X) = -residual
-            if de_rham(tau) != cat.mu * -residual:
-                raise InvariantViolation("correction field divergence "
-                                         "certificate failed at weight %d" % i)
-            transcript.append(DeformationStep(i, ci, scaled * Q(1, s)))
+            V1, V2 = self._torus
+            corrector = (V1 * a + V2 * b) * Q(1, s)
+            transcript.append(DeformationStep(i, ci, corrector))
         q = c.inverse(w_max)
         for d, part in q.homogeneous_parts().items():
             if not is_casimir_slice(cat, part, d):
@@ -544,21 +586,23 @@ class HomologyEngine:
         return q, transcript
 
     def _split_slice(self, ri, i):
-        """(c_i, s*X, s) for a weight-i slice r_i: its Casimir part c_i and
-        a tangent X with div(X) = -(r_i - c_i), by the module docstring's
-        torus split on integer numerators: r_i = R/D, k2 = K2/(D M2),
-        b = -B/(D M2^2), c_i = C/(D M2 M1), a = -A/(D M2 M1^2)."""
+        """(c_i, (a, b), s) for a weight-i slice r_i: its Casimir part c_i
+        and the integral pair of s*X = a V1 + b V2, a tangent X with
+        div(X) = -(r_i - c_i); the pair is None when r_i = c_i.  By the
+        module docstring's torus split on integer numerators: r_i = R/D,
+        k2 = K2/(D M2), c_i = C/(D M2 M1), and D (M1 M2)^2 X = (A M2) V1 +
+        (B M1^2) V2."""
         V1, V2 = self._torus
         D = lcm(*(c.denominator for c in ri.terms.values()))
         K2, M2, B = _torus_split(V2, -1, i, ri * D)
         C, M1, A = _torus_split(V1, 1, i, K2)
         ci = C * Q(1, D * M2 * M1)
-        field = V1 * (A * M2) + V2 * (B * (M1 * M1))   # D (M1 M2)^2 X
-        if not field:
+        a, b = A * M2, B * (M1 * M1)
+        if not (a or b):
             return ci, None, 1
         den = D * (M1 * M2) ** 2
-        g = gcd(den, *(c for p in field.comps.values() for c in p.terms.values()))
-        return ci, field * Q(1, g), den // g
+        g = gcd(den, *(c for p in (a, b) for c in p.terms.values()))
+        return ci, (a * Q(1, g), b * Q(1, g)), den // g
 
 
 def _torus_split(V, sign, d, p):

@@ -153,8 +153,14 @@ def test_negative_weight_is_a_usage_error(capsys):
     (["normalize", "--g", "(1+x1+x2+x3+x4)^40", "--max-weight", "2"],
      "parse error: power of degree 40 beyond configured maximum 20 "
      "(at offset 15)\n"),
+    # refused before the normalizer runs; g(0) may be a rational
+    (["normalize", "--g", "x1", "--max-weight", "4"],
+     "g must have positive constant term, not 0\n"),
+    (["normalize", "--g", "-1/2+x1"],
+     "g must have positive constant term, not -1/2\n"),
 ], ids=["nf-parse", "normalize-parse", "max-degree", "weight-negative",
-        "weight-over-cap", "nf-degree-over-cap", "normalize-power-over-cap"])
+        "weight-over-cap", "nf-degree-over-cap", "normalize-power-over-cap",
+        "normalize-zero-constant", "normalize-negative-constant"])
 def test_usage_errors_raise_system_exit(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)

@@ -2,12 +2,11 @@ import copy
 import json
 import re
 from math import lcm
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_forge import cli
+from poisson_forge import cli, homology
 from poisson_forge.cli import main
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, contract, divergence,
@@ -162,9 +161,9 @@ def test_complex_certificate_catches_a_broken_delta(monkeypatch, capsys, cat):
 def test_complex_certificate_runs_once_before_the_first_skipped_pivot(
         monkeypatch):
     calls = []
-    square = SliceOperator.square
-    monkeypatch.setattr(SliceOperator, "square",
-                        lambda op, idx: calls.append(idx) or square(op, idx))
+    compose = SliceOperator.compose
+    monkeypatch.setattr(SliceOperator, "compose", lambda op, inner, idx:
+                        calls.append(idx) or compose(op, inner, idx))
     eng = HomologyEngine()
     eng.boundary_echelon(3, 6)
     assert not calls         # no echelon above, so nothing is skipped
@@ -476,8 +475,8 @@ def test_deformation_step_folds_the_casimir_check(engine, cat):
         i = gi.degree()
         assert i <= 5
         assert casimir_reference(gi, i) == casimir
-        qi, scaled, _ = engine._split_slice(gi, i)
-        assert (scaled is None) == casimir
+        qi, pair, _ = engine._split_slice(gi, i)
+        assert (pair is None) == casimir
         if casimir:
             assert qi == gi
 
@@ -548,6 +547,12 @@ def generic_exp_flow(field, h, w_max):
     return result
 
 
+def pair_field(engine, pair):
+    """s*X = a V1 + b V2 for the pair (a, b) of the engine's split."""
+    V1, V2 = engine._torus
+    return V1 * pair[0] + V2 * pair[1]
+
+
 def normalize_uncertified(engine, g, w_max, pullback):
     """(q, [(weight, casimir_part, corrector)]) of the normalizer loop with
     the flow pullback h -> pullback(corrector, h) and no certificates."""
@@ -557,10 +562,10 @@ def normalize_uncertified(engine, g, w_max, pullback):
         gi = current.homogeneous_part(i)
         if gi.is_zero():
             continue
-        qi, scaled, s = engine._split_slice(gi, i)
-        if scaled is None:
+        qi, pair, s = engine._split_slice(gi, i)
+        if pair is None:
             continue
-        corrector = scaled * Q(1, s)
+        corrector = pair_field(engine, pair) * Q(1, s)
         transcript.append((i, qi, corrector))
         current = pullback(corrector, current)
     return current, transcript
@@ -704,7 +709,7 @@ def test_linear_normalizer_matches_inverse_flow_route(inverse_route,
     g, w_max = args
     q, _ = inverse_route.normalize_volume_deformation(g, w_max)
     assert q == inverse_route.normalize_by_inverse(g, w_max)[0]
-    assert q == three_form_route.normalize_volume_deformation(g, w_max)[0]
+    assert q == normalize_by_fields(three_form_route, g, w_max)[0]
 
 
 @pytest.mark.parametrize("g", ["1+x1", "3/2+1/3*x1-x2^2+x1*x4",
@@ -746,62 +751,135 @@ def test_inverse_matches_the_series_reference(g, d):
 
 
 def corrupt_corrector(monkeypatch, change):
-    """Makes every engine's split return change(s*X) in place of s*X."""
+    """Makes every engine's split return change(a, b) in place of its pair."""
     split = HomologyEngine._split_slice
 
     def corrupted(self, gi, i):
-        qi, scaled, s = split(self, gi, i)
-        return qi, None if scaled is None else change(scaled), s
+        qi, pair, s = split(self, gi, i)
+        return qi, None if pair is None else change(*pair), s
 
     monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
 
 
-def assert_normalize_fails(message, capsys):
+def assert_normalize_fails(message, monkeypatch, capsys, engine=HomologyEngine):
+    """normalize --g 1+x1 fails with message, on fresh engines made by
+    engine(): in process and through the command line."""
     g = parse_polynomial("1+x1")
-    with pytest.raises(InvariantViolation, match=message):
-        HomologyEngine().normalize_volume_deformation(g, 4)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        engine().normalize_volume_deformation(g, 4)
+    monkeypatch.setattr(cli, "default_engine", engine)
     assert main(["normalize", "--g", "1+x1", "--max-weight", "4"]) == 1
     assert message in capsys.readouterr().out
 
 
+def halved(op):
+    """The SliceOperator of op / 2."""
+    return SliceOperator(lambda idx: tuple(
+        (J, t, Q(c0, 2), tuple((i, Q(ci, 2)) for i, ci in c))
+        for J, t, c0, c in op.row(idx)), op.n, op.shift)
+
+
 def test_d_pi_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
-    corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
+    # a doubled pair is still tangent, but its divergence and d_pi image
+    # are twice what s*(r_i - c_i) asks: only the step identity sees it
+    corrupt_corrector(monkeypatch, lambda a, b: (a * 2, b * 2))
     assert_normalize_fails("correction field certificate failed at weight 1",
-                           capsys)
+                           monkeypatch, capsys)
 
 
 def test_d_pi_certificate_catches_a_field_that_is_not_d_pi_closed(
         cat, monkeypatch, capsys):
-    # x1 e1 is neither tangent nor d_pi-closed: the first certificate,
-    # which runs before the tangency check, must see it
-    field = GradedElement.basis(4, MULTIVECTOR, (1,), x(1))
-    assert not contract(field, cat.df1).is_zero()
+    # shifting a by x1 adds x1 V1, which is tangent but not d_pi-closed
+    field = cat.T1 * 2 * x(1)
+    assert contract(field, cat.df1).is_zero()
+    assert contract(field, cat.df2).is_zero()
     assert not d_pi(field, cat.poisson).is_zero()
-    corrupt_corrector(monkeypatch, lambda scaled: scaled + field)
+    corrupt_corrector(monkeypatch, lambda a, b: (a + x(1), b))
     assert_normalize_fails("correction field certificate failed at weight 1",
-                           capsys)
+                           monkeypatch, capsys)
 
 
 def test_tangency_certificate_catches_a_wrong_corrector(cat, monkeypatch,
                                                         capsys):
-    # E1 = Euler/2 is d_pi-closed, so only the tangency check sees it
+    # V1 + 2 E1 in place of V1: E1 = Euler/2 is d_pi-closed, and the
+    # torus check must refuse the field before any step is certified on it
     assert d_pi(cat.E1, cat.poisson).is_zero()
-    corrupt_corrector(monkeypatch, lambda scaled: scaled + cat.E1 * 2)
-    assert_normalize_fails("correction field is not tangent to the fibration "
-                           "at weight 1", capsys)
+
+    class SkewTorus(HomologyEngine):
+        def __init__(self):
+            super().__init__()
+            V1, V2 = self._torus
+            self._torus = (V1 + cat.E1 * 2, V2)
+
+    assert_normalize_fails("torus field V1 is not tangent to the fibration",
+                           monkeypatch, capsys, SkewTorus)
 
 
-def test_divergence_certificate_catches_a_wrong_corrector(cat, monkeypatch,
-                                                          capsys):
-    # a delta_pi stencil that halves its argument lets the doubled field
-    # through the first certificate; tangency holds, so the divergence check
-    # must fail
-    corrupt_corrector(monkeypatch, lambda scaled: scaled * 2)
-    stencil = cat.poisson.delta
-    monkeypatch.setattr(cat.poisson, "delta", SimpleNamespace(
-        apply=lambda a: stencil.apply(a * Q(1, 2))))
-    assert_normalize_fails("correction field divergence certificate failed "
-                           "at weight 1", capsys)
+def test_divergence_certificate_catches_a_wrong_corrector(monkeypatch, capsys):
+    # a d stencil that halves its argument: tangency and the delta_pi
+    # identity hold, so the divergence identity d(h star V1) = V1(h) mu of
+    # the torus check must fail
+    class HalvedD(HomologyEngine):
+        def __init__(self):
+            super().__init__()
+            self._d = halved(self._d)
+
+    assert_normalize_fails("torus certificate failed: d(h star V1) != "
+                           "V1(h) mu", monkeypatch, capsys, HalvedD)
+
+
+def test_torus_certificate_catches_a_halved_delta_pi_stencil(
+        cat, monkeypatch, capsys):
+    # pi/2 is Poisson too, so only the torus check's delta_pi identity,
+    # delta_pi(h star V1) = -V1(h) df1^df2, sees the halved stencil
+    monkeypatch.setattr(cat.poisson, "delta", halved(cat.poisson.delta))
+    assert_normalize_fails("torus certificate failed: delta_pi(h star V1) != "
+                           "-V1(h) df1^df2", monkeypatch, capsys)
+
+
+def test_torus_certificate_runs_once_per_engine(cat, monkeypatch, capsys):
+    # every compose of the torus check composes two different operators;
+    # the complex certificate composes delta_pi with itself
+    checks, torus = [], []
+    check, compose = HomologyEngine._check_torus, SliceOperator.compose
+    monkeypatch.setattr(HomologyEngine, "_check_torus",
+                        lambda eng: checks.append(eng) or check(eng))
+    monkeypatch.setattr(SliceOperator, "compose", lambda op, inner, idx: (
+        torus.append(idx) if inner is not op else None)
+        or compose(op, inner, idx))
+    monkeypatch.setattr(cli, "default_engine", HomologyEngine)
+    for suite in ("theorem1", "derham", "division"):
+        assert main(["verify", "--suite", suite, "--max-weight", "4"]) == 0
+    capsys.readouterr()
+    assert not checks and not torus
+    eng = HomologyEngine()
+    eng.normalize_volume_deformation(Polynomial.constant(4, 1) + cat.f1, 6)
+    assert not checks         # a Casimir g has no step to certify
+    for g in ("1+x1", "3/2+1/3*x1-x2^2+x1*x4", "1+x1+x2*x4+x3^3"):
+        eng.normalize_volume_deformation(parse_polynomial(g), 4)
+    assert checks and set(checks) == {eng}
+    # two fields, each with a delta_pi and a d identity of two composites
+    assert len(torus) == 8
+
+
+def test_normalizer_steps_apply_only_the_torus_stencils(monkeypatch):
+    # no step applies delta_pi or d, contracts, or builds star(X)
+    eng = HomologyEngine()
+    derivations = eng._check_torus()
+    applied = []
+    apply = SliceOperator.apply
+    monkeypatch.setattr(SliceOperator, "apply",
+                        lambda op, a: applied.append(op) or apply(op, a))
+
+    def refuse(*args):
+        raise AssertionError("a normalizer step left the torus stencils")
+
+    for name in ("contract", "de_rham", "star"):
+        monkeypatch.setattr(homology, name, refuse)
+    g = parse_polynomial("3/2+1/3*x1-x2^2+x1*x4")
+    q, steps = eng.normalize_volume_deformation(g, 6)
+    assert len(steps) == 6
+    assert applied == list(derivations) * len(steps)
 
 
 @pytest.mark.parametrize("g, corrected", [
@@ -828,14 +906,15 @@ class ThreeFormStepRoute(HomologyEngine):
     with X = -star_inv(tau), extended by the tangency conditions tau ^
     df1 = tau ^ df2 = 0 in the (4, w + 2) slice.  The Casimir generators
     mu * f1^a f2^b come first, so s*X is None exactly when r_i is a
-    Casimir slice.
+    Casimir slice.  `split_field` hands out (c_i, s*X, s) for
+    `normalize_by_fields`.
     """
 
     def __init__(self):
         super().__init__()
         self._deformation = {}
 
-    def _split_slice(self, ri, i):
+    def split_field(self, ri, i):
         cat = self.cat
         w = i + 4
         top = self.basis(4, w)
@@ -884,9 +963,11 @@ def three_form_route():
 
 
 def assert_certified(cat, ri, ci, scaled, s):
-    """The normalizer's three certificates on s*X against s*(r_i - c_i),
-    with d by the elementwise formula, and d_pi and the divergence also by
-    routes of their own: the Schouten bracket and star_inv d star."""
+    """The normalizer's former three certificates on s*X against
+    s*(r_i - c_i), on the expanded 3-form star(s*X): delta_pi, contraction
+    into df1 and df2, and d by the elementwise formula; d_pi and the
+    divergence also by routes of their own, the Schouten bracket and
+    star_inv d star."""
     residual = (ri - ci) * s
     tau = star(scaled)
     assert cat.poisson.delta.apply(tau) == cat.df1df2 * residual
@@ -897,19 +978,39 @@ def assert_certified(cat, ri, ci, scaled, s):
     assert divergence(scaled).coefficient(()) == -residual
 
 
+def normalize_by_fields(route, g, w_max):
+    """(q, [(weight, casimir_part, corrector)]) of the normalizer's loop on
+    route.split_field, which hands out (c_i, s*X, s) for any tangent X,
+    each step checked by `assert_certified`."""
+    r = g.inverse(w_max)
+    c = r.homogeneous_part(0)
+    steps = []
+    for i in range(1, w_max + 1):
+        ri = r.homogeneous_part(i)
+        if ri.is_zero():
+            continue
+        ci, scaled, s = route.split_field(ri, i)
+        c = c + ci
+        if scaled is not None:
+            assert_certified(route.cat, ri, ci, scaled, s)
+            steps.append((i, ci, scaled * Q(1, s)))
+    return c.inverse(w_max), steps
+
+
 @pytest.mark.parametrize("i", range(1, 7))
 def test_split_matches_the_three_form_route_on_every_monomial(
         engine, cat, three_form_route, i):
+    # the pair's field a V1 + b V2 passes the former certificates, which
+    # read neither the torus stencils nor the step identity
     for m in monomials_of_degree(4, i):
         ri = Polynomial.monomial(4, m)
-        ci, scaled, s = engine._split_slice(ri, i)
-        assert ci == three_form_route._split_slice(ri, i)[0], m
-        if scaled is None:
+        ci, pair, s = engine._split_slice(ri, i)
+        assert ci == three_form_route.split_field(ri, i)[0], m
+        if pair is None:
             assert ci == ri
             continue
-        assert all(type(c) is int for p in scaled.comps.values()
-                   for c in p.terms.values())
-        assert_certified(cat, ri, ci, scaled, s)
+        assert all(type(c) is int for p in pair for c in p.terms.values())
+        assert_certified(cat, ri, ci, pair_field(engine, pair), s)
 
 
 def test_normalizer_runs_no_linear_system(monkeypatch):
@@ -944,8 +1045,8 @@ def test_a_non_casimir_part_fails_the_recomposition(cat, monkeypatch, capsys):
     split = HomologyEngine._split_slice
 
     def corrupted(self, ri, i):
-        ci, scaled, s = split(self, ri, i)
-        assert scaled is None
+        ci, pair, s = split(self, ri, i)
+        assert pair is None
         return (ci + x(3) ** 2 if i == 2 else ci), None, s
 
     monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
@@ -962,16 +1063,16 @@ class TwoFormStepRoute(HomologyEngine):
 
     It solves delta_pi(tau) = (g_i - q_i) df1^df2 in the 2-form slice,
     with the delta_3 columns extended by the tangency conditions, and
-    X = star_inv(tau).  It hands s*X to the normalizer with s the lcm of
-    X's denominators, which the certificates accept as they accept any
-    scale.
+    X = star_inv(tau).  `split_field` hands s*X to `normalize_by_fields`
+    with s the lcm of X's denominators, which the certificates accept as
+    they accept any scale.
     """
 
     def __init__(self):
         super().__init__()
         self._deformation = {}
 
-    def _split_slice(self, gi, i):
+    def split_field(self, gi, i):
         cat = self.cat
         w = i + 4
         basis2 = self.basis(2, w)
@@ -1018,10 +1119,10 @@ def test_scalar_step_matches_two_form_route(engine, g):
     # Casimir part of each step are compared
     g = parse_polynomial(g)
     q, steps = engine.normalize_volume_deformation(g, 5)
-    q_ref, steps_ref = TwoFormStepRoute().normalize_volume_deformation(g, 5)
+    q_ref, steps_ref = normalize_by_fields(TwoFormStepRoute(), g, 5)
     assert q == q_ref
     assert ([(s.weight, s.casimir_part) for s in steps]
-            == [(s.weight, s.casimir_part) for s in steps_ref])
+            == [(w, qw) for w, qw, _ in steps_ref])
     assert steps
 
 

@@ -13,17 +13,24 @@ rational forms (hypothesis).  The map of d is the elementwise formula
 stencil itself; the two also agree on random forms of every degree on
 R^3 and R^4.  d_pi has no stencil of its own: its
 entries pair delta_pi's stencil with star o d_pi o star_inv, d_pi by the
-Schouten bracket, which is the identity through which the normalizer
-certifies d_pi(s*X) = s*(r_i - c_i) pi.  The two rational structures of
+Schouten bracket, which is the identity through which the normalizer's
+torus certificate reads d_pi(h V) off delta_pi(h star V).  The stencils
+of the torus fields V1 = 2 T1 and V2 = 2 T2 on functions have the Lie
+derivative as their map, and also equal it on every monomial through
+degree 4, as does the stencil of a field with constant and quadratic
+coefficients.  The two rational structures of
 test_poisson.py do not preserve the weight, so they have no slice
 matrices; their rows are checked against the five-point rows, and their
 images against the map basis element by basis element there.  The closed
 rows of delta_pi are also checked on random bivectors that need
 not be Poisson, and on those the composed rows of delta_pi o delta_pi
-(`SliceOperator.square`, the complex certificate) vanish exactly when
-[pi, pi] = 0.  The tangency conditions of the reference step systems of
-test_homology.py are wedges by df1 and df2 on the 3-form tau; their rows are checked against (iota_X df_k) mu
-for X = star_inv(tau), read off the contraction.
+(`SliceOperator.compose`, the complex certificate) vanish exactly when
+[pi, pi] = 0.  The composed rows equal one map applied after the other
+for the composites of the torus certificate and for the square of a Lie
+derivative.  The tangency conditions of the reference step systems of
+test_homology.py are wedges by df1 and df2 on the 3-form tau; their rows
+are checked against (iota_X df_k) mu for X = star_inv(tau), read off the
+contraction.
 """
 
 from itertools import combinations
@@ -34,11 +41,13 @@ from hypothesis import given, strategies as st
 
 from poisson_forge.exterior import (FORM, MULTIVECTOR, GradedElement,
                                     SliceOperator, _stencil_row, contract,
-                                    de_rham, divergence, enumerate_basis,
-                                    lie_derivative, star, star_inv, wedge,
-                                    wedge_operator)
+                                    de_rham, de_rham_operator,
+                                    derivation_operator, divergence,
+                                    enumerate_basis, lie_derivative, star,
+                                    star_inv, wedge, wedge_operator)
 from poisson_forge.poisson import PoissonStructure, d_pi, jacobi_poisson, schouten
-from poisson_forge.polynomials import Polynomial
+from poisson_forge.polynomials import Polynomial, monomials_of_degree
+from poisson_forge.rationals import Q
 from test_exterior import basis_element, element_at
 from test_poisson import delta_reference, rational_structures
 from test_properties import CHECKS, coefficients
@@ -48,7 +57,8 @@ NAMES = ["delta Lefschetz", "delta rational R^4", "delta rational R^3",
          "d_pi Lefschetz", "d_pi rational R^4", "d_pi rational R^3",
          "d", "df1 ^ .", "df2 ^ .", "df1^df2 ^ .",
          "contract(star_inv(.), df1)", "contract(star_inv(.), df2)",
-         "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * ."]
+         "x1^2+x2^2 * .", "x3^2+x4^2 * .", "x1*x3+x2*x4 * .", "x1*x4-x2*x3 * .",
+         "V1 on functions", "V2 on functions"]
 
 
 def sampled(fn, n, shift):
@@ -108,9 +118,14 @@ def instances(cat, engine):
             lambda tau, df=df: cat.mu * contract(star_inv(tau),
                                                  df).coefficient(()),
             4, [3], 2)
-    for name, g in zip(NAMES[-4:], cat.ideal_generators):
+    for name, g in zip(NAMES[-6:-2], cat.ideal_generators):
         out[name] = (wedge_operator(GradedElement.from_polynomial(g)),
                      lambda b, g=g: b * g, 4, [0], 2)
+    # the torus fields of the normalizer's step identity
+    for name, V in zip(NAMES[-2:], (cat.T1 * 2, cat.T2 * 2)):
+        out[name] = (derivation_operator(V),
+                     lambda h, V=V: GradedElement.from_polynomial(
+                         lie_derivative(V, h.coefficient(()))), 4, [0], 0)
     assert sorted(out) == sorted(NAMES)
     return out
 
@@ -284,10 +299,10 @@ def bivectors(draw, n):
     return jacobi_poisson(fns, n).bivector
 
 
-def square_at(op, idx, m):
-    """fn(fn(x^m dx_idx)) from op.square(idx), evaluated at m."""
+def compose_at(op, inner, idx, m):
+    """fn(inner(x^m dx_idx)) from op.compose(inner, idx), evaluated at m."""
     comps = {}
-    for (K, u), q in op.square(idx).items():
+    for (K, u), q in op.compose(inner, idx).items():
         v = 0
         for key, c in q.items():
             for i in (key if isinstance(key, tuple) else (key,)):
@@ -311,13 +326,14 @@ def test_stencil_square_certifies_exactly_the_poisson_bivectors(n, data):
     P = PoissonStructure(pi)
     tuples = [idx for k in range(n + 1)
               for idx in combinations(range(1, n + 1), k)]
-    certified = not any(P.delta.square(idx) for idx in tuples)
+    certified = not any(P.delta.compose(P.delta, idx) for idx in tuples)
     assert certified == schouten(pi, pi).is_zero()
     # and the composed rows are delta_pi o delta_pi, including at m_i = 0
     idx = data.draw(st.sampled_from(tuples))
     m = data.draw(st.tuples(*[st.integers(0, 2)] * n))
     a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
-    assert P.delta.apply(P.delta.apply(a)).comps == square_at(P.delta, idx, m)
+    assert P.delta.apply(P.delta.apply(a)).comps == \
+        compose_at(P.delta, P.delta, idx, m)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -334,7 +350,49 @@ def test_square_composes_a_map_of_order_one_with_itself(n, data):
     m = data.draw(st.tuples(*[st.integers(0, 2)] * n))
     a = GradedElement.basis(n, FORM, idx, Polynomial.monomial(n, m))
     assert lie_derivative(X, lie_derivative(X, a)).comps == \
-        square_at(op, idx, m)
+        compose_at(op, op, idx, m)
+
+
+def torus_composites(cat):
+    """name -> (fn, inner) for the composites of the torus certificate."""
+    V1, V2 = cat.T1 * 2, cat.T2 * 2
+    return {"delta_pi o (. star V1)": (cat.poisson.delta,
+                                       wedge_operator(star(V1))),
+            "(df1^df2) o L_V2": (wedge_operator(cat.df1df2),
+                                 derivation_operator(V2)),
+            "d o (. star V2)": (de_rham_operator(4), wedge_operator(star(V2)))}
+
+
+@pytest.mark.parametrize("name", ["delta_pi o (. star V1)", "(df1^df2) o L_V2",
+                                  "d o (. star V2)"])
+def test_compose_equals_apply_after_apply(cat, name):
+    # on every monomial function through degree 4, m_i = 0 included
+    op, inner = torus_composites(cat)[name]
+    for d in range(5):
+        for m in monomials_of_degree(4, d):
+            h = GradedElement.from_polynomial(Polynomial.monomial(4, m))
+            assert op.apply(inner.apply(h)).comps == \
+                compose_at(op, inner, (), m), m
+
+
+def test_derivation_stencil_is_the_lie_derivative(cat):
+    # V1 and V2, and a field with constant and quadratic coefficients
+    x1, x2, x4 = (Polynomial.variable(4, i) for i in (1, 2, 4))
+    mixed = GradedElement(4, 1, MULTIVECTOR, {
+        (1,): Polynomial.constant(4, 3), (2,): x1 * x4 * -2 + x2 * x2,
+        (4,): Polynomial.constant(4, Q(1, 2)) + x1 * x1})
+    for V in (cat.T1 * 2, cat.T2 * 2, mixed):
+        op = derivation_operator(V)
+        assert op.shift == 0
+        for d in range(5):
+            for m in monomials_of_degree(4, d):
+                h = Polynomial.monomial(4, m)
+                assert op.apply(GradedElement.from_polynomial(h)) == \
+                    GradedElement.from_polynomial(lie_derivative(V, h)), m
+    with pytest.raises(ValueError, match="acts on functions, not on 1-forms"):
+        derivation_operator(mixed).row((1,))
+    with pytest.raises(ValueError, match="needs a vector field"):
+        derivation_operator(cat.pi)
 
 
 @pytest.mark.parametrize("n", [3, 4])

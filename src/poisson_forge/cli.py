@@ -4,7 +4,7 @@ Subcommands: homology, hilbert, kernels, division, nf, verify, normalize.
 All take --format and --output.  The five that truncate at a working
 weight take --max-weight, 12 by default: homology, hilbert, kernels,
 verify and normalize.  division is sized by --max-degree and nf by its
-input alone, of degree at most the working weight cap, so neither takes
+input alone, each at most the working weight cap, so neither takes
 one, and their reports carry no weight
 (max_weight null in JSON, no "max weight" line in text).  Exit codes:
 0 all requested verdicts pass, 1 some verdict failed, 2 usage or parse
@@ -25,9 +25,9 @@ from .poisson import verify_identity_suite
 from .reports import ReportDocument, emit_report
 from .series import H_SERIES, KERNEL3_PRINTED, KERNEL_SERIES
 
-# The highest weight of each computation.  A working weight above
-# "working weight" is a usage error, and so is an nf polynomial of higher
-# degree or a product the parser would expand past it; each other entry
+# The highest weight of each computation.  A working weight, a division
+# --max-degree or an nf polynomial degree above "working weight" is a usage
+# error, as is a product the parser would expand past it; each other entry
 # cuts the working weight of its computation and notes the cut in the report.
 WEIGHT_CAPS = {
     "working weight": MAX_DEGREE,
@@ -51,17 +51,14 @@ def _parse(text):
         _usage_error("parse error: %s" % exc)
 
 
-def _working_weight(args):
-    """The checked --max-weight, or None for a command that takes none."""
-    w = getattr(args, "max_weight", None)
-    if w is None:
-        return None
+def _bounded(name, value):
+    """value, a usage error if it is negative or above the working weight cap."""
     cap = WEIGHT_CAPS["working weight"]
-    if w < 0:
-        _usage_error("max weight %d is negative" % w)
-    if w > cap:
-        _usage_error("max weight %d beyond configured maximum %d" % (w, cap))
-    return w
+    if value < 0:
+        _usage_error("%s %d is negative" % (name, value))
+    if value > cap:
+        _usage_error("%s %d beyond configured maximum %d" % (name, value, cap))
+    return value
 
 
 def _capped(doc, w_max, label):
@@ -292,7 +289,9 @@ def run_command(argv):
 
 
 def _execute(args, argv):
-    w_max = _working_weight(args)
+    w_max = getattr(args, "max_weight", None)   # None where it is not taken
+    if w_max is not None:
+        _bounded("max weight", w_max)
     echo = []
     skip = False
     for a in argv:
@@ -321,8 +320,7 @@ def _execute(args, argv):
         elif args.cmd == "kernels":
             _kernels_block(doc, eng, w_max)
         elif args.cmd == "division":
-            if args.max_degree < 0:
-                _usage_error("max degree %d is negative" % args.max_degree)
+            _bounded("max degree", args.max_degree)
             if args.p == 1:
                 _division1_block(doc, args.max_degree)
             elif args.p == 2:

@@ -290,22 +290,14 @@ def divergence(v):
 
 
 def lie_derivative(v, g):
-    """Lie derivative along a vector field of a Polynomial or a form (Cartan)."""
+    """Lie derivative of a form g along a vector field v by Cartan's formula;
+    `derivation_operator(v)` is v on functions."""
+    if not isinstance(g, GradedElement) or g.kind != FORM:
+        raise ValueError("lie_derivative acts on forms; on a function h, "
+                         "apply derivation_operator(v) to "
+                         "GradedElement.from_polynomial(h)")
     if v.kind != MULTIVECTOR or v.degree != 1 or v.n != g.n:
         raise ValueError("lie_derivative needs a vector field on g's R^n")
-    if isinstance(g, Polynomial):
-        # v(g) term by term: a x^e d_j (c x^m) = a c m_j x^(m - e_j + e)
-        terms = {}
-        for (j,), p in v.comps.items():
-            shifts = [(_lowered(e, j), a) for e, a in p.terms.items()]
-            for m, c in g.terms.items():
-                if m[j - 1]:
-                    for t, a in shifts:
-                        mt = tuple(map(add, m, t))
-                        terms[mt] = terms.get(mt, 0) + a * c * m[j - 1]
-        return Polynomial._of(g.n, {m: exact(c) for m, c in terms.items() if c})
-    if g.kind != FORM:
-        raise ValueError("lie_derivative acts on polynomials or forms")
     if g.degree == 0:
         return contract(v, de_rham(g))
     if g.degree == g.n:     # d of a top form is zero
@@ -558,19 +550,20 @@ class SliceOperator:
                              "operator on R^%d" % (a.n, self.n))
         comps = {}
         for idx, p in a.comps.items():
-            row = self.row(idx)
-            for m, coeff in p.terms.items():
-                for J, t, c0, c in row:
+            for J, t, c0, c in self.row(idx):
+                terms = comps.setdefault(J, {})
+                for m, coeff in p.terms.items():
                     v = c0
                     for i, ci in c:
                         v += ci * m[i]
                     if v:
-                        terms = comps.setdefault(J, {})
                         mt = tuple(map(add, m, t))
                         terms[mt] = terms.get(mt, 0) + coeff * v
-        degree = min(max(a.degree + self.shift, 0), self.n)
-        return GradedElement(a.n, degree, FORM,
-                             {J: Polynomial(a.n, t) for J, t in comps.items()})
+        out = a._like({})     # unchecked: the rows make no bad index or exponent
+        out.degree = min(max(a.degree + self.shift, 0), self.n)
+        out.comps = {J: Polynomial._of(a.n, nonzero) for J, t in comps.items()
+                     if (nonzero := {m: exact(c) for m, c in t.items() if c})}
+        return out
 
 
 @cache
@@ -606,7 +599,8 @@ def wedge_operator(a):
 def derivation_operator(v):
     """The SliceOperator of h -> v(h) on functions for a fixed vector field
     v, its row in closed form from v's terms: for each term c x^s e_i,
-    c x^s d_i(x^m) = c m_i x^(m + s - e_i).  It has a row for 0-forms only."""
+    c x^s d_i(x^m) = c m_i x^(m + s - e_i).  It has a row for 0-forms only,
+    and is the one reader of a field on functions in the package."""
     if v.kind != MULTIVECTOR or v.degree != 1:
         raise ValueError("derivation_operator needs a vector field")
 

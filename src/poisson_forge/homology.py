@@ -65,13 +65,14 @@ L1 a + L2 b = -s (r_i - c_i).  Then s*X = a V1 + b V2 is tangent with
 div(X) = -(r_i - c_i), so d_pi(X) = (r_i - c_i) pi by
 [X, pi] = -div(X) pi.  Each step is certified by that one identity,
 V1(a) + V2(b) = -s (r_i - c_i), read through the stencils of V1 and V2
-on functions (`exterior.derivation_operator`), not through
-`lie_derivative`, which the split uses.  By linearity over functions it
-carries every fact on X through the torus identities, certified once per
-engine on composed stencil rows, so for every weight at once
-(`_check_torus`): for V = V1, V2, iota_V df1 = iota_V df2 = 0,
-delta_pi(h star V) = -V(h) df1^df2 and d(h star V) = V(h) mu.  So s*X is
-tangent, delta_pi(star(s*X)) = s (r_i - c_i) df1^df2, which is
+on functions (`exterior.derivation_operator`) that the split applies.
+By linearity over functions it carries every fact on X through the
+torus identities, certified once per engine on composed stencil rows,
+so for every weight at once (`_check_torus`): for V = V1, V2,
+iota_V df1 = iota_V df2 = 0, delta_pi(h star V) = -V(h) df1^df2 and
+d(h star V) = V(h) mu.  The wedge by df1^df2 is injective on functions,
+so they pin each stencil, and the step holds whatever produced (a, b).
+So s*X is tangent, delta_pi(star(s*X)) = s (r_i - c_i) df1^df2, which is
 d_pi(s*X) = s (r_i - c_i) pi since star o d_pi = delta_pi o star and
 star(pi) = df1^df2, and d(star(s*X)) = div(s*X) mu = -s (r_i - c_i) mu.
 Each homogeneous part of q = 1/(sum c_i) is recomposed over the
@@ -90,7 +91,7 @@ from operator import add
 from .catalog import lefschetz_catalog
 from .exterior import (FORM, GradedElement, contract, de_rham,
                        de_rham_operator, derivation_operator, enumerate_basis,
-                       lie_derivative, star, wedge, wedge_operator)
+                       star, wedge, wedge_operator)
 from .linalg import ExactMatrix, InvariantViolation, QEchelon
 from .polynomials import Polynomial
 from .rationals import Q
@@ -325,12 +326,11 @@ class HomologyEngine:
         x^m at once, delta_pi(h star V) = -V(h) df1^df2 and d(h star V) =
         V(h) mu.  The first reads delta_pi's stencil, the second d's; both
         read the wedge by star V, and the right-hand sides the stencil of V
-        on functions that the step applies.
+        on functions that the split and the step apply.
         """
         if self._torus_derivations is None:
             cat = self.cat
             delta = cat.poisson.delta
-            derivations = []
             for name, V in zip(("V1", "V2"), self._torus):
                 if contract(V, cat.df1) or contract(V, cat.df2):
                     raise InvariantViolation("torus field %s is not tangent "
@@ -347,8 +347,8 @@ class HomologyEngine:
                     raise InvariantViolation(
                         "torus certificate failed: d(h star %s) != %s(h) mu"
                         % (name, name))
-                derivations.append(L)
-            self._torus_derivations = tuple(derivations)
+            self._torus_derivations = tuple(map(derivation_operator,
+                                                self._torus))
         return self._torus_derivations
 
     def class_echelon(self, k, w):
@@ -591,13 +591,14 @@ class HomologyEngine:
         div(X) = -(r_i - c_i); the pair is None when r_i = c_i.  By the
         module docstring's torus split on integer numerators: r_i = R/D,
         k2 = K2/(D M2), c_i = C/(D M2 M1), and D (M1 M2)^2 X = (A M2) V1 +
-        (B M1^2) V2."""
-        V1, V2 = self._torus
+        (B M1^2) V2.  A Casimir g runs no torus check."""
+        L1, L2 = map(derivation_operator, self._torus)
         D = lcm(*(c.denominator for c in ri.terms.values()))
-        K2, M2, B = _torus_split(V2, -1, i, ri * D)
-        C, M1, A = _torus_split(V1, 1, i, K2)
-        ci = C * Q(1, D * M2 * M1)
-        a, b = A * M2, B * (M1 * M1)
+        R = GradedElement.from_polynomial(ri * D)
+        K2, M2, B = _torus_split(L2, -1, i, R)
+        C, M1, A = _torus_split(L1, 1, i, K2)
+        ci = C.coefficient(()) * Q(1, D * M2 * M1)
+        a, b = A.coefficient(()) * M2, B.coefficient(()) * (M1 * M1)
         if not (a or b):
             return ci, None, 1
         den = D * (M1 * M2) ** 2
@@ -605,20 +606,21 @@ class HomologyEngine:
         return ci, (a * Q(1, g), b * Q(1, g)), den // g
 
 
-def _torus_split(V, sign, d, p):
-    """(K, m0, A) with p = K/m0 + L(-A/m0^2) and L(K) = 0 for L = L_V, whose
-    square is -sign * lam off its kernel on degree d, lam in E_d: K = prod
-    (L^2 + sign * lam) p, and off the kernel m(L^2) = 0 for m(t) = prod (t +
-    sign * lam), so A = L h(L^2) (m0 p - K) with m0 = m(0), h = (m - m0)/t."""
+def _torus_split(L, sign, d, p):
+    """(K, m0, A) with p = K/m0 + L(-A/m0^2) and L(K) = 0 on 0-forms for the
+    stencil L of a torus field, whose square is -sign * lam off its kernel
+    on degree d, lam in E_d: K = prod (L^2 + sign * lam) p, and off the
+    kernel m(L^2) = 0 for m(t) = prod (t + sign * lam), so A = L h(L^2)
+    (m0 p - K) with m0 = m(0), h = (m - m0)/t."""
     m = [1]            # coefficients of m, constant term first
     K = p
     for lam in (k * k for k in range(2 - d % 2, d + 1, 2)):
-        K = lie_derivative(V, lie_derivative(V, K)) + K * (sign * lam)
+        K = L.apply(L.apply(K)) + K * (sign * lam)
         m = [sign * lam * c + c1 for c, c1 in zip(m + [0], [0] + m)]
     acc = rest = p * m[0] - K
     for c in reversed(m[1:-1]):
-        acc = lie_derivative(V, lie_derivative(V, acc)) + rest * c
-    return K, m[0], lie_derivative(V, acc)
+        acc = L.apply(L.apply(acc)) + rest * c
+    return K, m[0], L.apply(acc)
 
 
 @cache

@@ -143,6 +143,8 @@ def test_negative_weight_is_a_usage_error(capsys):
     (["normalize", "--g", "x1^-1"],
      "parse error: negative exponents rejected (at offset 3)\n"),
     (["division", "--max-degree", "-1"], "max degree -1 is negative\n"),
+    (["division", "--max-degree", "21"],
+     "max degree 21 beyond configured maximum 20\n"),
     (["hilbert", "--group", "H0", "--max-weight", "-1"],
      "max weight -1 is negative\n"),
     (["hilbert", "--group", "H0", "--max-weight", "21"],
@@ -158,9 +160,10 @@ def test_negative_weight_is_a_usage_error(capsys):
      "g must have positive constant term, not 0\n"),
     (["normalize", "--g", "-1/2+x1"],
      "g must have positive constant term, not -1/2\n"),
-], ids=["nf-parse", "normalize-parse", "max-degree", "weight-negative",
-        "weight-over-cap", "nf-degree-over-cap", "normalize-power-over-cap",
-        "normalize-zero-constant", "normalize-negative-constant"])
+], ids=["nf-parse", "normalize-parse", "max-degree", "max-degree-over-cap",
+        "weight-negative", "weight-over-cap", "nf-degree-over-cap",
+        "normalize-power-over-cap", "normalize-zero-constant",
+        "normalize-negative-constant"])
 def test_usage_errors_raise_system_exit(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
@@ -327,7 +330,11 @@ def test_emit_report_bad_format():
 # see.  The last three pin the reports of the maps read through five
 # monomials per row (the identity suite alone), through wedge operators
 # (a D^3 table) and through the normalizer's split (a normalizer at weight
-# 10; the pin was taken on the former step system of tangency wedges)
+# 10; the pin was taken on the former step system of tangency wedges).  The
+# last pins a normalizer at the working weight 20, so that the split's
+# products at degrees 11-20 are pinned too; it was taken on the split
+# through the polynomial Lie derivative, before the split read the torus
+# stencils
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
@@ -349,6 +356,8 @@ def test_emit_report_bad_format():
      "5b1a008b0e29e4e7412d133072442dcc8d75365cdf9d715245d881a8bf67f6fc"),
     (["normalize", "--g", "1+x1+x2*x4+x3^3", "--max-weight", "10"], 0,
      "79da061bc49b71afecc6a39b03931459b57ba63a2fd997bd1131f14a1adddf4a"),
+    (["normalize", "--g", "3/2+1/3*x1-x2^2+x1*x4", "--max-weight", "20"], 0,
+     "5d4a5600111828f4002035306ea62c89564a48c7ed064ac98a2a5c4da0413e64"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code

@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb
 
 import pytest
@@ -191,14 +192,22 @@ def test_basis_coords_roundtrip():
 
 
 def test_lie_derivative_examples(cat):
-    assert lie_derivative(cat.E2, cat.f1) == cat.f2
-    assert lie_derivative(cat.T1, cat.f2).is_zero()
+    form0 = GradedElement.from_polynomial
+    assert lie_derivative(cat.E2, form0(cat.f1)) == form0(cat.f2)
+    assert lie_derivative(cat.T1, form0(cat.f2)).is_zero()
     d1 = GradedElement.basis(4, MULTIVECTOR, (1,))
-    assert lie_derivative(d1, Polynomial.variable(4, 1)) == \
-        Polynomial.constant(4, 1)
+    assert lie_derivative(d1, form0(Polynomial.variable(4, 1))) == \
+        form0(Polynomial.constant(4, 1))
     assert lie_derivative(cat.T2, cat.zeta1).is_zero()
     for g in (Polynomial.variable(3, 1), Polynomial.variable(5, 5)):
         with pytest.raises(ValueError, match="vector field on g's R"):
+            lie_derivative(cat.T1, form0(g))
+    # a function is refused, with the two ways to act on it named, and so
+    # is a multivector
+    for g in (cat.f1, Polynomial.variable(3, 1), cat.T2):
+        with pytest.raises(ValueError, match=re.escape(
+                "lie_derivative acts on forms; on a function h, apply "
+                "derivation_operator(v) to GradedElement.from_polynomial(h)")):
             lie_derivative(cat.T1, g)
 
 

@@ -540,7 +540,8 @@ def generic_exp_flow(field, h, w_max):
     result = term = truncate(h, w_max)
     for m in range(1, w_max + 2):
         # term = D^m h / m!
-        term = truncate(lie_derivative(field, term) - div * term, w_max) * Q(1, m)
+        lie = lie_derivative(field, GradedElement.from_polynomial(term))
+        term = truncate(lie.coefficient(()) - div * term, w_max) * Q(1, m)
         if term.is_zero():
             break
         result = result + term
@@ -863,13 +864,24 @@ def test_torus_certificate_runs_once_per_engine(cat, monkeypatch, capsys):
 
 
 def test_normalizer_steps_apply_only_the_torus_stencils(monkeypatch):
-    # no step applies delta_pi or d, contracts, or builds star(X)
+    # no step applies delta_pi or d, contracts, or builds star(X): each
+    # step's certificate applies the two torus stencils once, and the split
+    # applies them and no other operator
     eng = HomologyEngine()
     derivations = eng._check_torus()
-    applied = []
-    apply = SliceOperator.apply
+    applied, in_split = [], []
+    apply, split = SliceOperator.apply, HomologyEngine._split_slice
     monkeypatch.setattr(SliceOperator, "apply",
                         lambda op, a: applied.append(op) or apply(op, a))
+
+    def spied_split(self, ri, i):
+        start = len(applied)
+        out = split(self, ri, i)
+        in_split.extend(applied[start:])
+        del applied[start:]
+        return out
+
+    monkeypatch.setattr(HomologyEngine, "_split_slice", spied_split)
 
     def refuse(*args):
         raise AssertionError("a normalizer step left the torus stencils")
@@ -880,6 +892,7 @@ def test_normalizer_steps_apply_only_the_torus_stencils(monkeypatch):
     q, steps = eng.normalize_volume_deformation(g, 6)
     assert len(steps) == 6
     assert applied == list(derivations) * len(steps)
+    assert set(in_split) == set(derivations)
 
 
 @pytest.mark.parametrize("g, corrected", [

@@ -16,9 +16,9 @@ entries pair delta_pi's stencil with star o d_pi o star_inv, d_pi by the
 Schouten bracket, which is the identity through which the normalizer's
 torus certificate reads d_pi(h V) off delta_pi(h star V).  The stencils
 of the torus fields V1 = 2 T1 and V2 = 2 T2 on functions have the Lie
-derivative as their map, and also equal it on every monomial through
-degree 4, as does the stencil of a field with constant and quadratic
-coefficients.  The two rational structures of
+derivative on 0-forms by Cartan's formula (`lie_derivative`, iota_V d)
+as their map, and also equal it on every monomial through degree 4, as
+does the stencil of a field with constant and quadratic coefficients.  The two rational structures of
 test_poisson.py do not preserve the weight, so they have no slice
 matrices; their rows are checked against the five-point rows, and their
 images against the map basis element by basis element there.  The closed
@@ -121,11 +121,11 @@ def instances(cat, engine):
     for name, g in zip(NAMES[-6:-2], cat.ideal_generators):
         out[name] = (wedge_operator(GradedElement.from_polynomial(g)),
                      lambda b, g=g: b * g, 4, [0], 2)
-    # the torus fields of the normalizer's step identity
+    # the torus fields of the normalizer's split and step identity, against
+    # Cartan's formula on 0-forms
     for name, V in zip(NAMES[-2:], (cat.T1 * 2, cat.T2 * 2)):
-        out[name] = (derivation_operator(V),
-                     lambda h, V=V: GradedElement.from_polynomial(
-                         lie_derivative(V, h.coefficient(()))), 4, [0], 0)
+        out[name] = (derivation_operator(V), lambda h, V=V: lie_derivative(V, h),
+                     4, [0], 0)
     assert sorted(out) == sorted(NAMES)
     return out
 
@@ -386,9 +386,8 @@ def test_derivation_stencil_is_the_lie_derivative(cat):
         assert op.shift == 0
         for d in range(5):
             for m in monomials_of_degree(4, d):
-                h = Polynomial.monomial(4, m)
-                assert op.apply(GradedElement.from_polynomial(h)) == \
-                    GradedElement.from_polynomial(lie_derivative(V, h)), m
+                h = GradedElement.from_polynomial(Polynomial.monomial(4, m))
+                assert op.apply(h) == lie_derivative(V, h), m
     with pytest.raises(ValueError, match="acts on functions, not on 1-forms"):
         derivation_operator(mixed).row((1,))
     with pytest.raises(ValueError, match="needs a vector field"):

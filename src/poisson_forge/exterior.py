@@ -541,6 +541,20 @@ class SliceOperator:
             out.append({k: v for k, v in img.items() if v})
         return out
 
+    def apply_terms(self, idx, terms, comps):
+        """Add fn(sum c x^m dx_idx) for terms {m: c} into comps {J: {m: c}},
+        zeros left in, and return comps: the loop of `apply` and the split's."""
+        for J, t, c0, c in self.row(idx):
+            out = comps.setdefault(J, {})
+            for m, coeff in terms.items():
+                v = c0
+                for i, ci in c:
+                    v += ci * m[i]
+                if v:
+                    mt = tuple(map(add, m, t))
+                    out[mt] = out.get(mt, 0) + coeff * v
+        return comps
+
     def apply(self, a):
         """fn(a) for any form a on R^n."""
         if a.kind != FORM:
@@ -550,15 +564,7 @@ class SliceOperator:
                              "operator on R^%d" % (a.n, self.n))
         comps = {}
         for idx, p in a.comps.items():
-            for J, t, c0, c in self.row(idx):
-                terms = comps.setdefault(J, {})
-                for m, coeff in p.terms.items():
-                    v = c0
-                    for i, ci in c:
-                        v += ci * m[i]
-                    if v:
-                        mt = tuple(map(add, m, t))
-                        terms[mt] = terms.get(mt, 0) + coeff * v
+            self.apply_terms(idx, p.terms, comps)
         out = a._like({})     # unchecked: the rows make no bad index or exponent
         out.degree = min(max(a.degree + self.shift, 0), self.n)
         out.comps = {J: Polynomial._of(a.n, nonzero) for J, t in comps.items()

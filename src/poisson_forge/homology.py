@@ -75,8 +75,11 @@ so they pin each stencil, and the step holds whatever produced (a, b).
 So s*X is tangent, delta_pi(star(s*X)) = s (r_i - c_i) df1^df2, which is
 d_pi(s*X) = s (r_i - c_i) pi since star o d_pi = delta_pi o star and
 star(pi) = df1^df2, and d(star(s*X)) = div(s*X) mu = -s (r_i - c_i) mu.
-Each homogeneous part of q = 1/(sum c_i) is recomposed over the
-f1^a f2^b (`is_casimir_slice`), which certifies q.
+Each c_i is recomposed over the f1^a f2^b (`is_casimir_slice`), which
+certifies q = 1/(sum c_i) too: R[[f1, f2]] is closed under inverses.  From
+1/g to q each slice is an integer numerator over one denominator
+(`Polynomial.inverse_slices`), so the split, the step identity, cleared of
+both denominators, and the recomposition run on integers.
 
 The representative and module-structure checks return finished report
 rows, dicts in the key order the report prints.
@@ -97,9 +100,11 @@ from .polynomials import Polynomial
 from .rationals import Q
 
 
-# one certified normalizer step on the weight-i slice r_i of 1/g: its Casimir
-# part c_i, a slice of 1/q, and the tangent X with d_pi(X) = (r_i - c_i) pi
-DeformationStep = namedtuple("DeformationStep", "weight casimir_part corrector")
+class DeformationStep(namedtuple("Step", "weight casimir_part a b s torus")):
+    """One certified step on the weight-i slice of 1/g: its Casimir part, a
+    slice of 1/q, and the pair of s*X = a V1 + b V2; X is built when read."""
+    corrector = property(lambda t: (t.torus[0] * t.a + t.torus[1] * t.b)
+                         * Q(1, t.s))
 
 
 CASIMIR = "R[[f1,f2]]"
@@ -170,8 +175,9 @@ def _family_table(cat, d):
     ]
 
 
+@cache
 def f_monomials(cat, degree):
-    """Monomials f1^a f2^b of x-degree `degree`, largest (a,b) first."""
+    """Monomials f1^a f2^b of x-degree `degree`, largest (a,b) first; cached."""
     if degree < 0 or degree % 2:
         return []
     half = degree // 2
@@ -180,14 +186,16 @@ def f_monomials(cat, degree):
 
 
 def is_casimir_slice(cat, part, degree):
-    """Whether the degree-`degree` slice `part` is a combination of the
-    f1^a f2^b.  The lex-leading monomial of f1^a f2^b, x1^(2a+b) x2^b with
-    coefficient 2^b, is in no f-monomial of smaller a, so a descending
-    reads each coefficient off the remainder, which must end at zero."""
+    """Whether the degree-`degree` slice with terms `part` (monomial -> nonzero
+    coefficient) is a combination of the f1^a f2^b.  The lex-leading
+    monomial of f1^a f2^b, x1^(2a+b) x2^b with coefficient 2^b, is in no
+    f-monomial of smaller a, so a descending reads each coefficient c off
+    the remainder, times 2^b to keep integers, which must end at zero."""
     for (a, b), fm in f_monomials(cat, degree):
-        c = part.coefficient((2 * a + b, b, 0, 0))
-        part = part - fm * Q(c, 2 ** b)
-    return part.is_zero()
+        c = part.get((2 * a + b, b, 0, 0))
+        if c:
+            part = _combine(2 ** b, part, -c, fm.terms)
+    return not part
 
 
 def a_monomials(degree):
@@ -548,79 +556,79 @@ class HomologyEngine:
         the X_i and 1/q = sum c_i, mu/g - mu/q = -d(iota_X mu), and the Moser
         argument above carries g*pi to q*pi.  Returns (q, transcript).
         """
-        cat = self.cat
         if not isinstance(g, Polynomial):
             raise TypeError("g must be a Polynomial")
         if g.constant_term() <= 0:
             raise ValueError("g must have positive constant term")
-        r = g.inverse(w_max)
-        c = r.homogeneous_part(0)
-        transcript = []
-        for i in range(1, w_max + 1):
-            ri = r.homogeneous_part(i)
-            if ri.is_zero():
-                continue
-            ci, pair, s = self._split_slice(ri, i)
-            c = c + ci
+        r = g.inverse_slices(w_max)
+        casimir, transcript = r[:1], []
+        for i, (R, den) in enumerate(r[1:], 1):
+            C, Dc, pair, s = self._split_slice(R, den, i)
+            if not is_casimir_slice(self.cat, C, i):
+                raise InvariantViolation("normalized factor is not a Casimir "
+                                         "series at degree %d" % i)
+            casimir.append((C, Dc))
             if pair is None:       # already a pure Casimir slice
                 continue
             # an exact certificate on s*X = a V1 + b V2, never trusted
             # silently: with the torus identities, V1(a) + V2(b) =
-            # -s (r_i - c_i) makes s*X tangent with d_pi(s*X) =
-            # s (r_i - c_i) pi and div(s*X) = -s (r_i - c_i)
+            # -s (r_i - c_i), here times den*Dc, makes s*X tangent with
+            # d_pi(s*X) = s (r_i - c_i) pi and div(s*X) = -s (r_i - c_i)
             L1, L2 = self._check_torus()
             a, b = pair
-            div = L1.apply(GradedElement.from_polynomial(a)) \
-                + L2.apply(GradedElement.from_polynomial(b))
-            if div.coefficient(()) != (ci - ri) * s:
+            div = L2.apply_terms((), b, L1.apply_terms((), a, {}))[()]
+            if _combine(Dc * den, div, 0, {}) != \
+                    _combine(s * den, C, -s * Dc, R):
                 raise InvariantViolation("correction field certificate failed "
                                          "at weight %d" % i)
-            V1, V2 = self._torus
-            corrector = (V1 * a + V2 * b) * Q(1, s)
-            transcript.append(DeformationStep(i, ci, corrector))
-        q = c.inverse(w_max)
-        for d, part in q.homogeneous_parts().items():
-            if not is_casimir_slice(cat, part, d):
-                raise InvariantViolation("normalized factor is not a Casimir "
-                                         "series at degree %d" % d)
-        return q, transcript
+            transcript.append(DeformationStep(
+                i, Polynomial.of_slices(4, [(C, Dc)]), Polynomial._of(4, a),
+                Polynomial._of(4, b), s, self._torus))
+        return Polynomial.of_slices(4, casimir).inverse(w_max), transcript
 
-    def _split_slice(self, ri, i):
-        """(c_i, (a, b), s) for a weight-i slice r_i: its Casimir part c_i
-        and the integral pair of s*X = a V1 + b V2, a tangent X with
+    def _split_slice(self, R, den, i):
+        """(C, Dc, (a, b), s) for the weight-i slice r_i = R/den, R a map
+        monomial -> nonzero int and den > 0: its Casimir part c_i = C/Dc and
+        the integral pair of s*X = a V1 + b V2, s > 0, a tangent X with
         div(X) = -(r_i - c_i); the pair is None when r_i = c_i.  By the
-        module docstring's torus split on integer numerators: r_i = R/D,
-        k2 = K2/(D M2), c_i = C/(D M2 M1), and D (M1 M2)^2 X = (A M2) V1 +
-        (B M1^2) V2.  A Casimir g runs no torus check."""
+        module docstring's torus split, c_i = C/(den M2 M1) and den (M1
+        M2)^2 X = (A M2) V1 + (B M1^2) V2.  A Casimir g runs no torus check."""
         L1, L2 = map(derivation_operator, self._torus)
-        D = lcm(*(c.denominator for c in ri.terms.values()))
-        R = GradedElement.from_polynomial(ri * D)
         K2, M2, B = _torus_split(L2, -1, i, R)
         C, M1, A = _torus_split(L1, 1, i, K2)
-        ci = C.coefficient(()) * Q(1, D * M2 * M1)
-        a, b = A.coefficient(()) * M2, B.coefficient(()) * (M1 * M1)
-        if not (a or b):
-            return ci, None, 1
-        den = D * (M1 * M2) ** 2
-        g = gcd(den, *(c for p in (a, b) for c in p.terms.values()))
-        return ci, (a * Q(1, g), b * Q(1, g)), den // g
+        s = den * (M1 * M2) ** 2
+        g = gcd(s, M2 * gcd(*A.values()), M1 * M1 * gcd(*B.values()))
+        pair = ({m: v * M2 // g for m, v in A.items()},
+                {m: v * M1 * M1 // g for m, v in B.items()}) if A or B else None
+        return C, den * M2 * M1, pair, s // g
+
+
+def _combine(x, p, y, q):
+    """x*p + y*q for term maps p and q, with no zero coefficient."""
+    out = {m: x * v for m, v in p.items()}
+    for m, v in q.items():
+        out[m] = out.get(m, 0) + y * v
+    return {m: v for m, v in out.items() if v}
 
 
 def _torus_split(L, sign, d, p):
-    """(K, m0, A) with p = K/m0 + L(-A/m0^2) and L(K) = 0 on 0-forms for the
-    stencil L of a torus field, whose square is -sign * lam off its kernel
-    on degree d, lam in E_d: K = prod (L^2 + sign * lam) p, and off the
-    kernel m(L^2) = 0 for m(t) = prod (t + sign * lam), so A = L h(L^2)
-    (m0 p - K) with m0 = m(0), h = (m - m0)/t."""
+    """(K, m0, A), integer term maps as p is, with p = K/m0 + L(-A/m0^2) and
+    L(K) = 0 for the stencil L of a torus field on functions, whose square
+    is -sign * lam off its kernel on degree d, lam in E_d: K = prod (L^2 +
+    sign * lam) p, and off the kernel m(L^2) = 0 for m(t) = prod (t + sign *
+    lam), so A = L h(L^2) (m0 p - K) with m0 = m(0), h = (m - m0)/t."""
+    def V(p):
+        return L.apply_terms((), p, {})[()]
+
     m = [1]            # coefficients of m, constant term first
     K = p
     for lam in (k * k for k in range(2 - d % 2, d + 1, 2)):
-        K = L.apply(L.apply(K)) + K * (sign * lam)
+        K = _combine(1, V(V(K)), sign * lam, K)
         m = [sign * lam * c + c1 for c, c1 in zip(m + [0], [0] + m)]
-    acc = rest = p * m[0] - K
+    acc = rest = _combine(m[0], p, -1, K)
     for c in reversed(m[1:-1]):
-        acc = L.apply(L.apply(acc)) + rest * c
-    return K, m[0], L.apply(acc)
+        acc = _combine(1, V(V(acc)), c, rest)
+    return K, m[0], _combine(1, V(acc), 0, {})
 
 
 @cache

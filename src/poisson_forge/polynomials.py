@@ -13,6 +13,7 @@ winning.  This is the ordering ">" used for leading monomials.
 
 import sys
 from functools import cmp_to_key
+from math import lcm
 from operator import add
 
 from .rationals import Q, exact
@@ -116,10 +117,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def homogeneous_part(self, d):
-        return Polynomial._of(self.n, {m: c for m, c in self.terms.items()
-                                       if sum(m) == d})
-
     def homogeneous_parts(self):
         """Map degree -> homogeneous component, nonzero components only."""
         parts = {}
@@ -216,24 +213,43 @@ class Polynomial:
                                        else exact(c * m[j])
                                        for m, c in self.terms.items() if m[j]})
 
-    def inverse(self, d):
-        """1/self as a power series through total degree d.
-
-        Read off self * (1/self) = 1 degree by degree: with c the constant
-        term, the slices are r_0 = 1/c and r_k = -(1/c) sum_{j=1..k}
-        self_j r_{k-j}, so the terms of self above degree d play no part.
-        """
-        inv = Q(1, self.constant_term())
-        parts = self.homogeneous_parts()
-        slices = [Polynomial.constant(self.n, inv)]
+    def inverse_slices(self, d):
+        """The slices r_0..r_d of 1/self as (N_k, den_k), r_k = N_k/den_k with
+        N_k a map monomial -> nonzero int and den_k > 0.  They are read off
+        self * (1/self) = 1 on integer numerators: with D = +-(the lcm of the
+        denominators through degree d), G = D*self and G_0 = G(0) > 0, r_k =
+        D R_k / G_0^(k+1) for R_0 = 1 and R_k = -sum_{j=1..k} G_j R_{k-j}
+        G_0^(j-1); the terms above degree d play no part."""
+        c = self.constant_term()
+        if d < 0:
+            raise ValueError("no power series inverse through degree %d" % d)
+        if not c:
+            raise ValueError("no power series inverse: zero constant term")
+        terms = [(sum(m), m, v) for m, v in self.terms.items() if sum(m) <= d]
+        D = lcm(*(v.denominator for _, _, v in terms)) * (1 if c > 0 else -1)
+        G0 = int(c * D)
+        # the factor -G_j G_0^(j-1) of R_{k-j} in R_k, term by term
+        factors = [(j, m, -int(v * D) * G0 ** (j - 1)) for j, m, v in terms if j]
+        R = [{(0,) * self.n: 1}]
         for k in range(1, d + 1):
-            acc = Polynomial.zero(self.n)
-            for j, part in parts.items():
-                if 0 < j <= k:
-                    acc = acc + part * slices[k - j]
-            slices.append(acc * -inv)
-        return Polynomial._of(self.n, {m: c for p in slices
-                                       for m, c in p.terms.items()})
+            acc = {}
+            for j, ma, ca in factors:
+                for mb, cb in R[k - j].items() if j <= k else ():
+                    m = tuple(map(add, ma, mb))
+                    acc[m] = acc.get(m, 0) + ca * cb
+            R.append({m: v for m, v in acc.items() if v})
+        return [({m: v * D for m, v in Rk.items()}, G0 ** (k + 1))
+                for k, Rk in enumerate(R)]
+
+    def inverse(self, d):
+        """1/self as a power series through total degree d (`inverse_slices`)."""
+        return Polynomial.of_slices(self.n, self.inverse_slices(d))
+
+    @staticmethod
+    def of_slices(n, slices):
+        """sum N/den over (N, den), N integer term maps on distinct monomials."""
+        return Polynomial._of(n, {m: v // den if v % den == 0 else Q(v, den)
+                                  for N, den in slices for m, v in N.items()})
 
     # -- comparison / hashing / printing ------------------------------
 

@@ -334,7 +334,10 @@ def test_emit_report_bad_format():
 # last pins a normalizer at the working weight 20, so that the split's
 # products at degrees 11-20 are pinned too; it was taken on the split
 # through the polynomial Lie derivative, before the split read the torus
-# stencils
+# stencils.  The last pins a g with a non-unit constant and denominators at
+# degree 2, so that the inverses, the split and q run on numerators over
+# denominators other than 1; it was taken on the Fraction inverses, before
+# the normalizer ran on integer numerators
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
@@ -358,6 +361,8 @@ def test_emit_report_bad_format():
      "79da061bc49b71afecc6a39b03931459b57ba63a2fd997bd1131f14a1adddf4a"),
     (["normalize", "--g", "3/2+1/3*x1-x2^2+x1*x4", "--max-weight", "20"], 0,
      "5d4a5600111828f4002035306ea62c89564a48c7ed064ac98a2a5c4da0413e64"),
+    (["normalize", "--g", "7-3*x1+5/4*x2^2-x1*x3^3", "--max-weight", "12"], 0,
+     "d39cf1522150bf567a3aaafdd89922411bb6ae39742bc3ad11f75c6f9cbc647a"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code

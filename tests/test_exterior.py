@@ -24,12 +24,18 @@ def basis_element(basis, i):
                                Polynomial.monomial(basis.n, m))
 
 
+def homogeneous_part(p, d):
+    """The terms of total degree d of the polynomial p."""
+    return Polynomial(p.n, {m: c for m, c in p.terms.items() if sum(m) == d})
+
+
 def weight_slice(elem, w):
     """Component of scaling weight exactly w."""
     d = w - elem.degree if elem.kind == FORM else w + elem.degree
     if d < 0:
         return GradedElement.zero(elem.n, elem.degree, elem.kind)
-    return elem._like({i: p.homogeneous_part(d) for i, p in elem.comps.items()})
+    return elem._like({i: homogeneous_part(p, d)
+                       for i, p in elem.comps.items()})
 
 
 def rand_element(rng, k, kind, max_deg=3):

@@ -20,7 +20,8 @@ from poisson_forge.poisson import PoissonStructure, d_pi, schouten
 from poisson_forge.polynomials import Polynomial, monomial_key, monomials_of_degree
 from poisson_forge.rationals import Q
 from poisson_forge.series import H_SERIES, KERNEL_SERIES
-from test_exterior import basis_element, element_at, weight_slice
+from test_exterior import (basis_element, element_at, homogeneous_part,
+                           weight_slice)
 from test_linalg import (SpanSolver, apply, clone, is_zero, matmul,
                          rational_solve)
 from test_signs import de_rham_by_position
@@ -450,7 +451,7 @@ def test_normalize_linear_deformation(engine, cat):
     # every homogeneous part is an f-polynomial (certified inside),
     # in particular the weight-2 part is -f1/4
     from poisson_forge.rationals import Q
-    assert q.homogeneous_part(2) == cat.f1 * Q(-1, 4)
+    assert homogeneous_part(q, 2) == cat.f1 * Q(-1, 4)
     # correction fields are tangent to the fibration
     from poisson_forge.exterior import contract
     for s in steps:
@@ -475,7 +476,7 @@ def test_deformation_step_folds_the_casimir_check(engine, cat):
         i = gi.degree()
         assert i <= 5
         assert casimir_reference(gi, i) == casimir
-        qi, pair, _ = engine._split_slice(gi, i)
+        qi, pair, _ = split_slice(engine, gi, i)
         assert (pair is None) == casimir
         if casimir:
             assert qi == gi
@@ -548,6 +549,17 @@ def generic_exp_flow(field, h, w_max):
     return result
 
 
+def split_slice(engine, ri, i):
+    """(c_i, (a, b), s) of the engine's split of the rational slice r_i,
+    with c_i, a and b as polynomials; the split itself reads r_i as an
+    integer numerator over a positive denominator."""
+    den = lcm(*(c.denominator for c in ri.terms.values()))
+    C, Dc, pair, s = engine._split_slice((ri * den).terms, den, i)
+    assert s > 0
+    return (Polynomial.of_slices(4, [(C, Dc)]),
+            pair and tuple(Polynomial(4, p) for p in pair), s)
+
+
 def pair_field(engine, pair):
     """s*X = a V1 + b V2 for the pair (a, b) of the engine's split."""
     V1, V2 = engine._torus
@@ -560,10 +572,10 @@ def normalize_uncertified(engine, g, w_max, pullback):
     current = truncate(g, w_max)
     transcript = []
     for i in range(1, w_max + 1):
-        gi = current.homogeneous_part(i)
+        gi = homogeneous_part(current, i)
         if gi.is_zero():
             continue
-        qi, pair, s = engine._split_slice(gi, i)
+        qi, pair, s = split_slice(engine, gi, i)
         if pair is None:
             continue
         corrector = pair_field(engine, pair) * Q(1, s)
@@ -684,7 +696,7 @@ def test_homogeneous_flow_matches_inverse_flow_route(engine, cat, inverse_route,
     weights = [s.weight for s in steps]
     assert (weights == [w for w, _, _ in steps_ref]) == generic
     for w, qw, _ in steps_ref:
-        assert qw == q.homogeneous_part(w)
+        assert qw == homogeneous_part(q, w)
     assert steps and steps_ref
 
 
@@ -720,7 +732,7 @@ def test_step_casimir_parts_are_the_slices_of_one_over_q(engine, g):
     inverse = series_inverse(q, 6)
     assert steps
     for s in steps:
-        assert s.casimir_part == inverse.homogeneous_part(s.weight)
+        assert s.casimir_part == homogeneous_part(inverse, s.weight)
 
 
 @pytest.mark.parametrize("g", ["1+x1", "3/2+1/3*x1-x2^2+x1*x4",
@@ -735,7 +747,7 @@ def test_steps_are_certified_in_im_d_pi_by_the_schouten_route(engine, cat, g):
     assert steps
     for step in steps:
         X = step.corrector
-        residual = r.homogeneous_part(step.weight) - step.casimir_part
+        residual = homogeneous_part(r, step.weight) - step.casimir_part
         assert star(d_pi(X, cat.poisson)) == cat.poisson.delta.apply(star(X))
         assert d_pi(X, cat.poisson) == cat.pi * residual
 
@@ -752,12 +764,16 @@ def test_inverse_matches_the_series_reference(g, d):
 
 
 def corrupt_corrector(monkeypatch, change):
-    """Makes every engine's split return change(a, b) in place of its pair."""
+    """Makes every engine's split return change(a, b) in place of its pair,
+    with a and b read as polynomials."""
     split = HomologyEngine._split_slice
 
-    def corrupted(self, gi, i):
-        qi, pair, s = split(self, gi, i)
-        return qi, None if pair is None else change(*pair), s
+    def corrupted(self, R, den, i):
+        C, Dc, pair, s = split(self, R, den, i)
+        if pair is not None:
+            pair = tuple(p.terms for p in change(*(Polynomial(4, p)
+                                                   for p in pair)))
+        return C, Dc, pair, s
 
     monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
 
@@ -870,13 +886,13 @@ def test_normalizer_steps_apply_only_the_torus_stencils(monkeypatch):
     eng = HomologyEngine()
     derivations = eng._check_torus()
     applied, in_split = [], []
-    apply, split = SliceOperator.apply, HomologyEngine._split_slice
-    monkeypatch.setattr(SliceOperator, "apply",
-                        lambda op, a: applied.append(op) or apply(op, a))
+    apply, split = SliceOperator.apply_terms, HomologyEngine._split_slice
+    monkeypatch.setattr(SliceOperator, "apply_terms",
+                        lambda op, *args: applied.append(op) or apply(op, *args))
 
-    def spied_split(self, ri, i):
+    def spied_split(self, R, den, i):
         start = len(applied)
-        out = split(self, ri, i)
+        out = split(self, R, den, i)
         in_split.extend(applied[start:])
         del applied[start:]
         return out
@@ -996,10 +1012,10 @@ def normalize_by_fields(route, g, w_max):
     route.split_field, which hands out (c_i, s*X, s) for any tangent X,
     each step checked by `assert_certified`."""
     r = g.inverse(w_max)
-    c = r.homogeneous_part(0)
+    c = homogeneous_part(r, 0)
     steps = []
     for i in range(1, w_max + 1):
-        ri = r.homogeneous_part(i)
+        ri = homogeneous_part(r, i)
         if ri.is_zero():
             continue
         ci, scaled, s = route.split_field(ri, i)
@@ -1017,7 +1033,7 @@ def test_split_matches_the_three_form_route_on_every_monomial(
     # read neither the torus stencils nor the step identity
     for m in monomials_of_degree(4, i):
         ri = Polynomial.monomial(4, m)
-        ci, pair, s = engine._split_slice(ri, i)
+        ci, pair, s = split_slice(engine, ri, i)
         assert ci == three_form_route.split_field(ri, i)[0], m
         if pair is None:
             assert ci == ri
@@ -1041,15 +1057,15 @@ def test_normalizer_runs_no_linear_system(monkeypatch):
 def test_casimir_recomposition(cat):
     f1, f2 = cat.f1, cat.f2
     for part, d in ((f1 ** 3, 6), (f1 * f2 * f2 - f2 ** 3 * 3, 6),
-                    (Polynomial.zero(4), 3)):
-        assert is_casimir_slice(cat, part, d)
+                    (Polynomial.zero(4), 3), (f1 * f2 * Q(1, 3), 4)):
+        assert is_casimir_slice(cat, part.terms, d)
     # f1^2 + x3^4 has the coefficients of f1^2 at every x1^a x2^b, so only
     # the remainder rejects it
     near = f1 * f1 + x(3) ** 4
     assert all(near.coefficient((a, 4 - a, 0, 0))
                == (f1 * f1).coefficient((a, 4 - a, 0, 0)) for a in range(5))
     for part, d in ((x(2) ** 2 + x(4) ** 2, 2), (x(1) ** 3, 3), (near, 4)):
-        assert not is_casimir_slice(cat, part, d)
+        assert not is_casimir_slice(cat, part.terms, d)
 
 
 def test_a_non_casimir_part_fails_the_recomposition(cat, monkeypatch, capsys):
@@ -1057,10 +1073,11 @@ def test_a_non_casimir_part_fails_the_recomposition(cat, monkeypatch, capsys):
     # hands back c_2 + x3^2, which only the final recomposition can see
     split = HomologyEngine._split_slice
 
-    def corrupted(self, ri, i):
-        ci, pair, s = split(self, ri, i)
+    def corrupted(self, R, den, i):
+        C, Dc, pair, s = split(self, R, den, i)
         assert pair is None
-        return (ci + x(3) ** 2 if i == 2 else ci), None, s
+        return ((Polynomial(4, C) + x(3) ** 2 * Dc).terms if i == 2 else C,
+                Dc, None, s)
 
     monkeypatch.setattr(HomologyEngine, "_split_slice", corrupted)
     text = "1+%s" % cat.f1

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poisson_forge
 from poisson_forge.exterior import de_rham, wedge
@@ -137,3 +138,70 @@ def test_no_true_division_in_the_package():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.BinOp, ast.AugAssign)):
                 assert not isinstance(node.op, ast.Div), (path.name, node.lineno)
+
+
+def schoolbook_inverse(h, d):
+    """1/h through total degree d by the Fraction recurrence r_0 = 1/c,
+    r_k = -(1/c) sum_{j=1..k} h_j r_{k-j}, with c the constant term: the
+    independent route to the integer-first `Polynomial.inverse`."""
+    inv = Q(1, h.constant_term())
+    parts = h.homogeneous_parts()
+    slices = [Polynomial.constant(h.n, inv)]
+    for k in range(1, d + 1):
+        acc = Polynomial.zero(h.n)
+        for j, part in parts.items():
+            if 0 < j <= k:
+                acc = acc + part * slices[k - j]
+        slices.append(acc * -inv)
+    return sum(slices, Polynomial.zero(h.n))
+
+
+@st.composite
+def invertible_series(draw):
+    """(g, d): d <= 8, and g on R^4 with a nonzero rational constant term of
+    either sign and up to five terms of degree 1..4 with rational
+    coefficients, some of degree above d."""
+    d = draw(st.integers(0, 8))
+    sign = draw(st.sampled_from((1, -1)))
+    constant = sign * draw(st.builds(Q, st.integers(1, 12), st.integers(1, 5)))
+    terms = {(0, 0, 0, 0): constant}
+    monos = st.sampled_from([m for k in range(1, 5)
+                             for m in monomials_of_degree(4, k)])
+    coeffs = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+    for m, c in draw(st.lists(st.tuples(monos, coeffs), max_size=5)):
+        terms[m] = c
+    return Polynomial(4, terms), d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(invertible_series())
+def test_inverse_matches_the_fraction_recurrence(args):
+    g, d = args
+    h = g.inverse(d)
+    assert h == schoolbook_inverse(g, d)
+    assert all(type(c) is int for c in h.terms.values() if c.denominator == 1)
+    product = g * h
+    assert Polynomial(4, {m: c for m, c in product.terms.items()
+                          if sum(m) <= d}) == Polynomial.constant(4, 1)
+    # one positive denominator and an integer numerator per slice
+    slices = g.inverse_slices(d)
+    assert len(slices) == d + 1
+    for k, (N, den) in enumerate(slices):
+        assert type(den) is int and den > 0
+        assert all(type(v) is int and v and sum(m) == k for m, v in N.items())
+
+
+def test_inverse_refuses_a_zero_constant_term():
+    # formerly a bare ZeroDivisionError from Fraction(1, 0)
+    with pytest.raises(ValueError, match="zero constant term"):
+        Polynomial.variable(4, 1).inverse(3)
+    with pytest.raises(ValueError, match="zero constant term"):
+        (x(1) * Q(1, 2) + x(2) ** 2).inverse(0)
+
+
+def test_inverse_refuses_a_negative_degree():
+    # formerly the slice 1/c, as if d were 0
+    with pytest.raises(ValueError, match="through degree -1"):
+        (Polynomial.constant(4, 3) + x(1)).inverse(-1)
+    assert (Polynomial.constant(4, 3) + x(1)).inverse(0) == \
+        Polynomial.constant(4, Q(1, 3))

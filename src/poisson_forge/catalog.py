@@ -12,12 +12,26 @@ the bivector star^{-1}(d zeta_i) and eps_i the 3-form star(E_i).
 
 Everything here is validated by the identity suite in poisson.py; the
 explicit coefficients below are fixed by those identities.
+
+The toric twin (Monnier, Lett. Math. Phys. 2002) is the complex linear
+substitution x = P t with t = Q x,
+
+    t1 = (x1 - x4) + i(x2 + x3),   t3 = (x1 + x4) + i(x2 - x3),
+
+t2 and t4 their conjugates, in which f1 + i f2 = (z + i w)(z - i w) =
+t1 t3 and f1 - i f2 = t2 t4.  `toric_twin` certifies both identities and
+Q(P(t)) = t once per process, in Gaussian-rational arithmetic held as
+pairs (re, im) of Polynomials, and hands out the substitution with the
+twin's integer 1-forms d(t1 t3), d(t2 t4), written in the package's
+coordinates x1..x4 standing for t1..t4.
 """
 
+from collections import namedtuple
 from functools import cache
 
 from .exterior import (FORM, MULTIVECTOR, GradedElement, de_rham, star,
                        star_inv, volume_form, wedge)
+from .linalg import InvariantViolation
 from .poisson import jacobi_poisson
 from .polynomials import Polynomial
 from .rationals import Q
@@ -91,3 +105,72 @@ class LefschetzCatalog:
 @cache
 def lefschetz_catalog():
     return LefschetzCatalog()
+
+
+# -- the toric twin -----------------------------------------------------------
+
+# Row j holds (real parts, imaginary parts) of the coefficients of t1..t4 in
+# TWIN_DEN * x_j (TWIN_P) and of x1..x4 in t_j (TWIN_Q).
+TWIN_DEN = 4
+TWIN_P = (((1, 1, 1, 1), (0, 0, 0, 0)), ((0, 0, 0, 0), (-1, 1, -1, 1)),
+          ((0, 0, 0, 0), (-1, 1, 1, -1)), ((-1, -1, 1, 1), (0, 0, 0, 0)))
+TWIN_Q = (((1, 0, 0, -1), (0, 1, 1, 0)), ((1, 0, 0, -1), (0, -1, -1, 0)),
+          ((1, 0, 0, 1), (0, 1, -1, 0)), ((1, 0, 0, 1), (0, -1, 1, 0)))
+
+# x_j = P[j] / den and t_j = Q[j], each a Gaussian linear polynomial (re, im)
+# with integer coefficients, and the twin's dividing forms d(t1 t3), d(t2 t4)
+ToricTwin = namedtuple("ToricTwin", "P den Q forms")
+
+
+def _gaussian_linear(rows):
+    """The rows of a Gaussian integer matrix as linear (re, im) pairs."""
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return tuple(tuple(Polynomial(4, dict(zip(units, part))) for part in row)
+                 for row in rows)
+
+
+def _pullback(f, images):
+    """f(images) as (re, im): a Gaussian polynomial f = (re, im) with the
+    Gaussian polynomials `images` substituted for x1..x4."""
+    zero = Polynomial.zero(4)
+    re, im = zero, zero
+    for part, poly in enumerate(f):
+        for m, c in poly.terms.items():
+            a, b = Polynomial.constant(4, c), zero
+            if part:                        # i*c
+                a, b = b, a
+            for (u, v), e in zip(images, m):
+                for _ in range(e):
+                    a, b = a * u - b * v, a * v + b * u
+            re, im = re + a, im + b
+    return re, im
+
+
+def certify_twin(P, den, Q):
+    """Check that x = P t / den sends f1 + i f2 to t1 t3 and f1 - i f2 to
+    t2 t4, and that Q(P(t) / den) = t, exactly; InvariantViolation
+    otherwise.  f1, f2 and Q are homogeneous of degrees 2, 2 and 1, so
+    each side is compared times den^2 or den."""
+    cat = lefschetz_catalog()
+    t = [_x(i) for i in range(1, 5)]
+    checks = [((cat.f1, cat.f2), t[0] * t[2] * den ** 2,
+               "f1 + i f2 to t1 t3"),
+              ((cat.f1, -cat.f2), t[1] * t[3] * den ** 2,
+               "f1 - i f2 to t2 t4")]
+    checks += [(q, t[k] * den, "Q%d(x) back to t%d" % (k + 1, k + 1))
+               for k, q in enumerate(Q)]
+    for f, want, what in checks:
+        if _pullback(f, P) != (want, Polynomial.zero(4)):
+            raise InvariantViolation("the twin substitution x = P t does not "
+                                     "send %s" % what)
+
+
+@cache
+def toric_twin():
+    """The ToricTwin, certified once per process (`certify_twin`)."""
+    P, Q = _gaussian_linear(TWIN_P), _gaussian_linear(TWIN_Q)
+    certify_twin(P, TWIN_DEN, Q)
+    t1, t2, t3, t4 = (_x(i) for i in range(1, 5))
+    forms = tuple(de_rham(GradedElement.from_polynomial(f))
+                  for f in (t1 * t3, t2 * t4))
+    return ToricTwin(P, TWIN_DEN, Q, forms)

@@ -18,7 +18,8 @@ import sys
 from .catalog import lefschetz_catalog
 from .division import (division_group_dim, ideal_dim_binomial_print,
                        ideal_slice_dim, lefschetz_problem,
-                       submodule_contains, verify_division_basis)
+                       submodule_contains, twin_problem,
+                       verify_division_basis)
 from .homology import InvariantViolation, default_engine
 from .parsing import MAX_DEGREE, ParseError, parse_polynomial
 from .poisson import verify_identity_suite
@@ -106,7 +107,7 @@ def _division1_block(doc, d_max):
     rows1 = []
     ok1 = True
     for w in range(1, d_max + 3):
-        dim = division_group_dim(lefschetz_problem(1, w))
+        dim = division_group_dim(twin_problem(1, w))
         ok1 = ok1 and dim == 0
         rows1.append([w, dim, 0])
     doc.add_table("D^1(df1,df2) slices", ["weight", "dim", "expected"], rows1)
@@ -327,7 +328,7 @@ def _execute(args, argv):
                 _division_blocks(doc, args.max_degree)
             else:
                 doc.add_table("D^3 slices", ["weight", "dim"],
-                              [[w, division_group_dim(lefschetz_problem(3, w))]
+                              [[w, division_group_dim(twin_problem(3, w))]
                                for w in range(3, args.max_degree + 4)])
         elif args.cmd == "nf":
             poly = _parse(args.poly)

@@ -12,20 +12,41 @@ both eliminated on the slice's basis.  Every column is read off the
 SliceOperator of a wedge (`exterior.wedge_operator`); a product with a
 polynomial g, as in the ideal slices, is the wedge by the 0-form g.  The
 submodule lies in the kernel, so the wedge columns at its pivots are left
-out.  What does not depend on the slice is built once per tuple of
-dividing forms (`_dividing`): the forms' weights, alpha = a_1 ^ ... ^
-a_k, the exact check a_i ^ alpha = 0 that the skipped columns rest on,
-and the wedge operator of alpha.
+out.  The submodule's own Koszul relations a_i ^ (a_j ^ c) + a_j ^ (a_i ^
+c) = 0 are left out the same way: the block of a_i skips the pivots of
+the echelon of sum_{j>=i} a_j ^ Omega^{p-2} (`_submodule_echelon`).  What
+does not depend on the slice is built once per tuple of dividing forms
+(`_dividing`): the forms' weights, alpha = a_1 ^ ... ^ a_k, the exact
+checks a_i ^ alpha = 0 and a_i ^ a_j + a_j ^ a_i = 0 (i <= j) that the
+skipped columns rest on, and the wedge operator of alpha.
+
 The Lefschetz case (a_i = df_i) has D^1 = 0 but D^2 nonzero with explicit
 generators c*beta_1 + (p*x1 + q1*x3 + q2)*beta_2, which is the measured
-failure of the isolated-singularity depth bound.
+failure of the isolated-singularity depth bound.  Its D^1 and D^3 tables
+are computed on the toric twin (`catalog.toric_twin`, `twin_problem`),
+on the forms d(t1 t3), d(t2 t4) of 2 terms each, whose wedge has 4 terms
+against the 12 of df1 ^ df2.  The slice dimensions are the same:
+
+- the x forms have rational coefficients, so every rank, and with it every
+  D^p slice dimension, is the same over Q and over C;
+- over C, df1 and df2 are unit combinations of d(f1 + i f2) and
+  d(f1 - i f2), so both pairs span the same submodule, and df1 ^ df2 =
+  (i/2) d(f1 + i f2) ^ d(f1 - i f2) has the same kernel;
+- the certified substitution x = P t is linear and invertible, keeps the
+  scaling weight and commutes with d and ^, so it maps each (p, w) slice
+  of D^p(d(f1 + i f2), d(f1 - i f2)) onto that of D^p(d(t1 t3), d(t2 t4));
+- the twin forms have integer coefficients, so their ranks over C are
+  those over Q that the slices compute.
+
+D^2's classification, its relation classes and the Jacobian ideal slices
+stay in x, where the forms of the classification live.
 """
 
 from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .catalog import lefschetz_catalog
+from .catalog import lefschetz_catalog, toric_twin
 from .exterior import (FORM, GradedElement, enumerate_basis, wedge, wedge_all,
                        wedge_operator)
 from .linalg import InvariantViolation, echelon
@@ -60,8 +81,10 @@ def _dividing(forms):
     """The Dividing data of a tuple of 1-forms, built once per tuple.
 
     The forms must be nonzero weight-homogeneous 1-forms on one R^n.  alpha =
-    a_1 ^ ... ^ a_k, and a_i ^ alpha = 0 is checked exactly here, before
-    any slice skips a wedge column on its strength (`_wedge_kernel_echelon`).
+    a_1 ^ ... ^ a_k, and a_i ^ alpha = 0 and a_i ^ a_j + a_j ^ a_i = 0 for
+    i <= j are checked exactly here, before any slice skips a wedge or a
+    submodule column on their strength (`_wedge_kernel_echelon`,
+    `_submodule_echelon`).
     """
     n = forms[0].n
     weights = []
@@ -79,16 +102,38 @@ def _dividing(forms):
             raise InvariantViolation(
                 "a_%d ^ alpha != 0 for the dividing forms: the submodule "
                 "is not inside the kernel of the wedge map" % i)
+    for i, a in enumerate(forms, 1):
+        for j, b in enumerate(forms[i - 1:], i):
+            if wedge(a, b) + wedge(b, a):   # a_i ^ a_i = 0 where i = j
+                raise InvariantViolation(
+                    "a_%d ^ a_%d + a_%d ^ a_%d != 0 for the dividing forms: "
+                    "the Koszul relations are not in the submodule's kernel"
+                    % (i, j, j, i))
     # when alpha is zero every wedge column is empty
     return Dividing(tuple(weights), alpha, sum(weights), wedge_operator(alpha))
 
 
-def _submodule_echelon(prob, src):
-    """Echelon of sum_i a_i ^ Omega^{p-1} inside the slice with basis src."""
-    return echelon(col for a, u in zip(prob.forms, prob.dividing.weights)
-                   for col in wedge_operator(a).columns(
-                       enumerate_basis(prob.p - 1, prob.w - u, FORM, a.n),
-                       src))
+def _submodule_echelon(forms, weights, p, w):
+    """Echelon of sum_i a_i ^ Omega^{p-1} inside the (p, w) slice.
+
+    The columns are the blocks a_i ^ Omega^{p-1}, i in order.  For a vector
+    v = sum_{j>=i} a_j ^ c_j with smallest index at a pivot of the echelon
+    of sum_{j>=i} a_j ^ Omega^{p-2}, the vector with v in block i and a_i ^
+    c_j in block j > i is in the kernel of the columns, since a_i ^ a_j +
+    a_j ^ a_i = 0 for i <= j (checked once per tuple, `_dividing`), and its
+    smallest index is that pivot in block i.  These smallest indices are
+    distinct, so the columns at them are skipped with the span kept
+    (`linalg`).
+    """
+    n = forms[0].n
+    src = enumerate_basis(p, w, FORM, n)
+    cols = []
+    for i, (a, u) in enumerate(zip(forms, weights)):
+        skip = (_submodule_echelon(forms[i:], weights[i:], p - 1, w - u).rows
+                if p >= 2 else ())
+        cols += wedge_operator(a).columns(
+            enumerate_basis(p - 1, w - u, FORM, n), src, skip=skip)
+    return echelon(cols)
 
 
 def _wedge_kernel_echelon(prob):
@@ -101,9 +146,9 @@ def _wedge_kernel_echelon(prob):
     and by downward induction over the pivots the other columns have the
     same span: the pivot columns are neither assembled nor eliminated.
     """
-    _, alpha, u, wedge_alpha = prob.dividing
+    weights, alpha, u, wedge_alpha = prob.dividing
     src = enumerate_basis(prob.p, prob.w, FORM, alpha.n)
-    sub = _submodule_echelon(prob, src)
+    sub = _submodule_echelon(prob.forms, weights, prob.p, prob.w)
     dst = enumerate_basis(prob.p + alpha.degree, prob.w + u, FORM, alpha.n)
     # a ^ b = +-b ^ a, so the rank is that of b -> b ^ alpha
     ech = echelon(wedge_alpha.columns(src, dst, skip=sub.rows))
@@ -121,6 +166,12 @@ def lefschetz_problem(p, w):
     return DivisionProblem([cat.df1, cat.df2], p, w)
 
 
+def twin_problem(p, w):
+    """The (p, w) slice of D^p(d(t1 t3), d(t2 t4)) on the toric twin, of the
+    same dimension as that of `lefschetz_problem` (module docstring)."""
+    return DivisionProblem(list(toric_twin().forms), p, w)
+
+
 def division_group_basis(prob):
     """Instantiated generators of D^2(df1, df2) at one coefficient degree.
 
@@ -134,25 +185,15 @@ def division_group_basis(prob):
     d = prob.w - 2          # coefficient degree of the slice
     if d < 0:
         return []
-    x1 = Polynomial.variable(4, 1)
-    x2 = Polynomial.variable(4, 2)
-    x3 = Polynomial.variable(4, 3)
-    x4 = Polynomial.variable(4, 4)
-    out = []
-    if d == 0:
-        out.append(cat.beta1)
-    if d >= 1:
-        out.append(cat.beta2 * (x2 ** (d - 1) * x1))
-        for m in _xy_monomials(x2, x4, d - 1):
-            out.append(cat.beta2 * (m * x3))
-    for m in _xy_monomials(x2, x4, d):
-        out.append(cat.beta2 * m)
-    return out
-
-
-def _xy_monomials(a, b, d):
-    """Monomials a^i b^{d-i}, larger a-power first (the local tie-break)."""
-    return [(a ** i) * (b ** (d - i)) for i in range(d, -1, -1)]
+    # parameter monomials as exponents of x1..x4: x2^(d-1) x1, then
+    # x2^i x4^(d-1-i) x3 and x2^i x4^(d-i), larger x2-power first (the
+    # local tie-break)
+    exponents = ([(1, d - 1, 0, 0)]
+                 + [(0, i, 1, d - 1 - i) for i in range(d - 1, -1, -1)]
+                 if d >= 1 else [])
+    exponents += [(0, i, 0, d - i) for i in range(d, -1, -1)]
+    return ([cat.beta1] if d == 0 else []) + [
+        cat.beta2 * Polynomial.monomial(4, m) for m in exponents]
 
 
 def verify_division_basis(prob):
@@ -169,7 +210,8 @@ def verify_division_basis(prob):
 def submodule_contains(prob, form):
     """Is the form inside sum_i a_i ^ Omega^{p-1} on its slice?"""
     src = enumerate_basis(prob.p, prob.w, FORM, form.n)
-    return _submodule_echelon(prob, src).contains(src.coords(form))
+    return _submodule_echelon(prob.forms, prob.dividing.weights, prob.p,
+                              prob.w).contains(src.coords(form))
 
 
 # -- Jacobian ideal slices ----------------------------------------------------

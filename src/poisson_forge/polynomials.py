@@ -12,7 +12,7 @@ winning.  This is the ordering ">" used for leading monomials.
 """
 
 import sys
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from math import lcm
 from operator import add
 
@@ -37,10 +37,12 @@ def monomial_cmp(a, b):
 monomial_key = cmp_to_key(lambda a, b: -monomial_cmp(a, b))
 
 
+@cache
 def monomials_of_degree(n, d):
-    """All degree-d monomials in n variables, greatest first under the local order."""
+    """All degree-d monomials in n variables, greatest first under the local
+    order, as a tuple shared by every caller (cached)."""
     if d < 0:
-        return []
+        return ()
     out = []
 
     def rec(prefix, rest, left):
@@ -52,7 +54,7 @@ def monomials_of_degree(n, d):
 
     rec((), n, d)
     # same degree, so the local order is plain exponent-lex, largest first
-    return out
+    return tuple(out)
 
 
 class Polynomial:

@@ -337,7 +337,9 @@ def test_emit_report_bad_format():
 # stencils.  The last pins a g with a non-unit constant and denominators at
 # degree 2, so that the inverses, the split and q run on numerators over
 # denominators other than 1; it was taken on the Fraction inverses, before
-# the normalizer ran on integer numerators
+# the normalizer ran on integer numerators.  The last pins a D^1 table
+# through weight 18; it was taken on the x forms df1, df2, before the D^1
+# and D^3 tables came to be read off the toric twin
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--suite", "all", "--max-weight", "5"], 1,
      "b691887ce746339a637ac51532f3989976341a81db31b77cd47ba7eb1cfb3f6d"),
@@ -363,6 +365,8 @@ def test_emit_report_bad_format():
      "5d4a5600111828f4002035306ea62c89564a48c7ed064ac98a2a5c4da0413e64"),
     (["normalize", "--g", "7-3*x1+5/4*x2^2-x1*x3^3", "--max-weight", "12"], 0,
      "d39cf1522150bf567a3aaafdd89922411bb6ae39742bc3ad11f75c6f9cbc647a"),
+    (["division", "--p", "1", "--max-degree", "16"], 0,
+     "fbe499dfd0e6a039603e08cfc761725ce7fdd137fccefc0e39e180c5a160ecdc"),
 ])
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code

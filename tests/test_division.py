@@ -1,14 +1,19 @@
 import pytest
 
 from poisson_forge import division
+from poisson_forge.catalog import (TWIN_DEN, TWIN_P, TWIN_Q, _gaussian_linear,
+                                   certify_twin, toric_twin)
 from poisson_forge.cli import main
-from poisson_forge.division import (DivisionProblem, _wedge_kernel_echelon,
+from poisson_forge.division import (DivisionProblem, _submodule_echelon,
+                                    _wedge_kernel_echelon,
                                     division_group_basis, division_group_dim,
                                     ideal_dim_binomial_print, ideal_slice_dim,
                                     ideal_slice_echelon, lefschetz_problem,
-                                    submodule_contains, verify_division_basis)
-from poisson_forge.exterior import (FORM, GradedElement, enumerate_basis,
-                                    wedge, wedge_all, wedge_operator)
+                                    submodule_contains, twin_problem,
+                                    verify_division_basis)
+from poisson_forge.exterior import (FORM, GradedElement, de_rham,
+                                    enumerate_basis, wedge, wedge_all,
+                                    wedge_operator)
 from poisson_forge.linalg import ExactMatrix, InvariantViolation, QEchelon
 from poisson_forge.polynomials import Polynomial
 from test_exterior import basis_element
@@ -112,30 +117,66 @@ def test_two_path_agreement():
 
 
 def full_insert_reference(prob):
-    """(kernel_dim, submodule rank) of a Lefschetz slice (two dividing
-    1-forms of weight 2) with every wedge and submodule column built by
-    `wedge` and inserted; nothing is skipped."""
+    """(kernel_dim, submodule rank) of a slice on R^4 with every wedge and
+    submodule column built by `wedge` and inserted; nothing is skipped."""
     alpha = wedge_all(prob.forms)
     src = enumerate_basis(prob.p, prob.w, FORM, 4)
-    dst = enumerate_basis(prob.p + 2, prob.w + 4, FORM, 4)
+    dst = enumerate_basis(prob.p + alpha.degree, prob.w + alpha.weights()[0],
+                          FORM, 4)
     ech = QEchelon()
-    for i in range(len(src) if prob.p + 2 <= 4 else 0):
+    for i in range(len(src) if prob.p + alpha.degree <= 4 else 0):
         ech.insert(dst.coords(wedge(alpha, basis_element(src, i))))
     sub = QEchelon()
     for a in prob.forms:
-        lower = enumerate_basis(prob.p - 1, prob.w - 2, FORM, 4)
+        lower = enumerate_basis(prob.p - 1, prob.w - a.weights()[0], FORM, 4)
         for i in range(len(lower)):
             sub.insert(src.coords(wedge(a, basis_element(lower, i))))
     return len(src) - ech.rank, sub.rank
 
 
+def dx(i):
+    return GradedElement.basis(4, FORM, (i,))
+
+
+# the Lefschetz pair, its toric twin, and three forms of two weights, whose
+# submodule echelon skips at two levels of Koszul relations
+DIVIDING = {
+    "lefschetz": lambda: lefschetz_problem(1, 1).forms,
+    "twin": lambda: list(toric_twin().forms),
+    "three forms": lambda: [lefschetz_problem(1, 1).forms[0], dx(2) * x(4),
+                            dx(1)],
+}
+
+
 def test_skipped_wedge_columns_keep_the_ranks():
-    # the wedge columns at the submodule's pivots are never built
-    for p in (1, 2, 3):
-        for w in range(p, 10):
-            prob = lefschetz_problem(p, w)
-            kernel_dim, sub = _wedge_kernel_echelon(prob)
-            assert (kernel_dim, sub.rank) == full_insert_reference(prob), (p, w)
+    # neither the wedge columns at the submodule's pivots nor the submodule
+    # columns at the pivots of its Koszul relations are built
+    for name, forms in DIVIDING.items():
+        for p in (1, 2, 3):
+            for w in range(p, 10):
+                prob = DivisionProblem(forms(), p, w)
+                kernel_dim, sub = _wedge_kernel_echelon(prob)
+                assert (kernel_dim, sub.rank) == \
+                    full_insert_reference(prob), (name, p, w)
+
+
+def test_koszul_skip_leaves_no_dependent_submodule_column(monkeypatch):
+    # on the twin the Koszul complex of d(t1 t3), d(t2 t4) is exact in the
+    # tested degrees, so every submodule column that is built raises the rank
+    inserted = []
+
+    def counting(columns):
+        columns = [col for col in columns if col]
+        ech = QEchelon()
+        inserted.append((len(columns), sum(map(ech.insert, columns))))
+        return ech
+
+    monkeypatch.setattr(division, "echelon", counting)
+    prob = twin_problem(3, 8)
+    sub = _submodule_echelon(prob.forms, prob.dividing.weights, 3, 8)
+    assert sub.rank == 210
+    assert len(inserted) == 6          # (3, 8), two at p = 2, three at p = 1
+    assert all(built == useful for built, useful in inserted)
 
 
 def test_kernel_certificate_catches_a_form_that_alpha_does_not_absorb(
@@ -165,6 +206,74 @@ def test_dividing_data_is_built_once_per_tuple_of_forms(cat):
     assert first.weight == 4
     with pytest.raises(ValueError, match="nonzero and weight-homogeneous"):
         DivisionProblem([cat.df1, GradedElement.zero(4, 1, FORM)], 2, 4)
+
+
+def test_koszul_certificate_catches_forms_that_do_not_anticommute(
+        monkeypatch):
+    # a wedge of two 1-forms that picks up x1 dx1^dx2 breaks a_i ^ a_j =
+    # -a_j ^ a_i, on which the skipped submodule columns rest
+    extra = GradedElement.basis(4, FORM, (1, 2), x(1))
+
+    def skewed(a, b):
+        return wedge(a, b) + (extra if a.degree == b.degree == 1 else
+                              GradedElement.zero(4, a.degree + b.degree, FORM))
+
+    monkeypatch.setattr(division, "wedge", skewed)
+    division._dividing.cache_clear()
+    with pytest.raises(InvariantViolation,
+                       match=r"a_1 \^ a_1 \+ a_1 \^ a_1 != 0"):
+        division_group_dim(twin_problem(2, 4))
+    assert division._dividing.cache_info().currsize == 0
+
+
+def test_twin_substitution_is_certified(cat):
+    twin = toric_twin()
+    assert toric_twin() is twin
+    t = [x(i) for i in range(1, 5)]
+    assert twin.forms == (de_rham(GradedElement.from_polynomial(t[0] * t[2])),
+                          de_rham(GradedElement.from_polynomial(t[1] * t[3])))
+    # df1 ^ df2 = (i/2) d(t1 t3) ^ d(t2 t4): 12 terms on the left, 4 in the
+    # twin's wedge
+    alpha = wedge(*twin.forms)
+    assert sum(len(p.terms) for p in alpha.comps.values()) == 4
+    assert sum(len(p.terms) for p in cat.df1df2.comps.values()) == 12
+    certify_twin(twin.P, twin.den, twin.Q)
+
+
+def _flipped(rows, j, part, k):
+    """The Gaussian matrix rows with the sign of one coefficient flipped."""
+    out = [[list(r) for r in row] for row in rows]
+    out[j][part][k] = -out[j][part][k]
+    return out
+
+
+@pytest.mark.parametrize("j, part, k", [(0, 0, 0), (1, 1, 2), (3, 0, 3)])
+def test_twin_certificate_catches_one_wrong_coefficient_of_P(j, part, k):
+    P = _gaussian_linear(_flipped(TWIN_P, j, part, k))
+    with pytest.raises(InvariantViolation, match="send f1 [+-] i f2 to t"):
+        certify_twin(P, TWIN_DEN, _gaussian_linear(TWIN_Q))
+
+
+@pytest.mark.parametrize("j, part, k", [(0, 0, 3), (2, 1, 2)])
+def test_twin_certificate_catches_one_wrong_coefficient_of_Q(j, part, k):
+    Q = _gaussian_linear(_flipped(TWIN_Q, j, part, k))
+    with pytest.raises(InvariantViolation,
+                       match="send Q%d\\(x\\) back to t%d" % (j + 1, j + 1)):
+        certify_twin(_gaussian_linear(TWIN_P), TWIN_DEN, Q)
+    with pytest.raises(InvariantViolation):
+        certify_twin(_gaussian_linear(TWIN_P), TWIN_DEN + 1,
+                     _gaussian_linear(TWIN_Q))
+
+
+def test_twin_and_x_division_dimensions_agree():
+    # the x forms of lefschetz_problem are the independent route
+    for w in range(1, 13):
+        assert division_group_dim(twin_problem(1, w)) == 0
+        assert division_group_dim(lefschetz_problem(1, w)) == 0
+    for p, w_max in ((2, 8), (3, 10)):
+        for w in range(p, w_max + 1):
+            assert division_group_dim(twin_problem(p, w)) == \
+                division_group_dim(lefschetz_problem(p, w)), (p, w)
 
 
 def test_basis_instantiation(cat):

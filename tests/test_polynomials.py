@@ -32,11 +32,14 @@ def test_local_order_first_index_tiebreak():
 
 
 def test_monomials_of_degree_come_in_the_local_order():
-    # slice bases list monomials in this order without sorting them
+    # slice bases list monomials in this order without sorting them, and
+    # share one tuple per (n, d)
     for n in range(1, 6):
         for d in range(14):
             monos = monomials_of_degree(n, d)
-            assert monos == sorted(monos, key=monomial_key), (n, d)
+            assert monos == tuple(sorted(monos, key=monomial_key)), (n, d)
+            assert monomials_of_degree(n, d) is monos
+    assert monomials_of_degree(4, -1) == ()
 
 
 def test_local_order_total_and_antisymmetric():
